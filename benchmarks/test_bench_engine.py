@@ -1,19 +1,18 @@
 """Engine acceleration: scalar PHY/sensing oracle vs batched backend.
 
 Runs the interfering-FBS scenario through the Monte-Carlo runner twice
--- once with every acceleration layer disabled (the scalar seed path:
-per-observation ``SpectrumSensor.sense`` calls, per-channel fusion,
-per-link fading draws) and once with the default batched backend --
-verifies the two produce bit-identical per-run metrics, and records
-the end-to-end speedup plus a per-phase breakdown into
-``BENCH_engine.json``.
+-- once on the scalar oracle of ``tests/oracle.py`` (per-observation
+``SpectrumSensor.sense`` calls, per-channel fusion, per-link fading
+draws) and once on the production batched backend -- verifies the two
+produce bit-identical per-run metrics, and records the end-to-end
+speedup plus a per-phase breakdown into ``BENCH_engine.json``.
 
 Read alongside ``BENCH_solver.json``: the solver benchmark pins the
 allocation phase, this one pins the whole simulation loop.  The
-``use_acceleration`` switch is global -- the scalar leg here also runs
-the scalar solver -- so the per-phase breakdown is what attributes the
-win: ``sensing``/``access``/``transmission`` are the batched
-PHY/sensing backend, ``allocation`` is the solver's share.
+oracle's scalar leg also runs the scalar solver, so the per-phase
+breakdown -- summed over the measured runs themselves -- is what
+attributes the win: ``sensing``/``access``/``transmission`` are the
+batched PHY/sensing backend, ``allocation`` is the solver's share.
 """
 
 import json
@@ -22,12 +21,10 @@ from pathlib import Path
 from benchmarks.conftest import BENCH_GOPS, BENCH_RUNS, BENCH_SEED, report
 from repro import obs
 from repro.core import caches
-from repro.core.accel import use_acceleration
-from repro.core.batch import use_batching
 from repro.experiments.scenarios import interfering_fbs_scenario
 from repro.sim.checkpoint import run_metrics_to_dict
-from repro.sim.engine import SimulationEngine
 from repro.sim.runner import MonteCarloRunner
+from tests.oracle import scalar_path, unbatched
 
 #: Required end-to-end engine speedup of the batched backend (ISSUE 4).
 MIN_SPEEDUP = 1.3
@@ -85,12 +82,14 @@ def _append_history(entry):
     BENCH_JSON.write_text(json.dumps(history, indent=2, sort_keys=True) + "\n")
 
 
-def _phase_breakdown(config, accelerated):
-    """Per-phase seconds of one run under the chosen PHY/sensing backend."""
-    with use_acceleration(accelerated):
-        metrics = SimulationEngine(config).run()
+def _phase_seconds(runs):
+    """Per-phase seconds summed over the measured runs."""
+    totals = {}
+    for run in runs:
+        for phase, seconds in run.phase_seconds.items():
+            totals[phase] = totals.get(phase, 0.0) + seconds
     return {phase: round(seconds, 3)
-            for phase, seconds in sorted(metrics.phase_seconds.items())}
+            for phase, seconds in sorted(totals.items())}
 
 
 def test_bench_engine_acceleration(benchmark):
@@ -98,18 +97,17 @@ def test_bench_engine_acceleration(benchmark):
         n_gops=BENCH_GOPS, seed=BENCH_SEED, scheme="proposed-fast")
 
     def ab_comparison():
-        with use_acceleration(False):
+        with scalar_path():
             base_runs, base_s = _timed_runs(config)
-        with use_acceleration(True):
-            accel_runs, accel_s = _timed_runs(config)
+        accel_runs, accel_s = _timed_runs(config)
         return base_runs, base_s, accel_runs, accel_s
 
     base_runs, base_s, accel_runs, accel_s = benchmark.pedantic(
         ab_comparison, rounds=1, iterations=1)
     identical = _fingerprint(base_runs) == _fingerprint(accel_runs)
     speedup = base_s / accel_s if accel_s > 0 else float("inf")
-    scalar_phases = _phase_breakdown(config, accelerated=False)
-    batched_phases = _phase_breakdown(config, accelerated=True)
+    scalar_phases = _phase_seconds(base_runs)
+    batched_phases = _phase_seconds(accel_runs)
 
     _append_history({
         "benchmark": "engine-acceleration",
@@ -138,7 +136,8 @@ def test_bench_engine_acceleration(benchmark):
                f"batched backend  : {accel_s:8.2f} s",
                f"speedup          : {speedup:8.2f}x (required >= {MIN_SPEEDUP}x)",
                f"bit-identical    : {identical}",
-               "phase breakdown (one run, scalar -> batched):",
+               f"phase breakdown ({BENCH_RUNS} measured runs, "
+               f"scalar -> batched):",
                *phase_rows,
                f"trajectory       : {BENCH_JSON.name}",
            ]))
@@ -155,10 +154,11 @@ def test_bench_engine_acceleration(benchmark):
 def test_bench_batched_allocation(benchmark):
     """Cross-replication lockstep batching vs the per-replication driver.
 
-    Both legs run the accelerated backend; only the lockstep batching
-    switch differs, so the delta is exactly what ISSUE 8 added: one
-    stacked subgradient kernel answering B sibling replications' solve
-    requests per round instead of B sequential scalar solves.  The
+    Both legs run the production backend; the baseline runs each
+    replication on its own (``tests.oracle.unbatched``), so the delta is
+    exactly the lockstep kernel: one stacked subgradient iteration
+    answering B sibling replications' solve requests per round instead
+    of B sequential solves.  The
     allocation-phase speedup is the headline number (batching touches
     nothing else); solver caches are re-scoped before each leg so both
     start equally cold.
@@ -167,14 +167,11 @@ def test_bench_batched_allocation(benchmark):
         n_gops=BENCH_GOPS, seed=BENCH_SEED, scheme="proposed-fast")
 
     def ab_comparison():
-        with use_acceleration(True):
-            caches.scope_to(("bench-alloc", "unbatched"))
-            with use_batching(False):
-                base_runs, base_s = _timed_runs(config, BATCH_BENCH_RUNS)
-            caches.scope_to(("bench-alloc", "batched"))
-            with use_batching(True):
-                batched_runs, batched_s = _timed_runs(config,
-                                                      BATCH_BENCH_RUNS)
+        caches.scope_to(("bench-alloc", "unbatched"))
+        with unbatched():
+            base_runs, base_s = _timed_runs(config, BATCH_BENCH_RUNS)
+        caches.scope_to(("bench-alloc", "batched"))
+        batched_runs, batched_s = _timed_runs(config, BATCH_BENCH_RUNS)
         return base_runs, base_s, batched_runs, batched_s
 
     base_runs, base_s, batched_runs, batched_s = benchmark.pedantic(
@@ -194,9 +191,8 @@ def test_bench_batched_allocation(benchmark):
     enable_metrics(True)
     try:
         with scoped_registry() as registry:
-            with use_acceleration(True), use_batching(True):
-                caches.scope_to(("bench-alloc", "metered"))
-                MonteCarloRunner(config, n_runs=BATCH_BENCH_RUNS).run_all()
+            caches.scope_to(("bench-alloc", "metered"))
+            MonteCarloRunner(config, n_runs=BATCH_BENCH_RUNS).run_all()
             counters = registry.counters()
     finally:
         enable_metrics(False)
@@ -259,7 +255,7 @@ def test_bench_batched_allocation(benchmark):
 
 
 def test_bench_tracing_overhead(benchmark):
-    """Observability cost: the same accelerated run with tracing off vs on.
+    """Observability cost: the same production run with tracing off vs on.
 
     The tracing-on leg runs under the full surface (``--profile`` spans
     plus metrics); both legs must produce bit-identical run metrics --
@@ -283,7 +279,7 @@ def test_bench_tracing_overhead(benchmark):
         # lockstep (span nesting assumes one replication at a time), so
         # holding the driver constant isolates the instrumentation cost
         # from the batching win measured by test_bench_batched_allocation.
-        with use_acceleration(True), use_batching(False):
+        with unbatched():
             off_runs, off_s = _timed_runs(config)
             obs.configure(trace_path=str(BENCH_TRACE),
                           metrics_path=str(BENCH_METRICS), profile=True)

@@ -1,8 +1,8 @@
 """Solver hot-path acceleration: scalar oracle vs vectorized fast path.
 
 Runs the interfering-FBS (fig6-style) scenario twice through the
-Monte-Carlo runner -- once with every acceleration layer disabled
-(``use_acceleration(False)`` + ``memoize_q=False``, i.e. the literal
+Monte-Carlo runner -- once on the scalar oracle of ``tests/oracle.py``
+(``scalar_path()`` + ``memoize_q=False``, i.e. the literal
 pre-optimisation code path) and once with the defaults -- verifies the
 two produce bit-identical per-run metrics, and records the speedup into
 ``BENCH_solver.json`` so the acceleration work keeps a measured
@@ -20,13 +20,13 @@ from dataclasses import replace
 from pathlib import Path
 
 from benchmarks.conftest import BENCH_GOPS, BENCH_RUNS, BENCH_SEED, report
-from repro.core.accel import use_acceleration
 from repro.core.allocator import ProposedAllocator
 from repro.core.dual import fast_solve
 from repro.core.problem import SlotProblem, UserDemand
 from repro.experiments.scenarios import interfering_fbs_scenario
 from repro.sim.checkpoint import run_metrics_to_dict
 from repro.sim.runner import MonteCarloRunner
+from tests.oracle import scalar_path
 
 #: Required engine-level speedup of the accelerated path (ISSUE 3).
 MIN_SPEEDUP = 1.5
@@ -93,7 +93,7 @@ def test_bench_solver_acceleration(benchmark):
         n_gops=BENCH_GOPS, seed=BENCH_SEED, scheme="proposed-fast")
 
     def ab_comparison():
-        with use_acceleration(False):
+        with scalar_path():
             base_runs, base_s = _timed_runs(replace(config, memoize_q=False))
         accel_runs, accel_s = _timed_runs(config)
         return base_runs, base_s, accel_runs, accel_s

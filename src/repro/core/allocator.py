@@ -21,8 +21,8 @@ from __future__ import annotations
 
 from typing import Dict
 
-from repro.core.batch import SolveRequest, fast_solve_iter, fast_solve_warm_iter
-from repro.core.dual import DualDecompositionSolver, fast_solve, fast_solve_warm
+from repro.core.batch import SolveRequest, drive, fast_solve_iter, fast_solve_warm_iter
+from repro.core.dual import DualDecompositionSolver
 from repro.core.heuristics import EqualAllocationHeuristic, MultiuserDiversityHeuristic
 from repro.core.problem import Allocation, SlotProblem
 from repro.registry.schemes import SchemeInfo, register_scheme, scheme_registry
@@ -61,27 +61,17 @@ class ProposedAllocator:
 
     def allocate(self, problem: SlotProblem) -> Allocation:
         """Solve one slot problem to (near-)optimality."""
-        if self.fast:
-            if self.warm_start:
-                return fast_solve_warm(problem, self._warm)
-            return fast_solve(problem)
-        solution = self._solver.solve(
-            problem,
-            initial_multipliers=dict(self._warm) or None if self.warm_start else None)
-        if self.warm_start:
-            self._warm.clear()
-            self._warm.update(solution.multipliers)
-        return solution.allocation
+        return drive(self.allocate_iter(problem))
 
     def allocate_iter(self, problem: SlotProblem):
-        """Generator form of :meth:`allocate` for the lockstep driver.
+        """Generator form of :meth:`allocate` (lockstep batching).
 
         Yields the slot solve as a :class:`~repro.core.batch.SolveRequest`
         and returns the :class:`~repro.core.problem.Allocation`.  Strict
-        and trace-recording solvers fall back to the inline scalar call
-        -- they need the solver instance's own bookkeeping (raising
+        and trace-recording solvers solve inline instead -- they need the
+        solver instance's own bookkeeping (raising
         :class:`~repro.utils.errors.ConvergenceError`, multiplier
-        traces), which a batched answer does not carry.
+        traces), which an answered request does not carry.
         """
         if self.fast:
             if self.warm_start:
@@ -90,16 +80,17 @@ class ProposedAllocator:
                 result = yield from fast_solve_iter(problem)
             return result
         solver = self._solver
+        initial = dict(self._warm) or None if self.warm_start else None
         if solver.strict or solver.record_trace:
-            return self.allocate(problem)
-        solution = yield SolveRequest(
-            problem=problem,
-            max_iterations=solver.max_iterations,
-            step_size=solver.step_size,
-            threshold=solver.threshold,
-            decay_after=solver.decay_after,
-            initial_multipliers=(dict(self._warm) or None
-                                 if self.warm_start else None))
+            solution = solver.solve(problem, initial_multipliers=initial)
+        else:
+            solution = yield SolveRequest(
+                problem=problem,
+                max_iterations=solver.max_iterations,
+                step_size=solver.step_size,
+                threshold=solver.threshold,
+                decay_after=solver.decay_after,
+                initial_multipliers=initial)
         if self.warm_start:
             self._warm.clear()
             self._warm.update(solution.multipliers)

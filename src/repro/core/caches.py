@@ -1,10 +1,9 @@
 """Scoping of process-global solver caches to the scenario in flight.
 
 Several hot-path caches are process-global by design -- the compiled
-slot-problem LRU (:mod:`repro.core.reference`), the ``fast_solve`` /
-batched-request solver instances (:mod:`repro.core.dual`,
-:mod:`repro.core.batch`), and the video R-D slot-increment table
-(:mod:`repro.video.sequences`).  All of them are keyed by *value*
+slot-problem LRU (:mod:`repro.core.reference`), the solve-request
+solver instances (:mod:`repro.core.batch`), and the video R-D
+slot-increment table (:mod:`repro.video.sequences`).  All of them are keyed by *value*
 (problem contents, solver parameters, sequence name), so stale entries
 can never corrupt results -- but a long-lived worker (the
 :class:`~repro.exec.supervisor.SupervisedExecutor` keeps one process per
@@ -30,11 +29,10 @@ _SCOPE: Optional[object] = None
 
 def clear_solver_caches() -> None:
     """Drop every process-global solver/table cache unconditionally."""
-    from repro.core import batch, dual, reference
+    from repro.core import batch, reference
     from repro.video import sequences
 
     reference._COMPILE_CACHE.clear()
-    dual._fast_solver.cache_clear()
     batch._solver_for.cache_clear()
     sequences.reset_rd_table()
 

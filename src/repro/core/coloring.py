@@ -15,8 +15,7 @@ follows that decomposition within this codebase's slot model:
    local channel-condition rule (the same rule heuristic1 uses), then
    the slot's airtime is split by *exact water-filling* over that fixed
    assignment (:func:`~repro.core.reference.solve_given_assignment`),
-   which rides the accelerated kernels in :mod:`repro.core.accel` when
-   acceleration is on.
+   which runs on the compiled, group-cached water-filling kernel.
 
 The result sits strictly between heuristic1 (same assignment, equal
 shares) and the proposed scheme (jointly optimal assignment + shares):

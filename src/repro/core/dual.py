@@ -31,19 +31,23 @@ Two solvers are provided:
   evaluates ``Q(c)`` hundreds of times per slot).  It returns the same
   solutions as the full subgradient method on the paper's scenarios and
   is validated against the exhaustive oracle in the test suite.
+
+Both run one iteration, :class:`_DualState`: the per-problem prologue,
+the single-member subgradient loop, and the primal-recovery epilogue.
+The stacked cross-replication kernel (:mod:`repro.core.batch`) builds
+the same states and finishes them through the same epilogue.  The
+scalar reference implementations these are validated against live in
+the test suite (``tests/oracle.py``).
 """
 
 from __future__ import annotations
 
 import time
-from contextlib import nullcontext
-from dataclasses import dataclass, field
-from functools import lru_cache
-from typing import Dict, List, Optional, Sequence, Set
+from dataclasses import dataclass
+from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.core.accel import acceleration_enabled
 from repro.core.problem import Allocation, SlotProblem
 from repro.core.reference import compile_slot_problem, solve_given_assignment
 from repro.obs.metrics import ITERATION_BUCKETS, global_registry, metrics_enabled
@@ -151,199 +155,245 @@ class DualDecompositionSolver:
             Warm-start values ``{station_id: lambda}``; stations not listed
             start from the automatic scale estimate.
         """
-        # Observability: one global read each; both gates are None/False
-        # on the hot path with telemetry off.
+        return self._solve(problem, initial_multipliers,
+                           global_registry() if metrics_enabled() else None)
+
+    def _solve(self, problem: SlotProblem,
+               initial_multipliers: Optional[Dict[int, float]],
+               registry) -> DualSolution:
+        """:meth:`solve`, booking the solver counters to ``registry``.
+
+        A solve request answered on behalf of another replication passes
+        that replication's registry, so the counters land on its books
+        whichever registry is global at the time.
+        """
+        # Observability: one global read; None on the hot path with
+        # tracing off.
         tracer = active_tracer()
         if tracer is not None and not tracer.collect_phases:
             tracer = None
         solve_start = time.perf_counter() if tracer is not None else 0.0
 
+        state = _DualState(problem, initial_multipliers,
+                           step_size=self.step_size, threshold=self.threshold,
+                           max_iterations=self.max_iterations,
+                           decay_after=self.decay_after)
+        trace = [state.lam.copy()] if self.record_trace else None
+        state.run(state.lam, 0, trace)
+        solution = state.finish(registry)
+
+        if tracer is not None:
+            tracer.emit_span("dual-solve", kind="solver",
+                             seconds=time.perf_counter() - solve_start,
+                             iterations=state.iterations,
+                             converged=state.converged,
+                             stations=len(state.stations))
+        if not state.converged and self.strict:
+            raise ConvergenceError(
+                f"dual decomposition did not converge in {self.max_iterations} "
+                f"iterations", iterations=state.iterations,
+                residual=state.movement)
+        if trace is not None:
+            solution.trace = np.array(trace)
+            solution.trace_stations = list(state.stations)
+        return solution
+
+
+class _DualState:
+    """One dual solve: hoisted problem constants, iterate, exit bookkeeping.
+
+    ``__init__`` is the prologue, :meth:`run` the single-member
+    subgradient loop, :meth:`finish` the epilogue (solver counters and
+    primal recovery).  :meth:`DualDecompositionSolver.solve` runs all
+    three in sequence; the stacked kernel (:mod:`repro.core.batch`)
+    iterates many states' arrays as one ``(B, N)`` stack, hands narrow
+    remnants to :meth:`run`, and finishes every member here.
+    """
+
+    __slots__ = (
+        "problem", "users", "stations", "station_pos", "n",
+        "w", "s_mbs", "s_fbs", "r_mbs", "r_fbs_eff", "fbs_pos",
+        "cost0", "cost1", "dead0", "dead1", "lam", "step", "stop_sq",
+        "max_iterations", "decay_after", "iterations", "converged",
+        "movement", "choose_mbs", "best_recovered", "stagnant_checks",
+    )
+
+    def __init__(self, problem: SlotProblem,
+                 initial_multipliers: Optional[Dict[int, float]], *,
+                 step_size: float, threshold: float, max_iterations: int,
+                 decay_after: int) -> None:
+        self.problem = problem
         stations = [0] + problem.fbs_ids
-        station_pos = {station: pos for pos, station in enumerate(stations)}
+        self.stations = stations
+        self.station_pos = {station: pos for pos, station in enumerate(stations)}
 
         # Vectorise the user data once.
         users = list(problem.users)
-        n = len(users)
-        w = np.array([u.w_prev for u in users])
-        s_mbs = np.array([u.success_mbs for u in users])
-        s_fbs = np.array([u.success_fbs for u in users])
-        r_mbs = np.array([u.r_mbs for u in users])
-        r_fbs_eff = np.array([problem.g_for_user(u) * u.r_fbs for u in users])
-        fbs_pos = np.array([station_pos[u.fbs_id] for u in users])
+        self.users = users
+        self.n = len(users)
+        self.w = np.array([u.w_prev for u in users])
+        self.s_mbs = np.array([u.success_mbs for u in users])
+        self.s_fbs = np.array([u.success_fbs for u in users])
+        self.r_mbs = np.array([u.r_mbs for u in users])
+        self.r_fbs_eff = np.array([problem.g_for_user(u) * u.r_fbs for u in users])
+        self.fbs_pos = np.array([self.station_pos[u.fbs_id] for u in users])
 
         # Natural multiplier scale: marginal utility of the first unit of
         # share, averaged over users/branches.  Problem (12) is invariant
         # to a common rescaling of (W, R), which rescales lambda by the
         # inverse; anchoring step and threshold to this scale makes the
         # solver configuration dimensionless.
-        marginals = np.concatenate([s_mbs * r_mbs / w, s_fbs * r_fbs_eff / w])
+        marginals = np.concatenate([self.s_mbs * self.r_mbs / self.w,
+                                    self.s_fbs * self.r_fbs_eff / self.w])
         positive = marginals[marginals > 0]
         scale = float(positive.mean()) if positive.size else 1.0
-        step = self.step_size * scale
-        stop_sq = (self.threshold * scale) ** 2
+        self.step = float(step_size) * scale
+        self.stop_sq = (float(threshold) * scale) ** 2
 
         lam = np.full(len(stations), scale)
         if initial_multipliers:
             for station, value in initial_multipliers.items():
-                if station in station_pos:
-                    lam[station_pos[station]] = max(0.0, float(value))
+                if station in self.station_pos:
+                    lam[self.station_pos[station]] = max(0.0, float(value))
+        self.lam = lam
 
-        trace = [lam.copy()] if self.record_trace else None
-        converged = False
-        iterations = 0
-        movement = float("inf")
-        best_recovered = None
-        stagnant_checks = 0
-        choose_mbs = np.zeros(n, dtype=bool)
-        rho0 = np.zeros(n)
-        rho1 = np.zeros(n)
+        # Loop invariants of the closed-form shares (Table I step 3):
+        # the live-branch masks and the W/slope costs.
+        live0 = (self.r_mbs > 0) & (self.s_mbs > 0)
+        live1 = (self.r_fbs_eff > 0) & (self.s_fbs > 0)
+        self.dead0 = ~live0
+        self.dead1 = ~live1
+        with np.errstate(over="ignore"):
+            self.cost0 = self.w / np.where(live0, self.r_mbs, 1.0)
+            self.cost1 = self.w / np.where(live1, self.r_fbs_eff, 1.0)
 
-        # Accelerated kernel (DESIGN §10): the per-iteration work of
-        # _branch_share is dominated by recomputing loop invariants (the
-        # live masks and W/slope costs) and re-entering np.errstate.
-        # Hoist them and inline the share computation; the arithmetic is
-        # operation-for-operation the same, so the iterates -- and hence
-        # the solution -- are bit-identical to the oracle path.
-        accel = acceleration_enabled()
-        if accel:
-            live0 = (r_mbs > 0) & (s_mbs > 0)
-            live1 = (r_fbs_eff > 0) & (s_fbs > 0)
-            dead0 = ~live0
-            dead1 = ~live1
-            with np.errstate(over="ignore"):
-                cost0 = w / np.where(live0, r_mbs, 1.0)
-                cost1 = w / np.where(live1, r_fbs_eff, 1.0)
+        self.max_iterations = int(max_iterations)
+        self.decay_after = int(decay_after)
+        self.iterations = 0
+        self.converged = False
+        self.movement = float("inf")
+        self.choose_mbs = np.zeros(self.n, dtype=bool)
+        self.best_recovered = None
+        self.stagnant_checks = 0
 
-        with np.errstate(over="ignore") if accel else nullcontext():
-            for iterations in range(1, self.max_iterations + 1):
+    def run(self, lam: np.ndarray, start: int,
+            trace: Optional[List[np.ndarray]] = None) -> None:
+        """Iterate from multipliers ``lam`` after ``start`` iterations.
+
+        Runs until the stopping rule, the stall exit, or the budget
+        fires, leaving the final iterate in ``lam``/``choose_mbs``.
+        ``trace`` (Fig. 4(a)) receives a copy of every new iterate.
+        """
+        w, s_mbs, s_fbs = self.w, self.s_mbs, self.s_fbs
+        r_mbs, r_fbs_eff = self.r_mbs, self.r_fbs_eff
+        cost0, cost1 = self.cost0, self.cost1
+        dead0, dead1 = self.dead0, self.dead1
+        fbs_pos = self.fbs_pos
+        n_stations = len(self.stations)
+        step = self.step
+        stop_sq = self.stop_sq
+        decay_after = self.decay_after
+        choose_mbs = self.choose_mbs
+        movement = self.movement
+        t = start
+        with np.errstate(over="ignore"):
+            for t in range(start + 1, self.max_iterations + 1):
                 lam0 = lam[0]
                 lam_user = lam[fbs_pos]
-                # Table I step 3: closed-form stationary shares, clipped to
-                # the per-user range [0, 1] (no user can exceed the slot).
-                if accel:
-                    safe_lam0 = lam0 if lam0 > _LAMBDA_EPS else _LAMBDA_EPS
-                    rho0 = s_mbs / safe_lam0 - cost0
-                    np.maximum(rho0, 0.0, out=rho0)
-                    np.minimum(rho0, 1.0, out=rho0)
-                    rho0[dead0] = 0.0
-                    safe_lam1 = np.where(lam_user > _LAMBDA_EPS, lam_user,
-                                         _LAMBDA_EPS)
-                    rho1 = s_fbs / safe_lam1 - cost1
-                    np.maximum(rho1, 0.0, out=rho1)
-                    np.minimum(rho1, 1.0, out=rho1)
-                    rho1[dead1] = 0.0
-                else:
-                    rho0 = _branch_share(s_mbs, lam0, w, r_mbs)
-                    rho1 = _branch_share(s_fbs, lam_user, w, r_fbs_eff)
-                # Table I step 4: pick the branch with the larger Lagrangian
-                # term.  Utilities are expected log-PSNR gains (see
-                # repro.core.problem for the eq. (11) vs eq. (12) discussion).
+                # Table I step 3: closed-form stationary shares
+                # [s/lambda - W/slope]^+, clipped to the per-user range
+                # [0, 1]; dead branches (no rate or no success) get zero.
+                # A vanishing multiplier makes the raw share overflow;
+                # the clip makes that harmless.
+                safe_lam0 = lam0 if lam0 > _LAMBDA_EPS else _LAMBDA_EPS
+                rho0 = s_mbs / safe_lam0 - cost0
+                np.maximum(rho0, 0.0, out=rho0)
+                np.minimum(rho0, 1.0, out=rho0)
+                rho0[dead0] = 0.0
+                safe_lam1 = np.where(lam_user > _LAMBDA_EPS, lam_user,
+                                     _LAMBDA_EPS)
+                rho1 = s_fbs / safe_lam1 - cost1
+                np.maximum(rho1, 0.0, out=rho1)
+                np.minimum(rho1, 1.0, out=rho1)
+                rho1[dead1] = 0.0
+                # Table I step 4: pick the branch with the larger
+                # Lagrangian term.  Utilities are expected log-PSNR gains
+                # (see repro.core.problem for the eq. (11) vs eq. (12)
+                # discussion).
                 util0 = s_mbs * np.log1p(rho0 * r_mbs / w) - lam0 * rho0
                 util1 = s_fbs * np.log1p(rho1 * r_fbs_eff / w) - lam_user * rho1
                 choose_mbs = util0 > util1
 
-                # Steps 9 / eqs. (16),(18),(19): projected subgradient update
-                # using only the shares of users that selected each station.
-                usage = np.zeros(len(stations))
+                # Steps 9 / eqs. (16),(18),(19): projected subgradient
+                # update using only the shares of users that selected
+                # each station.
+                usage = np.zeros(n_stations)
                 usage[0] = rho0[choose_mbs].sum()
                 np.add.at(usage, fbs_pos[~choose_mbs], rho1[~choose_mbs])
-                effective_step = (step if iterations <= self.decay_after
-                                  else step * self.decay_after / iterations)
+                effective_step = (step if t <= decay_after
+                                  else step * decay_after / t)
                 new_lam = np.maximum(0.0, lam - effective_step * (1.0 - usage))
                 movement = float(np.square(new_lam - lam).sum())
                 lam = new_lam
                 if trace is not None:
                     trace.append(lam.copy())
                 if movement <= stop_sq:
-                    converged = True
+                    self.converged = True
                     break
-                if iterations % _STALL_CHECK_EVERY == 0 and iterations > self.decay_after:
-                    # Secondary exit for limit cycles: when branch choices flip
-                    # persistently the multiplier movement never vanishes, but
-                    # the recovered primal stops improving -- track the best
-                    # assignment seen and stop once it stagnates.
-                    assignment = {users[j].user_id for j in range(n) if choose_mbs[j]}
-                    candidate = solve_given_assignment(problem, assignment)
-                    if best_recovered is None or (candidate.objective
-                                                  > best_recovered.objective + 1e-12):
-                        best_recovered = candidate
-                        stagnant_checks = 0
-                    else:
-                        stagnant_checks += 1
-                        if stagnant_checks >= _STALL_PATIENCE:
-                            break
+                if (t % _STALL_CHECK_EVERY == 0 and t > decay_after
+                        and self.stalled(choose_mbs)):
+                    break
+        self.iterations = t
+        self.choose_mbs = choose_mbs
+        self.lam = lam
+        self.movement = movement
 
-        if metrics_enabled():
-            registry = global_registry()
+    def stalled(self, choose_mbs: np.ndarray) -> bool:
+        """Limit-cycle exit: whether the recovered primal has stagnated.
+
+        When branch choices flip persistently the multiplier movement
+        never vanishes, but the recovered primal stops improving -- track
+        the best assignment seen and report a stall once it has not
+        improved for ``_STALL_PATIENCE`` consecutive checks.
+        """
+        assignment = {self.users[j].user_id for j in range(self.n)
+                      if choose_mbs[j]}
+        candidate = solve_given_assignment(self.problem, assignment)
+        if self.best_recovered is None or (
+                candidate.objective > self.best_recovered.objective + 1e-12):
+            self.best_recovered = candidate
+            self.stagnant_checks = 0
+            return False
+        self.stagnant_checks += 1
+        return self.stagnant_checks >= _STALL_PATIENCE
+
+    def finish(self, registry) -> DualSolution:
+        """Book the solver counters to ``registry`` and recover the primal."""
+        if registry is not None:
             registry.counter("repro_solver_solves_total",
-                             converged=str(converged).lower()).inc()
-            registry.counter("repro_solver_iterations_total").inc(iterations)
+                             converged=str(self.converged).lower()).inc()
+            registry.counter("repro_solver_iterations_total").inc(
+                self.iterations)
             registry.histogram("repro_solver_iterations",
-                               buckets=ITERATION_BUCKETS).observe(iterations)
-        if tracer is not None:
-            tracer.emit_span("dual-solve", kind="solver",
-                             seconds=time.perf_counter() - solve_start,
-                             iterations=iterations, converged=converged,
-                             stations=len(stations))
-
-        if not converged and self.strict:
-            raise ConvergenceError(
-                f"dual decomposition did not converge in {self.max_iterations} "
-                f"iterations", iterations=iterations, residual=movement)
-
-        mbs_set = {users[j].user_id for j in range(n) if choose_mbs[j]}
+                               buckets=ITERATION_BUCKETS).observe(
+                                   self.iterations)
         # Primal recovery: the subgradient iterate is approximately
         # complementary; re-solving the (convex) problem for the final
         # binary assignment yields an exactly feasible, exactly optimal
         # allocation for that assignment.
-        allocation = solve_given_assignment(problem, mbs_set)
-        if best_recovered is not None and (best_recovered.objective
-                                           > allocation.objective):
-            allocation = best_recovered
+        mbs_set = {self.users[j].user_id for j in range(self.n)
+                   if self.choose_mbs[j]}
+        allocation = solve_given_assignment(self.problem, mbs_set)
+        if self.best_recovered is not None and (
+                self.best_recovered.objective > allocation.objective):
+            allocation = self.best_recovered
         return DualSolution(
             allocation=allocation,
-            multipliers={station: float(lam[station_pos[station]]) for station in stations},
-            iterations=iterations,
-            converged=converged,
-            trace=np.array(trace) if trace is not None else None,
-            trace_stations=list(stations) if trace is not None else None,
+            multipliers={station: float(self.lam[self.station_pos[station]])
+                         for station in self.stations},
+            iterations=self.iterations,
+            converged=self.converged,
         )
-
-
-def _branch_share(success: np.ndarray, lam, w: np.ndarray,
-                  slope: np.ndarray) -> np.ndarray:
-    """Closed-form subproblem share ``[success/lambda - W/slope]^+``.
-
-    Degenerate entries -- zero slope (no bandwidth / no channels) or zero
-    success probability -- get zero share.  A zero multiplier with a live
-    branch clips to the full slot.  ``lam`` may be a scalar or an array
-    aligned with the users.
-    """
-    lam_arr = np.asarray(lam, dtype=float) + 0.0 * w
-    live = (slope > 0) & (success > 0)
-    safe_lam = np.where(lam_arr > _LAMBDA_EPS, lam_arr, _LAMBDA_EPS)
-    safe_slope = np.where(live, slope, 1.0)
-    with np.errstate(over="ignore"):
-        # A vanishing multiplier makes the unconstrained share blow up;
-        # the clip to the full slot below makes the overflow harmless.
-        raw = success / safe_lam - w / safe_slope
-    raw[raw < 0.0] = 0.0
-    raw[raw > 1.0] = 1.0
-    raw[~live] = 0.0
-    return raw
-
-
-@lru_cache(maxsize=16)
-def _fast_solver(max_iterations: int) -> DualDecompositionSolver:
-    """Shared solver instances for :func:`fast_solve`, keyed on the budget.
-
-    The solver is stateless across calls, so instances can be shared
-    freely; ``lru_cache`` keeps one per distinct ``max_iterations`` and is
-    safe under concurrent callers (threads or forked workers each resolve
-    to an equivalent instance), unlike the old single module-global slot
-    which thrashed and raced when two budgets alternated.
-    """
-    return DualDecompositionSolver(max_iterations=max_iterations)
 
 
 def fast_solve(problem: SlotProblem, *, max_iterations: int = 400,
@@ -356,7 +406,8 @@ def fast_solve(problem: SlotProblem, *, max_iterations: int = 400,
     evaluated with the exact water-filling oracle).  On randomized
     instances this matches the exhaustive optimum (see the test suite)
     while being fast enough for the greedy channel allocation's many
-    ``Q(c)`` evaluations.
+    ``Q(c)`` evaluations.  Runs :func:`repro.core.batch.fast_solve_iter`
+    to completion.
 
     Parameters
     ----------
@@ -369,11 +420,11 @@ def fast_solve(problem: SlotProblem, *, max_iterations: int = 400,
     initial_multipliers:
         Warm start, useful across consecutive ``Q`` evaluations.
     """
-    solution = _fast_solver(max_iterations).solve(
-        problem, initial_multipliers=initial_multipliers)
-    if not polish:
-        return solution.allocation
-    return flip_polish(problem, solution.allocation)
+    from repro.core.batch import drive, fast_solve_iter
+
+    return drive(fast_solve_iter(problem, max_iterations=max_iterations,
+                                 polish=polish,
+                                 initial_multipliers=initial_multipliers))
 
 
 def fast_solve_warm(problem: SlotProblem, warm_multipliers: Dict[int, float], *,
@@ -390,13 +441,11 @@ def fast_solve_warm(problem: SlotProblem, warm_multipliers: Dict[int, float], *,
     cold solve, so allocations are not bit-identical to cold ones -- the
     benchmark asserts they are equal-or-better in objective instead.
     """
-    solution = _fast_solver(max_iterations).solve(
-        problem, initial_multipliers=dict(warm_multipliers) or None)
-    warm_multipliers.clear()
-    warm_multipliers.update(solution.multipliers)
-    if not polish:
-        return solution.allocation
-    return flip_polish(problem, solution.allocation)
+    from repro.core.batch import drive, fast_solve_warm_iter
+
+    return drive(fast_solve_warm_iter(problem, warm_multipliers,
+                                      max_iterations=max_iterations,
+                                      polish=polish))
 
 
 def flip_polish(problem: SlotProblem, allocation: Allocation, *,
@@ -409,25 +458,18 @@ def flip_polish(problem: SlotProblem, allocation: Allocation, *,
     reliably removes the rare residual assignment error of a capped
     subgradient run.
     """
-    if acceleration_enabled():
-        # Compile once: the K solves per sweep then skip the per-call
-        # compile-cache lookup and share one water-filling group cache.
-        compiled = compile_slot_problem(problem)
-        expected = problem.expected_channels
-
-        def solve(mbs_user_ids):
-            return compiled.solve_assignment(mbs_user_ids, expected)
-    else:
-        def solve(mbs_user_ids):
-            return solve_given_assignment(problem, mbs_user_ids)
+    # Compile once: the K solves per sweep then skip the per-call
+    # compile-cache lookup and share one water-filling group cache.
+    compiled = compile_slot_problem(problem)
+    expected = problem.expected_channels
     best = (allocation if not np.isnan(allocation.objective)
-            else solve(allocation.mbs_user_ids))
+            else compiled.solve_assignment(allocation.mbs_user_ids, expected))
     for _sweep in range(max_sweeps):
         improved = False
         for user in problem.users:
             trial = set(best.mbs_user_ids)
             trial.symmetric_difference_update({user.user_id})
-            candidate = solve(trial)
+            candidate = compiled.solve_assignment(trial, expected)
             if candidate.objective > best.objective + 1e-15:
                 best = candidate
                 improved = True

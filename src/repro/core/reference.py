@@ -15,25 +15,22 @@ The distributed dual algorithm (Tables I/II) is validated against these in
 the test suite; the greedy bound checks of Theorem 2 use them to compute
 true optima on small interfering instances.
 
-Two implementations of the water-filling step coexist (DESIGN §10):
-
-* :func:`water_filling_scalar` -- the original pure-Python breakpoint
-  scan, kept verbatim as the bit-exact oracle.
-* :func:`_water_filling_arrays` -- a numpy formulation of the same scan
-  (stable argsort + cumulative sums), engineered operation-for-operation
-  to reproduce the oracle's floating-point results exactly.  The final
-  objective value intentionally stays a scalar ``math.log1p`` loop over
-  the (few) users with positive share: numpy's ``log1p`` ufunc is *not*
-  bit-identical to ``math.log1p`` on all inputs, while skipping the
-  exact-zero terms of a non-negative sequential sum is an identity.
+The water-filling step (:func:`_water_filling_arrays`, DESIGN §10) is a
+numpy formulation of the breakpoint scan (stable argsort + cumulative
+sums), engineered operation-for-operation to reproduce the pure-Python
+scan's floating-point results exactly; that scalar form is the bit-exact
+oracle in ``tests/oracle.py``.  The final objective value intentionally
+stays a scalar ``math.log1p`` loop over the (few) users with positive
+share: numpy's ``log1p`` ufunc is *not* bit-identical to ``math.log1p``
+on all inputs, while skipping the exact-zero terms of a non-negative
+sequential sum is an identity.
 
 :func:`compile_slot_problem` builds a :class:`CompiledSlotProblem` -- the
 problem's user fields packed once into arrays, with per-(station, member
 set) water-filling results cached -- so the thousands of
 ``solve_given_assignment`` calls issued per slot by ``flip_polish`` and
 the dual solver's primal recovery stop re-extracting user attributes and
-re-solving identical subgroups.  The public entry points dispatch between
-the two paths on :func:`repro.core.accel.acceleration_enabled`.
+re-solving identical subgroups.
 """
 
 from __future__ import annotations
@@ -45,7 +42,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.accel import acceleration_enabled
 from repro.core.problem import Allocation, SlotProblem, UserDemand
 from repro.utils.errors import ConfigurationError
 
@@ -66,71 +62,28 @@ def _validate_water_filling(weights: Sequence[float], bases: Sequence[float],
     return n
 
 
-def water_filling_scalar(weights: Sequence[float], bases: Sequence[float],
-                         slopes: Sequence[float]) -> Tuple[List[float], float]:
-    """The original pure-Python water-filling -- the bit-exact oracle.
-
-    Semantics are documented on :func:`water_filling`; this scalar form is
-    kept verbatim so the vectorized path always has a reference to be
-    validated against (and so ``use_acceleration(False)`` really runs the
-    pre-acceleration code).
-    """
-    n = _validate_water_filling(weights, bases, slopes)
-    active = [j for j in range(n) if weights[j] > 0 and slopes[j] > 0]
-    rho = [0.0] * n
-    if active:
-        # KKT: rho_j(lam) = (w_j / lam - c_j)^+ with c_j = W_j / s_j; the
-        # budget always binds under log utility, so lam solves
-        # sum_{j in S} (w_j / lam - c_j) = 1 over the active set
-        # S = {j : w_j / c_j > lam}.  Scanning users in decreasing order
-        # of their activation breakpoint w_j / c_j, exactly one prefix
-        # yields lam = sum(w) / (1 + sum(c)) consistent with its own
-        # membership -- an exact O(K log K) water-filling.
-        costs = {j: bases[j] / slopes[j] for j in active}
-        order = sorted(active, key=lambda j: weights[j] / costs[j], reverse=True)
-        weight_sum = 0.0
-        cost_sum = 0.0
-        lam = None
-        members = 0
-        for position, j in enumerate(order):
-            weight_sum += weights[j]
-            cost_sum += costs[j]
-            candidate = weight_sum / (1.0 + cost_sum)
-            next_breakpoint = (weights[order[position + 1]] / costs[order[position + 1]]
-                               if position + 1 < len(order) else 0.0)
-            if candidate >= next_breakpoint:
-                lam = candidate
-                members = position + 1
-                break
-        if lam is None or lam <= 0.0:
-            # Subnormal weights/slopes underflowed the water level; the
-            # utilities involved are ~0, so any feasible choice is optimal
-            # to machine precision -- serve the best-breakpoint user.
-            rho[order[0]] = 1.0
-        else:
-            raw = [max(0.0, weights[j] / lam - costs[j]) for j in order[:members]]
-            raw_total = sum(raw)
-            if raw_total > 0.0:
-                # Snap the rounding residual onto the simplex boundary.
-                raw = [r / raw_total for r in raw]
-            for j, share in zip(order[:members], raw):
-                rho[j] = share
-    value = sum(weights[j] * math.log1p(rho[j] * slopes[j] / bases[j]) for j in range(n))
-    return rho, value
-
-
 def _water_filling_arrays(weights: np.ndarray, bases: np.ndarray,
                           slopes: np.ndarray) -> Tuple[np.ndarray, float]:
     """Vectorized breakpoint scan; bit-identical to the scalar oracle.
 
-    Inputs are validated float64 arrays.  The candidate water levels are
-    the same running-sum quotients the scalar loop computes (``cumsum``
-    is a sequential sum, so every partial result matches), the stable
-    descending argsort reproduces Python's stable ``sorted(...,
-    reverse=True)`` tie order, and the objective is accumulated with
-    scalar ``math.log1p`` in ascending-index order exactly like the
-    oracle (zero-share terms contribute an exact ``+0.0`` there, so
-    skipping them is lossless).
+    Inputs are validated float64 arrays.  KKT: ``rho_j(lam) = (w_j / lam
+    - c_j)^+`` with ``c_j = W_j / s_j``; the budget always binds under
+    log utility, so ``lam`` solves ``sum_{j in S} (w_j / lam - c_j) = 1``
+    over the active set ``S = {j : w_j / c_j > lam}``.  Scanning users in
+    decreasing order of their activation breakpoint ``w_j / c_j``,
+    exactly one prefix yields ``lam = sum(w) / (1 + sum(c))`` consistent
+    with its own membership -- an exact O(K log K) water-filling.  When
+    subnormal weights/slopes underflow the water level, the utilities
+    involved are ~0, so any feasible choice is optimal to machine
+    precision and the best-breakpoint user is served.
+
+    The candidate water levels are the same running-sum quotients the
+    scalar loop computes (``cumsum`` is a sequential sum, so every
+    partial result matches), the stable descending argsort reproduces
+    Python's stable ``sorted(..., reverse=True)`` tie order, and the
+    objective is accumulated with scalar ``math.log1p`` in
+    ascending-index order exactly like the oracle (zero-share terms
+    contribute an exact ``+0.0`` there, so skipping them is lossless).
     """
     n = weights.size
     rho = np.zeros(n)
@@ -184,10 +137,6 @@ def water_filling(weights: Sequence[float], bases: Sequence[float],
     log-PSNR *gain* (see :mod:`repro.core.problem`); it is constant in
     ``rho`` and does not affect the optimiser.
 
-    Dispatches to the vectorized scan (default) or the scalar oracle
-    (under ``use_acceleration(False)``); both return bit-identical
-    results.
-
     Returns
     -------
     (rho, value):
@@ -195,8 +144,6 @@ def water_filling(weights: Sequence[float], bases: Sequence[float],
         zero weight or zero slope receive zero share and contribute zero
         value.
     """
-    if not acceleration_enabled():
-        return water_filling_scalar(weights, bases, slopes)
     _validate_water_filling(weights, bases, slopes)
     rho, value = _water_filling_arrays(np.asarray(weights, dtype=float),
                                        np.asarray(bases, dtype=float),
@@ -313,46 +260,6 @@ def compile_slot_problem(problem: SlotProblem) -> CompiledSlotProblem:
     return compiled
 
 
-def _solve_given_assignment_scalar(problem: SlotProblem, mbs_user_ids) -> Allocation:
-    """The original per-group extraction loop (oracle path)."""
-    mbs_user_ids = set(mbs_user_ids)
-    known = {user.user_id for user in problem.users}
-    unknown = mbs_user_ids - known
-    if unknown:
-        raise ConfigurationError(f"assignment references unknown users {sorted(unknown)}")
-    rho_mbs: Dict[int, float] = {}
-    rho_fbs: Dict[int, float] = {}
-    objective = 0.0
-
-    mbs_users = [user for user in problem.users if user.user_id in mbs_user_ids]
-    shares, value = water_filling(
-        [user.success_mbs for user in mbs_users],
-        [user.w_prev for user in mbs_users],
-        [user.r_mbs for user in mbs_users],
-    ) if mbs_users else ([], 0.0)
-    for user, share in zip(mbs_users, shares):
-        rho_mbs[user.user_id] = share
-    objective += value
-
-    for fbs_id in problem.fbs_ids:
-        cell_users = [user for user in problem.users_of_fbs(fbs_id)
-                      if user.user_id not in mbs_user_ids]
-        if not cell_users:
-            continue
-        g_i = problem.expected_channels[fbs_id]
-        shares, value = water_filling(
-            [user.success_fbs for user in cell_users],
-            [user.w_prev for user in cell_users],
-            [g_i * user.r_fbs for user in cell_users],
-        )
-        for user, share in zip(cell_users, shares):
-            rho_fbs[user.user_id] = share
-        objective += value
-
-    return Allocation(mbs_user_ids=mbs_user_ids, rho_mbs=rho_mbs,
-                      rho_fbs=rho_fbs, objective=objective)
-
-
 def solve_given_assignment(problem: SlotProblem, mbs_user_ids) -> Allocation:
     """Exact solution of (17) for a fixed binary base-station assignment.
 
@@ -364,10 +271,8 @@ def solve_given_assignment(problem: SlotProblem, mbs_user_ids) -> Allocation:
         Users with ``p_j = 1`` (scheduled on the MBS); everyone else is on
         their associated FBS.
     """
-    if acceleration_enabled():
-        return compile_slot_problem(problem).solve_assignment(
-            mbs_user_ids, problem.expected_channels)
-    return _solve_given_assignment_scalar(problem, mbs_user_ids)
+    return compile_slot_problem(problem).solve_assignment(
+        mbs_user_ids, problem.expected_channels)
 
 
 def exhaustive_reference_solution(problem: SlotProblem, *,

@@ -168,7 +168,7 @@ def save_results(obj: Union[SweepResult, List[Fig3Row], Fig4aResult],
     loader) cannot read back.
 
     Every file carries a ``provenance`` header -- seed, backend
-    (scalar/batched), acceleration flag, and (when the caller passes the
+    (always ``batched``), acceleration flag, and (when the caller passes the
     run's config to :func:`repro.obs.export.result_provenance`) the
     ``scenario_hash`` / ``config_hash`` pair tying the result to its
     cached scenario artifact -- so an archived figure is reproducible

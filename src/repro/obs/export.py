@@ -72,22 +72,17 @@ def result_provenance(*, seed: Optional[int] = None,
                       config: Optional[object] = None) -> dict:
     """The deterministic provenance record embedded in saved results.
 
-    ``backend`` reports which slot-phase implementation the engine
-    selects under the current acceleration switch (batched when
-    acceleration is on, scalar oracle otherwise).  Passing the run's
-    base ``config`` additionally records its
+    ``backend``/``acceleration`` name the slot-phase implementation; the
+    engine has one (the batched backend), so both are constant, kept so
+    result files stay byte-identical to earlier ones.  Passing the
+    run's base ``config`` additionally records its
     :func:`~repro.store.confighash.scenario_hash` and
     :func:`~repro.store.confighash.config_hash`, tying the result file
     to the cached scenario artifact it was computed against (both are
     pure functions of the config, so they never break byte-identity
     between identical runs -- store on or off).
     """
-    from repro.core.accel import acceleration_enabled
-
-    accelerated = acceleration_enabled()
-    provenance = {"seed": seed,
-                  "backend": "batched" if accelerated else "scalar",
-                  "acceleration": accelerated}
+    provenance = {"seed": seed, "backend": "batched", "acceleration": True}
     if config is not None:
         from repro.store.confighash import config_hash, scenario_hash
 

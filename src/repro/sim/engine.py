@@ -29,7 +29,6 @@ from typing import Dict, List, Optional, Set
 
 import numpy as np
 
-from repro.core.accel import acceleration_enabled
 from repro.core.batch import drive, fast_solve_iter, fast_solve_warm_iter
 from repro.core.bounds import GreedyTrace, tighter_upper_bound
 from repro.core.greedy import GreedyChannelAllocator
@@ -45,13 +44,8 @@ from repro.sensing.access import (
 )
 from repro.phy.fading import draw_rayleigh_margins
 from repro.sensing.belief import ChannelBeliefTracker
-from repro.sensing.assignment import assign_sensors_round_robin
-from repro.sensing.detector import (
-    SensingResult,
-    SpectrumSensor,
-    sense_observations_batched,
-)
-from repro.sensing.fusion import fuse_posterior, fuse_posteriors_batched
+from repro.sensing.detector import SpectrumSensor, sense_observations_batched
+from repro.sensing.fusion import fuse_posteriors_batched
 from repro.sim.build import BuiltScenario, build_scenario
 from repro.sim.channel_assignment import (
     color_partition_allocation,
@@ -294,30 +288,17 @@ class SimulationEngine:
             ))
         return SlotProblem(users=users, expected_channels=expected_channels)
 
-    def _draw_csi(self) -> Dict[int, tuple]:
+    def _draw_csi_batched(self) -> Dict[int, tuple]:
         """Realise this slot's block-fading margins for every link.
 
         Under Rayleigh fading the decoding margin ``X / H`` is exponential
         with the link's mean margin; a link decodes iff its draw exceeds 1,
         which happens with exactly the ``bar P^F`` probability the
-        allocation problem uses.
-        """
-        topology = self.config.topology
-        csi = {}
-        for user in topology.users:
-            csi[user.user_id] = (
-                float(self._fading_rng.exponential(topology.mbs_margin[user.user_id])),
-                float(self._fading_rng.exponential(topology.fbs_margin[user.user_id])),
-            )
-        return csi
-
-    def _draw_csi_batched(self) -> Dict[int, tuple]:
-        """Batched counterpart of :meth:`_draw_csi`.
-
-        One exponential array draw over the hoisted interleaved scale
-        vector consumes the fading stream exactly like the scalar
-        per-user loop (see :func:`repro.utils.rng.batched_exponential`),
-        so the margins -- and every draw after them -- are bit-identical.
+        allocation problem uses.  One exponential array draw over the
+        hoisted interleaved scale vector consumes the fading stream
+        exactly like a per-user scalar loop (see
+        :func:`repro.utils.rng.batched_exponential`; the scalar oracle
+        lives in ``tests/oracle.py``).
         """
         draws = draw_rayleigh_margins(self._fading_rng, self._csi_scales)
         mbs_draws = draws[0::2]
@@ -327,72 +308,16 @@ class SimulationEngine:
             for k, user_id in enumerate(self._csi_user_ids)
         }
 
-    def _sense_fuse_scalar(self, occupancy: np.ndarray) -> np.ndarray:
-        """Scalar sensing + fusion phase (the bit-exact oracle).
-
-        This is the seed implementation kept verbatim: one
-        :class:`SensingResult` per observation, fused channel by channel
-        with eqs. (2)-(4).  The batched backend in
-        :meth:`_sense_fuse_batched` is validated against it.
-        """
-        config = self.config
-        fault_plan = config.fault_plan
-        results_by_channel: Dict[int, List[SensingResult]] = {
-            m: [] for m in range(config.n_channels)}
-        for fbs_id, sensor in self._fbs_sensors.items():
-            for m in range(config.n_channels):
-                results_by_channel[m].append(sensor.sense(m, int(occupancy[m])))
-        user_ids = sorted(self._user_sensors)
-        user_assignment = assign_sensors_round_robin(
-            user_ids, config.n_channels, offset=self._slot)
-        for user_id, channel in user_assignment.items():
-            sensor = self._user_sensors[user_id]
-            results_by_channel[channel].append(
-                sensor.sense(channel, int(occupancy[channel])))
-        if config.single_observation_fusion:
-            # A2 ablation: only the first result (the first FBS's own
-            # antenna) reaches the fusion centre.
-            results_by_channel = {m: results[:1]
-                                  for m, results in results_by_channel.items()}
-        if fault_plan is not None:
-            # Injected sensing outage: the affected channels' observations
-            # never reach the fusion centre, so fusion degrades to the
-            # channel prior (eq. (2) with L=0).  The slot still completes;
-            # the degradation is recorded rather than fatal.
-            outage = fault_plan.sensing_outage(self._slot, config.n_channels)
-            if outage:
-                for m in outage:
-                    results_by_channel[m] = []
-                self.degradations.append(DegradationEvent(
-                    slot=self._slot, cause="sensing-outage",
-                    allocator="sensing", fallback="prior-only",
-                    detail=("observations missing on channels "
-                            f"{sorted(outage)}; fused from priors")))
-        if self.belief_tracker is not None:
-            self.belief_tracker.predict()
-            posteriors = np.array([
-                self.belief_tracker.fuse(m, results_by_channel[m])
-                for m in range(config.n_channels)
-            ])
-        else:
-            etas = self.spectrum.utilizations
-            posteriors = np.array([
-                fuse_posterior(etas[m], results_by_channel[m])
-                for m in range(config.n_channels)
-            ])
-        return posteriors
-
     def _sense_fuse_batched(self, occupancy: np.ndarray) -> np.ndarray:
-        """Batched sensing + fusion phase.
+        """Sensing + fusion phase (eqs. (2)-(4)).
 
-        Bit-exact, draw-for-draw replacement for
-        :meth:`_sense_fuse_scalar`: one uniform array draw realises
-        every observation (FBS antennas in insertion order over channels
-        0..M-1, then users in sorted-id round-robin order, matching the
-        scalar loops), and one vectorized fusion pass folds them per
-        channel in the same observation order.  Asserted equivalent by
-        ``tests/sensing/test_batched_equivalence.py`` and the engine
-        differential suite.
+        One uniform array draw realises every observation (FBS antennas
+        in insertion order over channels 0..M-1, then users in sorted-id
+        round-robin order), and one vectorized fusion pass folds them per
+        channel in the same observation order.  Draw-for-draw identical
+        to the per-observation scalar oracle in ``tests/oracle.py``, as
+        asserted by ``tests/sensing/test_batched_equivalence.py`` and the
+        engine differential suite.
         """
         config = self.config
         fault_plan = config.fault_plan
@@ -485,9 +410,8 @@ class SimulationEngine:
         scheme solve -- is yielded as a
         :class:`~repro.core.batch.SolveRequest`; everything else
         (sensing, access, transmission) runs inline.  Driven either
-        sequentially by :func:`~repro.core.batch.drive` (exact scalar
-        execution) or in lockstep with sibling replications by
-        :mod:`repro.sim.lockstep`.
+        sequentially by :func:`~repro.core.batch.drive` or in lockstep
+        with sibling replications by :mod:`repro.sim.lockstep`.
         """
         config = self.config
         fault_plan = config.fault_plan
@@ -500,23 +424,18 @@ class SimulationEngine:
                 delay = delay_hook(self._slot)
                 if delay > 0:
                     time.sleep(delay)
-        accelerated = acceleration_enabled()
         observing = metrics_enabled()
         n_degraded_before = len(self.degradations) if observing else 0
         tick = time.perf_counter()
         state = self.spectrum.advance()
 
         # --- Sensing phase -------------------------------------------------
-        if accelerated:
-            posteriors = self._sense_fuse_batched(state.occupancy)
-        else:
-            posteriors = self._sense_fuse_scalar(state.occupancy)
+        posteriors = self._sense_fuse_batched(state.occupancy)
 
         tick = self._mark_phase("sensing", tick, tracer)
 
         # --- Access decision ------------------------------------------------
-        access = (self.access_policy.decide_batched(posteriors) if accelerated
-                  else self.access_policy.decide(posteriors))
+        access = self.access_policy.decide_batched(posteriors)
         self.collisions.record(access, state.occupancy)
         available = access.available_channels.tolist()
         posterior_map = {m: float(posteriors[m]) for m in range(config.n_channels)}
@@ -534,7 +453,7 @@ class SimulationEngine:
         tick = self._mark_phase("access", tick, tracer)
 
         # --- Channel + time-share allocation --------------------------------
-        csi = self._draw_csi_batched() if accelerated else self._draw_csi()
+        csi = self._draw_csi_batched()
         if fault_plan is not None and fault_plan.poisons_fading(self._slot):
             csi = {user_id: (float("nan"), float("nan")) for user_id in csi}
         for user_id, margins in csi.items():

@@ -14,7 +14,7 @@ Correctness contract
 --------------------
 Each member's computation is *exactly* the serial one: the generator
 protocol fixes the order of its solves, the kernel answers each request
-bit-identically to the scalar solver, every engine advance runs under
+bit-identically to the single-request solver, every engine advance runs under
 the member's own private metrics registry (so obs snapshots match the
 unbatched ``execute_run``), and a member that raises a
 :class:`~repro.utils.errors.ReproError` is dropped from the formation
@@ -31,8 +31,7 @@ from __future__ import annotations
 import time
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from repro.core.accel import acceleration_enabled
-from repro.core.batch import answer_request, batching_enabled, solve_requests
+from repro.core.batch import answer_request, solve_requests
 from repro.exec.plan import Cell
 from repro.obs.logging import get_logger
 from repro.obs.metrics import (
@@ -53,7 +52,7 @@ logger = get_logger(__name__)
 #: Largest lockstep formation.  The stacked kernel's per-iteration cost
 #: is nearly flat in B, but memory for B live engines adds up and wider
 #: groups drag more members through the slowest member's convergence
-#: tail before the remnant drops to the scalar continuation.
+#: tail before the remnant drops to the single-member loop.
 MAX_BATCH = 32
 
 #: Advance outcomes.
@@ -63,13 +62,10 @@ _PENDING, _DONE, _FAILED = "pending", "done", "failed"
 def lockstep_eligible() -> bool:
     """Whether this process may batch replications at all.
 
-    Batching rides the acceleration switch (the kernel is the stacked
-    sibling of the accelerated solver path), has its own kill switch,
-    and stands down under an active tracer -- span nesting assumes one
-    replication at a time.
+    Batching stands down under an active tracer -- span nesting assumes
+    one replication at a time.
     """
-    return (acceleration_enabled() and batching_enabled()
-            and active_tracer() is None)
+    return active_tracer() is None
 
 
 def batchable_schemes() -> Tuple[str, ...]:
@@ -153,7 +149,7 @@ class _LockstepMember:
         ``payload`` is ``None`` to start a fresh slot, a
         :class:`~repro.core.dual.DualSolution` to answer the pending
         request, or a :class:`ReproError` to raise *at the yield point*
-        -- exactly where the scalar solver would have raised -- so the
+        -- exactly where the inline solver would have raised -- so the
         engine's own degradation paths (fallback chain) run unchanged.
         """
         start = time.perf_counter()
@@ -246,8 +242,9 @@ def run_cells_lockstep(
                 answers = solve_requests(requests)
             except ReproError:
                 # The stacked kernel refused the round; answer each
-                # request alone and deliver per-member results or
-                # exceptions, exactly as the scalar path would.
+                # request alone (booking to its member's registry) and
+                # deliver per-member results or exceptions, exactly as
+                # the unbatched path would.
                 answers = []
                 for request in requests:
                     try:

@@ -12,9 +12,8 @@ sessions.
 
 The store is a pure accelerator: :func:`built_for` returns ``None``
 whenever the store is disabled and the engine then derives everything
-itself, bit-identically.  The global switch mirrors
-:mod:`repro.core.accel`: on by default, disabled by the environment
-variable ``REPRO_SCENARIO_STORE=0`` (inherited by worker processes) or
+itself, bit-identically.  The global switch is on by default,
+disabled by the environment variable ``REPRO_SCENARIO_STORE=0`` (inherited by worker processes) or
 scoped off with :func:`use_store` for differential tests.
 
 Cache traffic is observable: every lookup increments the plain

@@ -2,8 +2,9 @@
 
 The stacked kernel (:mod:`repro.core.batch`) and the lockstep driver
 (:mod:`repro.sim.lockstep`) exist purely for speed: every request they
-answer must be *bit-identical* to the scalar solver, and every campaign
-they batch must serialise byte-for-byte like the per-replication path.
+answer must be *bit-identical* to the scalar oracle (``tests/oracle.py``)
+and to the single-request solver, and every campaign they batch must
+serialise byte-for-byte like the per-replication path.
 These tests pin that contract at three levels -- individual solve
 requests (fuzzed shapes, warm starts, ragged budgets, stall exits), the
 order-sensitive reduction helper, and whole campaigns (batched vs
@@ -16,7 +17,6 @@ import numpy as np
 import pytest
 
 from repro.core import caches
-from repro.core.accel import use_acceleration
 from repro.core.batch import (
     SolveRequest,
     _masked_row_sums,
@@ -25,7 +25,6 @@ from repro.core.batch import (
     fast_solve_iter,
     fast_solve_warm_iter,
     solve_requests,
-    use_batching,
 )
 from repro.core.dual import fast_solve, fast_solve_warm
 from repro.exec.plan import plan_campaign
@@ -34,6 +33,7 @@ from repro.sim.checkpoint import run_metrics_to_dict
 from repro.sim.lockstep import MAX_BATCH, plan_batch_groups
 from repro.sim.runner import MonteCarloRunner
 from tests.conftest import make_problem, random_problem
+from tests.oracle import answer_request_scalar, unbatched
 
 
 def assert_same_solution(scalar, batched):
@@ -61,8 +61,16 @@ def random_request(rng):
     return SolveRequest(problem=random_problem(rng), **params)
 
 
+def oracle_answers(requests):
+    """The scalar oracle's answers, each also matched by answer_request."""
+    answers = [answer_request_scalar(r) for r in requests]
+    for request, expected in zip(requests, answers):
+        assert_same_solution(expected, answer_request(request))
+    return answers
+
+
 class TestRequestDifferential:
-    """solve_requests vs answer_request, request by request."""
+    """solve_requests vs the scalar oracle, request by request."""
 
     def test_empty_batch(self):
         assert solve_requests([]) == []
@@ -70,37 +78,34 @@ class TestRequestDifferential:
     def test_single_request_matches_scalar(self):
         # Width 1 takes the scalar-continuation path end to end.
         request = SolveRequest(problem=make_problem(4, n_fbss=2, seed=3))
-        with use_acceleration(True):
-            assert_same_solution(answer_request(request),
-                                 solve_requests([request])[0])
+        assert_same_solution(oracle_answers([request])[0],
+                             solve_requests([request])[0])
 
     def test_fuzzed_mixed_batches_match_scalar(self):
         rng = np.random.default_rng(20260807)
         requests = [random_request(rng) for _ in range(60)]
-        with use_acceleration(True):
-            scalar = [answer_request(r) for r in requests]
-            index = 0
-            while index < len(requests):
-                # Widths below, at, and above the stacked-width cutoff;
-                # ragged shapes inside one call exercise the grouping.
-                width = int(rng.choice([1, 2, 3, 5, 8]))
-                chunk = requests[index:index + width]
-                for expected, got in zip(scalar[index:index + width],
-                                         solve_requests(chunk)):
-                    assert_same_solution(expected, got)
-                index += width
+        scalar = oracle_answers(requests)
+        index = 0
+        while index < len(requests):
+            # Widths below, at, and above the stacked-width cutoff;
+            # ragged shapes inside one call exercise the grouping.
+            width = int(rng.choice([1, 2, 3, 5, 8]))
+            chunk = requests[index:index + width]
+            for expected, got in zip(scalar[index:index + width],
+                                     solve_requests(chunk)):
+                assert_same_solution(expected, got)
+            index += width
 
     def test_warm_started_requests_match_scalar(self):
         rng = np.random.default_rng(11)
         problems = [random_problem(rng) for _ in range(8)]
-        with use_acceleration(True):
-            cold = [answer_request(SolveRequest(problem=p)) for p in problems]
-            warm = [SolveRequest(problem=p,
-                                 initial_multipliers=dict(c.multipliers))
-                    for p, c in zip(problems, cold)]
-            scalar = [answer_request(r) for r in warm]
-            for expected, got in zip(scalar, solve_requests(warm)):
-                assert_same_solution(expected, got)
+        cold = oracle_answers([SolveRequest(problem=p) for p in problems])
+        warm = [SolveRequest(problem=p,
+                             initial_multipliers=dict(c.multipliers))
+                for p, c in zip(problems, cold)]
+        scalar = oracle_answers(warm)
+        for expected, got in zip(scalar, solve_requests(warm)):
+            assert_same_solution(expected, got)
 
     def test_ragged_iteration_budgets_freeze_bit_exactly(self):
         # Same problem, wildly different budgets, one stack: a member
@@ -109,10 +114,9 @@ class TestRequestDifferential:
         problem = make_problem(5, n_fbss=2, seed=13)
         requests = [SolveRequest(problem=problem, max_iterations=budget)
                     for budget in (3, 17, 400, 60, 1)]
-        with use_acceleration(True):
-            scalar = [answer_request(r) for r in requests]
-            for expected, got in zip(scalar, solve_requests(requests)):
-                assert_same_solution(expected, got)
+        scalar = oracle_answers(requests)
+        for expected, got in zip(scalar, solve_requests(requests)):
+            assert_same_solution(expected, got)
 
     def test_stall_and_budget_exits_match_scalar(self):
         # An unreachable threshold forces the budget exit and, past
@@ -123,9 +127,8 @@ class TestRequestDifferential:
                                  max_iterations=650, threshold=1e-14,
                                  step_size=0.5, decay_after=100)
                     for _ in range(6)]
-        with use_acceleration(True):
-            scalar = [answer_request(r) for r in requests]
-            batched = solve_requests(requests)
+        scalar = oracle_answers(requests)
+        batched = solve_requests(requests)
         assert any(not s.converged for s in scalar)
         for expected, got in zip(scalar, batched):
             assert_same_solution(expected, got)
@@ -135,10 +138,9 @@ class TestRequestDifferential:
         requests = [SolveRequest(problem=random_problem(rng, max_users=1,
                                                         max_fbss=1))
                     for _ in range(5)]
-        with use_acceleration(True):
-            scalar = [answer_request(r) for r in requests]
-            for expected, got in zip(scalar, solve_requests(requests)):
-                assert_same_solution(expected, got)
+        scalar = oracle_answers(requests)
+        for expected, got in zip(scalar, solve_requests(requests)):
+            assert_same_solution(expected, got)
 
 
 class TestMaskedRowSums:
@@ -173,24 +175,21 @@ class TestMaskedRowSums:
 class TestSolveGenerators:
     def test_drive_fast_solve_iter_matches_inline(self):
         problem = make_problem(4, seed=9)
-        with use_acceleration(True):
-            expected = fast_solve(problem)
-            got = drive(fast_solve_iter(problem))
+        expected = fast_solve(problem)
+        got = drive(fast_solve_iter(problem))
         assert got == expected
 
     def test_drive_without_polish(self):
         problem = make_problem(3, seed=2)
-        with use_acceleration(True):
-            expected = fast_solve(problem, polish=False)
-            got = drive(fast_solve_iter(problem, polish=False))
+        expected = fast_solve(problem, polish=False)
+        got = drive(fast_solve_iter(problem, polish=False))
         assert got == expected
 
     def test_warm_iter_round_trips_the_store(self):
         problem = make_problem(3, seed=4)
-        with use_acceleration(True):
-            store_gen, store_inline = {}, {}
-            got = drive(fast_solve_warm_iter(problem, store_gen))
-            expected = fast_solve_warm(problem, store_inline)
+        store_gen, store_inline = {}, {}
+        got = drive(fast_solve_warm_iter(problem, store_gen))
+        expected = fast_solve_warm(problem, store_inline)
         assert got == expected
         assert store_gen == store_inline
         assert store_gen  # the answered multipliers were written back
@@ -248,10 +247,11 @@ def _fingerprint(runs):
 
 
 def _campaign(config, *, batched, token, n_runs=3):
-    with use_acceleration(True):
-        caches.scope_to(("batched-diff", token))
-        with use_batching(batched):
-            return MonteCarloRunner(config, n_runs=n_runs).run_all()
+    caches.scope_to(("batched-diff", token))
+    if batched:
+        return MonteCarloRunner(config, n_runs=n_runs).run_all()
+    with unbatched():
+        return MonteCarloRunner(config, n_runs=n_runs).run_all()
 
 
 class TestCampaignDifferential:
@@ -280,15 +280,21 @@ class TestCampaignDifferential:
         refused = _campaign(config, batched=True, token="escape-refused")
         assert _fingerprint(base) == _fingerprint(refused)
 
-    def test_solver_counters_match_unbatched(self):
+    def test_solver_counters_match_unbatched(self, monkeypatch):
         # The kernel books its solver metrics on each member's own
         # registry; per-run observability snapshots must be identical to
-        # the per-replication path's.
+        # the per-replication path's -- also when the kernel refuses a
+        # round and the driver answers each request on its own.
         from repro.obs.metrics import (
             enable_metrics,
             reset_metrics,
             scoped_registry,
         )
+        from repro.sim import lockstep
+        from repro.utils.errors import ReproError
+
+        def refuse(requests):
+            raise ReproError("stacked kernel refused the round")
 
         config = single_fbs_scenario(n_gops=1, seed=90,
                                      scheme="proposed-fast")
@@ -296,15 +302,21 @@ class TestCampaignDifferential:
         try:
             with scoped_registry():
                 base = _campaign(config, batched=False, token="obs-unbatched")
-            with scoped_registry():
-                batched = _campaign(config, batched=True, token="obs-batched")
+            for refused in (False, True):
+                with monkeypatch.context() as patch:
+                    if refused:
+                        patch.setattr(lockstep, "solve_requests", refuse)
+                    with scoped_registry():
+                        batched = _campaign(config, batched=True,
+                                            token=f"obs-batched-{refused}")
+                for expected, got in zip(base, batched):
+                    assert expected.obs_snapshot == got.obs_snapshot, refused
+                    assert any("repro_solver_solves_total" in key
+                               for key in got.obs_snapshot.get("counters",
+                                                               {}))
         finally:
             enable_metrics(False)
             reset_metrics()
-        for expected, got in zip(base, batched):
-            assert expected.obs_snapshot == got.obs_snapshot
-            assert any("repro_solver_solves_total" in key
-                       for key in got.obs_snapshot.get("counters", {}))
 
     def test_monkeypatched_runner_stands_down(self, monkeypatch):
         # Tests that stub the execution seams must keep seeing their
@@ -359,10 +371,9 @@ def test_pool_jobs_invariant_with_batching(tmp_path, monkeypatch, store_on):
         serialised = {}
         for jobs in (1, 2):
             checkpoint = tmp_path / f"jobs{jobs}-store{store_on}.jsonl"
-            with use_acceleration(True), use_batching(True):
-                result = sweep(config, "n_channels", [6], ["proposed-fast"],
-                               n_runs=3, jobs=jobs,
-                               checkpoint_path=str(checkpoint))
+            result = sweep(config, "n_channels", [6], ["proposed-fast"],
+                           n_runs=3, jobs=jobs,
+                           checkpoint_path=str(checkpoint))
             serialised[jobs] = json.dumps(sweep_to_dict(result),
                                           sort_keys=True)
         assert serialised[1] == serialised[2]

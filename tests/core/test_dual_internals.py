@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.core.dual import DualDecompositionSolver, _branch_share
-from repro.core.problem import SlotProblem, UserDemand
+from repro.core.dual import DualDecompositionSolver
+from repro.core.problem import SlotProblem
 from repro.core.reference import exhaustive_reference_solution
 from repro.utils.errors import ConfigurationError
-from tests.conftest import make_problem, make_user
+from tests.conftest import make_problem, make_user, random_problem
+from tests.oracle import branch_share as _branch_share
+from tests.oracle import solve_scalar
 
 
 class TestBranchShare:
@@ -116,17 +118,21 @@ class TestDegenerateProblems:
         assert all(value >= 0.0 for value in solution.multipliers.values())
 
 
+def _fast_solver(max_iterations):
+    """The shared solver a default-parameter fast_solve request uses."""
+    from repro.core.batch import _solver_for
+    return _solver_for(0.02, 1e-5, max_iterations, 400)
+
+
 class TestFastSolverCache:
     """The fast_solve solver cache is keyed on the budget and shareable."""
 
     def test_same_budget_shares_one_instance(self):
-        from repro.core.dual import _fast_solver
         assert _fast_solver(400) is _fast_solver(400)
 
     def test_distinct_budgets_coexist(self):
-        # The old module-global slot thrashed when budgets alternated;
-        # the keyed cache must keep both alive simultaneously.
-        from repro.core.dual import _fast_solver
+        # A single module-global slot would thrash when budgets
+        # alternate; the keyed cache must keep both alive simultaneously.
         a = _fast_solver(100)
         b = _fast_solver(200)
         assert a.max_iterations == 100
@@ -150,3 +156,75 @@ class TestFastSolverCache:
             results = list(pool.map(solve, budgets))
         assert all(obj == pytest.approx(expected, abs=1e-9)
                    for obj in results)
+
+
+def _fuzzed_solvers_and_problems():
+    """Fuzzed problems under solver settings that hit every exit.
+
+    Unreachable thresholds force budget exits and, past ``decay_after``,
+    the limit-cycle stall checks -- which the crowded single-cell
+    problems (eight users, one FBS) trip; the default settings mostly
+    converge.
+    """
+    rng = np.random.default_rng(20261017)
+    settings = [
+        {},
+        {"max_iterations": 7},
+        {"max_iterations": 650, "threshold": 1e-14, "step_size": 0.5,
+         "decay_after": 100},
+        {"max_iterations": 3000, "threshold": 1e-12, "decay_after": 100},
+    ]
+    cases = []
+    for kwargs in settings:
+        for _ in range(5):
+            cases.append((kwargs, random_problem(rng, max_users=8)))
+        for _ in range(4):
+            users = [
+                make_user(j, w_prev=26 + 8 * rng.random(),
+                          success_mbs=0.5 + 0.5 * rng.random(),
+                          success_fbs=0.5 + 0.5 * rng.random(),
+                          r_mbs=float(rng.random() * 2),
+                          r_fbs=float(rng.random() * 1.5))
+                for j in range(8)
+            ]
+            cases.append((kwargs, SlotProblem(users=users,
+                                              expected_channels={1: 2.0})))
+    return cases
+
+
+def _assert_same_solution(a, b):
+    assert a.allocation.objective == b.allocation.objective
+    assert a.allocation.rho_mbs == b.allocation.rho_mbs
+    assert a.allocation.rho_fbs == b.allocation.rho_fbs
+    assert a.allocation.mbs_user_ids == b.allocation.mbs_user_ids
+    assert a.multipliers == b.multipliers
+    assert a.iterations == b.iterations
+    assert a.converged == b.converged
+
+
+class TestSingleSolveDifferential:
+    def test_matches_scalar_oracle(self):
+        exits = set()
+        for kwargs, problem in _fuzzed_solvers_and_problems():
+            solver = DualDecompositionSolver(**kwargs)
+            got = solver.solve(problem)
+            _assert_same_solution(solve_scalar(solver, problem), got)
+            exits.add((got.converged, got.iterations == solver.max_iterations))
+        # Converged, budget-exhausted, and stalled-out solves all occur.
+        assert exits >= {(True, False), (False, True), (False, False)}
+
+    def test_trace_on_matches_trace_off(self):
+        for kwargs, problem in _fuzzed_solvers_and_problems():
+            plain = DualDecompositionSolver(**kwargs).solve(problem)
+            traced = DualDecompositionSolver(record_trace=True,
+                                             **kwargs).solve(problem)
+            _assert_same_solution(plain, traced)
+            assert plain.trace is None
+            assert traced.trace.shape == (traced.iterations + 1,
+                                          len(traced.trace_stations))
+            final = [traced.multipliers[station]
+                     for station in traced.trace_stations]
+            assert traced.trace[-1].tolist() == final
+            oracle = solve_scalar(
+                DualDecompositionSolver(record_trace=True, **kwargs), problem)
+            assert np.array_equal(oracle.trace, traced.trace)

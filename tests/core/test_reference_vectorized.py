@@ -1,8 +1,9 @@
 """Bit-identity of the vectorized solver hot path vs the scalar oracle.
 
-The acceleration layers (vectorized water-filling, the compiled
+The solver's hot-path layers (vectorized water-filling, the compiled
 per-assignment solver, the memoized greedy ``Q(c)`` evaluations) all
-promise *bit-identical* results to the original scalar implementations.
+promise *bit-identical* results to the scalar implementations kept in
+``tests/oracle.py``.
 These tests enforce that promise on randomized instances, deliberately
 including the degenerate corners -- zero weights, zero slopes, subnormal
 magnitudes -- where a naive vectorization diverges first.
@@ -13,18 +14,17 @@ import math
 import numpy as np
 import pytest
 
-from repro.core.accel import acceleration_enabled, use_acceleration
 from repro.core.dual import fast_solve
 from repro.core.greedy import GreedyChannelAllocator
 from repro.core.reference import (
     compile_slot_problem,
     solve_given_assignment,
     water_filling,
-    water_filling_scalar,
 )
 from repro.net.interference import interference_graph_from_edges
 from tests.conftest import make_problem, random_problem
 from tests.core.test_greedy import chain_graph, chain_problem
+from tests.oracle import solve_given_assignment_scalar, water_filling_scalar
 
 
 def random_instance(rng):
@@ -61,45 +61,40 @@ class TestWaterFillingBitIdentity:
             except ZeroDivisionError:
                 # The oracle overflows weights/costs for this instance;
                 # the vectorized path must fail the same way.
-                with use_acceleration(True), pytest.raises(ZeroDivisionError):
+                with pytest.raises(ZeroDivisionError):
                     water_filling(weights, bases, slopes)
                 matched_errors += 1
                 continue
-            with use_acceleration(True):
-                rho, value = water_filling(weights, bases, slopes)
+            rho, value = water_filling(weights, bases, slopes)
             assert rho == expected[0], (weights, bases, slopes)
             assert value == expected[1], (weights, bases, slopes)
             checked += 1
         assert checked >= 300  # the sampler must mostly produce solvable cases
 
     def test_all_zero_weights(self):
-        with use_acceleration(True):
-            rho, value = water_filling([0.0, 0.0], [1.0, 1.0], [1.0, 1.0])
+        rho, value = water_filling([0.0, 0.0], [1.0, 1.0], [1.0, 1.0])
         assert rho == [0.0, 0.0] and value == 0.0
 
     def test_all_zero_slopes(self):
-        with use_acceleration(True):
-            assert water_filling([1.0, 2.0], [1.0, 1.0], [0.0, 0.0]) == \
-                water_filling_scalar([1.0, 2.0], [1.0, 1.0], [0.0, 0.0])
+        assert water_filling([1.0, 2.0], [1.0, 1.0], [0.0, 0.0]) == \
+            water_filling_scalar([1.0, 2.0], [1.0, 1.0], [0.0, 0.0])
 
     def test_subnormal_weights_take_fallback_branch(self):
         weights = [5e-324, 1e-323]
         bases = [1.0, 1.0]
         slopes = [1.0, 1.0]
-        with use_acceleration(True):
-            accel = water_filling(weights, bases, slopes)
-        assert accel == water_filling_scalar(weights, bases, slopes)
-        assert math.isclose(sum(accel[0]), 1.0)
+        vectorized = water_filling(weights, bases, slopes)
+        assert vectorized == water_filling_scalar(weights, bases, slopes)
+        assert math.isclose(sum(vectorized[0]), 1.0)
 
     def test_validation_errors_identical(self):
-        for mode in (True, False):
-            with use_acceleration(mode):
-                with pytest.raises(ValueError, match="equal length"):
-                    water_filling([1.0], [1.0, 2.0], [1.0])
-                with pytest.raises(ValueError, match="must be positive"):
-                    water_filling([1.0], [0.0], [1.0])
-                with pytest.raises(ValueError, match="non-negative"):
-                    water_filling([-1.0], [1.0], [1.0])
+        for solve in (water_filling, water_filling_scalar):
+            with pytest.raises(ValueError, match="equal length"):
+                solve([1.0], [1.0, 2.0], [1.0])
+            with pytest.raises(ValueError, match="must be positive"):
+                solve([1.0], [0.0], [1.0])
+            with pytest.raises(ValueError, match="non-negative"):
+                solve([-1.0], [1.0], [1.0])
 
 
 class TestSolveGivenAssignmentBitIdentity:
@@ -111,10 +106,8 @@ class TestSolveGivenAssignmentBitIdentity:
             mask = int(rng.integers(0, 2 ** k))
             mbs_ids = {u.user_id for i, u in enumerate(problem.users)
                        if mask >> i & 1}
-            with use_acceleration(False):
-                expected = solve_given_assignment(problem, mbs_ids)
-            with use_acceleration(True):
-                got = solve_given_assignment(problem, mbs_ids)
+            expected = solve_given_assignment_scalar(problem, mbs_ids)
+            got = solve_given_assignment(problem, mbs_ids)
             assert got.mbs_user_ids == expected.mbs_user_ids
             assert got.rho_mbs == expected.rho_mbs
             assert got.rho_fbs == expected.rho_fbs
@@ -127,9 +120,8 @@ class TestSolveGivenAssignmentBitIdentity:
         # Same MBS set, different FBS G: the MBS group result is reused.
         b = compiled.solve_assignment({0}, {1: 3.0, 2: 2.0})
         assert a.rho_mbs == b.rho_mbs
-        with use_acceleration(False):
-            expected = solve_given_assignment(
-                problem.with_expected_channels({1: 3.0, 2: 2.0}), {0})
+        expected = solve_given_assignment_scalar(
+            problem.with_expected_channels({1: 3.0, 2: 2.0}), {0})
         assert b.objective == expected.objective
         assert b.rho_fbs == expected.rho_fbs
 
@@ -162,12 +154,3 @@ class TestGreedyMemoBitIdentity:
         assert b.channel_allocation == a.channel_allocation
         assert b.evaluations + b.cache_hits >= a.evaluations
         assert b.evaluations <= a.evaluations
-
-    def test_accel_flag_round_trips(self):
-        assert acceleration_enabled()
-        with use_acceleration(False):
-            assert not acceleration_enabled()
-            with use_acceleration(True):
-                assert acceleration_enabled()
-            assert not acceleration_enabled()
-        assert acceleration_enabled()

@@ -156,10 +156,11 @@ class TestEngineCsiEquivalence:
 
     def test_draw_csi_batched_matches_scalar(self, small_scenario):
         from repro.sim.engine import SimulationEngine
+        from tests.oracle import draw_csi
         a = SimulationEngine(small_scenario)
         b = SimulationEngine(small_scenario)
         for _ in range(8):
-            assert a._draw_csi_batched() == b._draw_csi()
+            assert a._draw_csi_batched() == draw_csi(b)
 
     def test_hoisted_scales_match_topology(self, small_scenario):
         from repro.sim.engine import SimulationEngine

@@ -248,6 +248,7 @@ class TestEngineSensingEquivalence:
 
     def test_sense_fuse_batched_matches_scalar(self, small_scenario):
         from repro.sim.engine import SimulationEngine
+        from tests.oracle import sense_fuse_scalar
         batched = SimulationEngine(small_scenario)
         scalar = SimulationEngine(small_scenario)
         rng = np.random.default_rng(31)
@@ -256,7 +257,7 @@ class TestEngineSensingEquivalence:
             batched._slot = scalar._slot = slot
             occupancy = rng.integers(0, 2, size=n_channels)
             a = batched._sense_fuse_batched(occupancy)
-            b = scalar._sense_fuse_scalar(occupancy)
+            b = sense_fuse_scalar(scalar, occupancy)
             assert np.array_equal(a, b)
             assert (batched._sensing_rng.bit_generator.state
                     == scalar._sensing_rng.bit_generator.state)

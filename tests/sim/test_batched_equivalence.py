@@ -3,22 +3,24 @@
 The unit-level suites (``tests/phy``, ``tests/sensing``) pin each
 batched primitive; this suite pins the composition -- multi-slot
 engine runs over fuzzed scenario configs must produce byte-identical
-:class:`SlotRecord` streams and run metrics whichever backend is
-active, and the two backends must be freely interchangeable
-mid-simulation because they consume the RNG streams identically.
+:class:`SlotRecord` streams and run metrics on the production path and
+on the scalar oracle (``tests/oracle.py``), and the two must be freely
+interchangeable mid-simulation because they consume the RNG streams
+identically.
 """
 
 import json
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
 
-from repro.core.accel import use_acceleration
 from repro.sim.checkpoint import run_metrics_to_dict
 from repro.sim.engine import SimulationEngine
 from repro.sim.runner import MonteCarloRunner
 
 from tests.conftest import random_scenario
+from tests.oracle import scalar_path
 
 N_FUZZED_CONFIGS = 6
 FUZZ_SLOTS = 12
@@ -44,9 +46,14 @@ def assert_records_equal(a, b, context=""):
     assert a.allocation.rho_fbs == b.allocation.rho_fbs, context
 
 
+def _backend(accelerated):
+    """The production path (``True``) or the scalar oracle (``False``)."""
+    return nullcontext() if accelerated else scalar_path()
+
+
 def _run_slots(config, accelerated, n_slots):
     """Step ``n_slots`` slots under the chosen backend; return the records."""
-    with use_acceleration(accelerated):
+    with _backend(accelerated):
         engine = SimulationEngine(config)
         return [engine.step() for _ in range(n_slots)]
 
@@ -78,10 +85,9 @@ class TestFullRunEquivalence:
                 assert_records_equal(a, b, f"{context}, slot {a.slot}")
 
     def test_run_metrics_identical(self, small_scenario):
-        with use_acceleration(False):
+        with scalar_path():
             scalar = SimulationEngine(small_scenario).run()
-        with use_acceleration(True):
-            batched = SimulationEngine(small_scenario).run()
+        batched = SimulationEngine(small_scenario).run()
         assert _metrics_fingerprint(batched) == _metrics_fingerprint(scalar)
 
     def test_backend_swap_mid_run(self, small_scenario):
@@ -95,9 +101,9 @@ class TestFullRunEquivalence:
         mixed = SimulationEngine(small_scenario)
         rng = np.random.default_rng(5)
         for slot in range(small_scenario.n_slots):
-            with use_acceleration(False):
+            with scalar_path():
                 a = oracle.step()
-            with use_acceleration(bool(rng.integers(0, 2))):
+            with _backend(bool(rng.integers(0, 2))):
                 b = mixed.step()
             assert_records_equal(b, a, f"slot {slot}")
 
@@ -105,18 +111,9 @@ class TestFullRunEquivalence:
 class TestRunnerEquivalence:
     def test_monte_carlo_fingerprints_identical(self, small_scenario):
         """Replicated runs (the checkpointed artifact) match backend-wise."""
-        with use_acceleration(False):
+        with scalar_path():
             scalar = MonteCarloRunner(small_scenario, n_runs=2).run_all()
-        with use_acceleration(True):
-            batched = MonteCarloRunner(small_scenario, n_runs=2).run_all()
+        batched = MonteCarloRunner(small_scenario, n_runs=2).run_all()
         assert len(scalar) == len(batched) == 2
         for a, b in zip(batched, scalar):
             assert _metrics_fingerprint(a) == _metrics_fingerprint(b)
-
-    def test_default_backend_is_accelerated(self, small_scenario):
-        from repro.core.accel import acceleration_enabled
-        assert acceleration_enabled()
-        default = SimulationEngine(small_scenario).run()
-        with use_acceleration(True):
-            forced = SimulationEngine(small_scenario).run()
-        assert _metrics_fingerprint(default) == _metrics_fingerprint(forced)

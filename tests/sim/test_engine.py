@@ -22,10 +22,10 @@ class TestDeterminism:
         assert a.per_user_psnr != b.per_user_psnr
 
     def test_acceleration_and_memo_are_bit_identical(self, interfering_config):
-        """The default accelerated path must equal the scalar seed path."""
-        from repro.core.accel import use_acceleration
+        """The production path must equal the scalar oracle path."""
+        from tests.oracle import scalar_path
         accel = SimulationEngine(interfering_config).run()
-        with use_acceleration(False):
+        with scalar_path():
             scalar = SimulationEngine(
                 interfering_config.replace(memoize_q=False)).run()
         assert accel.per_user_psnr == scalar.per_user_psnr
