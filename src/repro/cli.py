@@ -54,7 +54,7 @@ from repro.utils.errors import SweepDeadlineExceeded, SweepInterrupted
 FIGURES = ("fig3", "fig4a", "fig4b", "fig4c", "fig6a", "fig6b", "fig6c")
 
 #: The subset of figure commands that run parameter sweeps (and hence
-#: take checkpoints and register scenario hashes in a workspace).
+#: take checkpoints and register them in a workspace).
 SWEEP_FIGURES = ("fig4b", "fig4c", "fig6a", "fig6b", "fig6c")
 
 
@@ -118,8 +118,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "after its retry (including cells killed by "
                             "--cell-timeout) instead of just reporting it")
         p.add_argument("--workspace", metavar="DIR", default=None,
-                       help="managed artifact workspace: cache built "
-                            "scenarios under DIR/scenarios/, default "
+                       help="managed artifact workspace: default "
                             "--output into DIR/results/ and --checkpoint "
                             "into DIR/checkpoints/, and register the run "
                             "in DIR/index.json (see `repro workspace`)")
@@ -174,9 +173,8 @@ def build_parser() -> argparse.ArgumentParser:
     workspace = sub.add_parser(
         "workspace", help="inspect or garbage-collect a managed workspace")
     workspace.add_argument("action", choices=("list", "inspect", "gc"),
-                           help="list runs and cached scenarios, inspect "
-                                "one run's artifacts, or remove cached "
-                                "scenarios no live checkpoint references")
+                           help="list runs, inspect one run's artifacts, "
+                                "or prune runs whose files are all gone")
     workspace.add_argument("name", nargs="?", default=None,
                            help="run name to inspect (inspect only)")
     workspace.add_argument("--workspace", metavar="DIR", default=None,
@@ -303,21 +301,21 @@ def _maybe_save(result, args, command: Optional[str] = None) -> List[str]:
 
 
 def _apply_workspace(args) -> None:
-    """Activate ``--workspace`` and default-fill the artifact paths.
+    """Open ``--workspace`` and default-fill the artifact paths.
 
     For single-figure commands, an unset ``--output`` lands in the
     workspace's ``results/`` directory; for sweep figures, an unset
     ``--checkpoint`` lands in ``checkpoints/`` (so every workspace run
     is resumable by default).  ``all`` runs several figures against one
-    ``args`` namespace, so it only gets the scenario cache and run
-    registration, not path defaults.
+    ``args`` namespace, so it only gets run registration, not path
+    defaults.
     """
     root = getattr(args, "workspace", None)
     if root is None:
         args._workspace = None
         return
-    from repro.store.scenario_store import activate_workspace
-    workspace = activate_workspace(root)
+    from repro.store.workspace import FileWorkspace
+    workspace = FileWorkspace(root)
     args._workspace = workspace
     command = args.command
     stem = getattr(args, "run_name", None) or command
@@ -424,7 +422,7 @@ def _run_figure(name: str, args) -> Tuple[str, int]:
     run_name = getattr(args, "run_name", None) or name
     if name == "fig3":
         rows = run_fig3(n_runs=args.runs, n_gops=args.gops, seed=args.seed,
-                        jobs=jobs, workspace=workspace, **budgets)
+                        jobs=jobs, **budgets)
         return "\n".join(_maybe_save(rows, args, command=name) + [
             _heading("Fig. 3: per-user Y-PSNR (dB), single FBS"),
             format_fig3(rows),
@@ -495,8 +493,7 @@ def _run_simulate(args) -> Tuple[str, int]:
     summary = MonteCarloRunner(
         config, n_runs=args.runs, jobs=getattr(args, "jobs", 1),
         cell_timeout=getattr(args, "cell_timeout", None),
-        deadline=getattr(args, "deadline", None),
-        workspace=getattr(args, "_workspace", None)).summary()
+        deadline=getattr(args, "deadline", None)).summary()
     lines = [_heading(f"{args.scenario} scenario, scheme={args.scheme}")]
     for user_id, ci in sorted(summary.per_user_psnr.items()):
         lines.append(f"user {user_id}: {ci}")
@@ -522,8 +519,7 @@ def _run_workspace(args) -> int:
     import json
     import os
 
-    from repro.store.scenario_store import ENV_WORKSPACE
-    from repro.store.workspace import FileWorkspace
+    from repro.store.workspace import ENV_WORKSPACE, FileWorkspace
     from repro.utils.errors import ConfigurationError
 
     root = getattr(args, "workspace", None) or os.environ.get(ENV_WORKSPACE)
@@ -534,14 +530,11 @@ def _run_workspace(args) -> int:
     workspace = FileWorkspace(root)
     if args.action == "list":
         print(f"workspace at {workspace.root}")
-        refs = workspace.scenario_refs()
-        print(f"cached scenarios: {len(refs)}")
         entries = workspace.entries()
         print(f"registered runs: {len(entries)}")
         for name in sorted(entries):
             entry = entries[name]
-            parts = [f"{len(entry.get('results', []))} result(s)",
-                     f"{len(entry.get('scenario_hashes', []))} scenario(s)"]
+            parts = [f"{len(entry.get('results', []))} result(s)"]
             checkpoint = entry.get("checkpoint")
             if checkpoint:
                 parts.append(f"checkpoint={checkpoint}")
@@ -559,13 +552,12 @@ def _run_workspace(args) -> int:
         print(json.dumps(report, indent=2, sort_keys=True))
         return 0
     report = workspace.gc(dry_run=getattr(args, "dry_run", False))
-    verb = "would remove" if report["dry_run"] else "removed"
-    print(f"{verb} {len(report['removed_scenarios'])} cached scenario(s), "
-          f"kept {len(report['kept_scenarios'])} "
-          f"(live checkpoints), pruned {len(report['pruned_runs'])} "
-          f"stale run entr{'y' if len(report['pruned_runs']) == 1 else 'ies'}")
-    for ref in report["removed_scenarios"]:
-        print(f"  - {ref}")
+    pruned = report["pruned_runs"]
+    verb = "would prune" if report["dry_run"] else "pruned"
+    print(f"{verb} {len(pruned)} stale run "
+          f"entr{'y' if len(pruned) == 1 else 'ies'}")
+    for name in pruned:
+        print(f"  - {name}")
     return 0
 
 
@@ -574,7 +566,7 @@ def _run_serve(args) -> int:
     import os
 
     from repro.serve.api import make_server, serve_forever
-    from repro.store.scenario_store import ENV_WORKSPACE
+    from repro.store.workspace import ENV_WORKSPACE
 
     root = getattr(args, "workspace", None) or os.environ.get(ENV_WORKSPACE)
     if not root:

@@ -24,7 +24,7 @@ CAMPAIGN_PARAMETER = "<campaign>"
 
 
 def _scenario_ref(config: ScenarioConfig) -> Optional[str]:
-    """The config's scenario hash, or ``None`` with the store disabled.
+    """The config's scenario hash, or ``None`` without content identity.
 
     Computed once per sweep point in the planning process; scheme and
     seed variations of the point share the hash by construction
@@ -32,15 +32,11 @@ def _scenario_ref(config: ScenarioConfig) -> Optional[str]:
     build-feeding fields).
     """
     from repro.store.confighash import scenario_hash
-    from repro.store.scenario_store import store_enabled
 
-    if not store_enabled():
-        return None
     try:
         return scenario_hash(config)
     except TypeError:
-        # No content identity (e.g. a test-double topology): the cell
-        # builds its scenario inline, exactly as with the store off.
+        # No content identity (e.g. a test-double topology).
         return None
 
 
@@ -63,12 +59,11 @@ class Cell:
         root seed all applied).
     scenario_ref:
         The config's :func:`~repro.store.confighash.scenario_hash`,
-        computed at planning time (``None`` when the scenario store is
-        disabled).  Workers resolve it against their
-        :class:`~repro.store.scenario_store.ScenarioStore` instead of
-        rebuilding the scenario; computing it here also memoizes the
-        expensive topology digest on the (shared, pickled-once)
-        topology object, so a worker's own hash lookups are O(1).
+        computed at planning time (``None`` for a config without
+        content identity).  Solver caches are scoped per scenario by
+        it (:func:`repro.core.caches.scope_to`); computing it here also
+        memoizes the topology digest on the (shared, pickled-once)
+        topology object, so later hash lookups are O(1).
     """
 
     scheme: str

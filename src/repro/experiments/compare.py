@@ -6,8 +6,9 @@ questions from the artifacts alone:
 
 * **bit identity** -- the strongest verdict, a byte comparison of the
   two files.  The pipeline guarantees identical runs serialise
-  identically (at any ``--jobs N``, store on or off), so two files from
-  the same seed/config either match exactly or something real changed.
+  identically (at any ``--jobs N``, with or without a workspace), so
+  two files from the same seed/config either match exactly or something
+  real changed.
 * **provenance** -- the deterministic header embedded by
   :func:`~repro.experiments.results_io.save_results` (seed, backend,
   acceleration, scenario/config hashes).  A mismatch here explains a

@@ -50,8 +50,7 @@ def run_fig3(*, n_runs: int = 10, n_gops: int = 3, seed: int = 7,
              schemes: Sequence[str] = FIG3_SCHEMES,
              jobs: Optional[int] = None,
              cell_timeout: Optional[float] = None,
-             deadline: Optional[float] = None,
-             workspace=None) -> List[Fig3Row]:
+             deadline: Optional[float] = None) -> List[Fig3Row]:
     """Regenerate Fig. 3's data.
 
     Returns one row per scheme with per-user confidence intervals; all
@@ -59,9 +58,6 @@ def run_fig3(*, n_runs: int = 10, n_gops: int = 3, seed: int = 7,
     scheme's replications over worker processes (see :mod:`repro.exec`);
     the rows are identical at every worker count.  ``cell_timeout`` /
     ``deadline`` enable the supervised executor's watchdog budgets.
-    ``workspace`` activates a managed artifact workspace (see
-    :mod:`repro.store.workspace`); all three schemes share one cached
-    scenario build in it.
     """
     logger.info("fig3: %d runs x %d GOPs, seed %s, schemes %s, jobs %s",
                 n_runs, n_gops, seed, list(schemes), jobs)
@@ -70,8 +66,7 @@ def run_fig3(*, n_runs: int = 10, n_gops: int = 3, seed: int = 7,
         config = single_fbs_scenario(n_gops=n_gops, seed=seed, scheme=scheme)
         summary = MonteCarloRunner(config, n_runs=n_runs, jobs=jobs,
                                    cell_timeout=cell_timeout,
-                                   deadline=deadline,
-                                   workspace=workspace).summary()
+                                   deadline=deadline).summary()
         rows.append(Fig3Row(
             scheme=scheme,
             per_user_psnr=summary.per_user_psnr,

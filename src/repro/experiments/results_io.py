@@ -170,10 +170,9 @@ def save_results(obj: Union[SweepResult, List[Fig3Row], Fig4aResult],
     Every file carries a ``provenance`` header -- seed, backend
     (always ``batched``), acceleration flag, and (when the caller passes the
     run's config to :func:`repro.obs.export.result_provenance`) the
-    ``scenario_hash`` / ``config_hash`` pair tying the result to its
-    cached scenario artifact -- so an archived figure is reproducible
-    from the artifact alone and :func:`read_provenance` can locate the
-    exact ``scenarios/<hash>.json`` it was computed against.  Omitted,
+    ``scenario_hash`` / ``config_hash`` pair tying the result to the
+    exact configuration it ran -- so an archived figure is reproducible
+    from the artifact alone (:func:`read_provenance`).  Omitted,
     the header still records backend and acceleration (with
     ``seed: null``).  Only deterministic values belong here: the header
     must not break byte-identity between identical runs.

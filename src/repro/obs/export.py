@@ -78,9 +78,9 @@ def result_provenance(*, seed: Optional[int] = None,
     run's base ``config`` additionally records its
     :func:`~repro.store.confighash.scenario_hash` and
     :func:`~repro.store.confighash.config_hash`, tying the result file
-    to the cached scenario artifact it was computed against (both are
-    pure functions of the config, so they never break byte-identity
-    between identical runs -- store on or off).
+    to the configuration it was computed from (both are pure functions
+    of the config, so they never break byte-identity between identical
+    runs).
     """
     provenance = {"seed": seed, "backend": "batched", "acceleration": True}
     if config is not None:

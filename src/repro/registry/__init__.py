@@ -15,8 +15,7 @@ seam:
   scenario name to a topology/workload generator; building through the
   registry stamps the generator's identity (name + build parameters)
   onto the config, where it flows into ``config_hash`` /
-  ``scenario_hash`` and hence provenance manifests, checkpoints, and
-  the scenario store.
+  ``scenario_hash`` and hence provenance manifests and checkpoints.
 
 Built-in entries self-register at import time; the registries load them
 lazily on first lookup, so importing this package stays cheap and free

@@ -9,13 +9,13 @@ configs built from different generators (or the same generator with
 different knobs) can never collide in ``scenario_hash`` even if their
 scalar fields happen to agree.  The stamp flows from there into
 ``config_hash``, provenance manifests, checkpoint fingerprints, and the
-scenario store's artifact keys without any of those layers knowing the
-registry exists.
+executors' per-scenario solver-cache scopes without any of those layers
+knowing the registry exists.
 
 Run-only parameters (``scheme``, ``seed``, ``n_gops``) are excluded
 from the stamp: replications and scheme variants of one physical
-scenario must keep sharing a single ``scenario_hash`` so the store
-builds each topology once per sweep, not once per cell.
+scenario must keep sharing a single ``scenario_hash`` so they share one
+solver-cache scope and one provenance identity.
 """
 
 from __future__ import annotations

@@ -118,34 +118,15 @@ class AccessPolicy:
     def decide(self, posteriors) -> AccessDecision:
         """Draw access decisions ``D_m`` for every channel in one slot.
 
+        Computes every ``P_D`` through :meth:`access_probabilities` and
+        draws ``M`` uniforms in one ``rng.random(M)`` call; the decision
+        and the RNG state afterwards are bit-identical to the
+        per-channel scalar oracle in ``tests/oracle.py``.
+
         Parameters
         ----------
         posteriors:
             Fused idle posteriors ``P_A^m`` per channel, length ``M``.
-        """
-        posteriors = check_probability_array(posteriors, "posteriors")
-        if posteriors.size != self.n_channels:
-            raise ValueError(
-                f"expected {self.n_channels} posteriors, got {posteriors.size}")
-        probs = np.array([
-            self.access_probability(m, posteriors[m]) for m in range(self.n_channels)
-        ])
-        draws = self._rng.random(self.n_channels)
-        decisions = np.where(draws < probs, 0, 1).astype(np.int8)
-        return AccessDecision(
-            access_probabilities=probs,
-            decisions=decisions,
-            posteriors=posteriors.copy(),
-        )
-
-    def decide_batched(self, posteriors) -> AccessDecision:
-        """Batched counterpart of :meth:`decide`.
-
-        Computes every ``P_D`` through :meth:`access_probabilities` and
-        draws the same ``M`` uniforms as the scalar path (one
-        ``rng.random(M)`` call either way), so the returned decision --
-        and the RNG state afterwards -- is bit-identical to
-        :meth:`decide` on the same posteriors.
         """
         posteriors = check_probability_array(posteriors, "posteriors")
         if posteriors.size != self.n_channels:

@@ -24,7 +24,6 @@ from repro.serve.jobs import (
     ALLOWED_COMMANDS,
     JobError,
     JobManager,
-    plan_scenario_hashes,
     spec_hash,
     validate_spec,
 )
@@ -38,7 +37,6 @@ __all__ = [
     "ServiceError",
     "ServiceServer",
     "make_server",
-    "plan_scenario_hashes",
     "serve_forever",
     "spec_hash",
     "validate_spec",

@@ -9,8 +9,8 @@ bearing design decision:
 * **byte identity for free** -- a job produces exactly the bytes the
   same CLI invocation would, because it *is* that CLI invocation;
 * **isolation** -- the CLI's process-global machinery (the shutdown
-  coordinator's signal handlers, the metrics registry, the scenario
-  store) stays per-job instead of fighting over one server process;
+  coordinator's signal handlers, the metrics registry, the solver
+  caches) stays per-job instead of fighting over one server process;
 * **two-stage cancel** -- SIGTERM reuses the CLI's
   :class:`~repro.exec.supervisor.ShutdownCoordinator` contract verbatim:
   the first signal drains in-flight cells to the checkpoint (exit 4),
@@ -184,69 +184,16 @@ def spec_hash(spec: dict) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def plan_scenario_hashes(spec: dict) -> List[str]:
-    """Scenario hashes a job will request, computed at submit time.
+def _kill_group(proc: subprocess.Popen) -> None:
+    """SIGKILL a job child's process group (the child leads it).
 
-    Mirrors the sweep each figure command runs (same base scenario,
-    sweep axis, and configure hook), but only builds *configs* -- no
-    engine work -- so submit stays cheap.  The hashes go straight into
-    the job record, which :meth:`FileWorkspace.gc` treats as protected
-    while the job is active.  A config without content identity simply
-    contributes nothing.
+    The group outlives its leader while orphaned pool workers remain,
+    so it is signalled even when the child itself has already exited.
     """
-    from repro.experiments.fig4 import FIG4B_CHANNELS, FIG4C_UTILIZATIONS
-    from repro.experiments.fig6 import (
-        FIG6A_UTILIZATIONS,
-        FIG6B_ERROR_PAIRS,
-        FIG6C_BANDWIDTHS,
-    )
-    from repro.experiments.scenarios import (
-        interfering_fbs_scenario,
-        single_fbs_scenario,
-        utilization_to_p01,
-    )
-    from repro.registry import scenario_registry
-    from repro.store.confighash import scenario_hash
-
-    def eta(config, value):
-        return config.replace(p01=utilization_to_p01(value))
-
-    def errors(config, pair):
-        return config.replace(false_alarm=pair[0], miss_detection=pair[1])
-
-    sweeps = {
-        "fig4b": (single_fbs_scenario, "n_channels", FIG4B_CHANNELS, None),
-        "fig4c": (single_fbs_scenario, "utilization", FIG4C_UTILIZATIONS, eta),
-        "fig6a": (interfering_fbs_scenario, "utilization",
-                  FIG6A_UTILIZATIONS, eta),
-        "fig6b": (interfering_fbs_scenario, "sensing_errors",
-                  FIG6B_ERROR_PAIRS, errors),
-        "fig6c": (interfering_fbs_scenario, "common_bandwidth_mbps",
-                  FIG6C_BANDWIDTHS, None),
-    }
-    command = spec["command"]
-    if command == "simulate":
-        configs = [scenario_registry().build(
-            spec["scenario"], n_gops=spec["gops"], seed=spec["seed"],
-            scheme=spec["scheme"], **spec["scenario_args"])]
-    elif command == "fig3":
-        configs = [single_fbs_scenario(n_gops=spec["gops"],
-                                       seed=spec["seed"])]
-    else:
-        builder, parameter, values, configure = sweeps[command]
-        base = builder(n_gops=spec["gops"], seed=spec["seed"])
-        configs = [configure(base, value) if configure is not None
-                   else base.replace(**{parameter: value})
-                   for value in values]
-    hashes: List[str] = []
-    for config in configs:
-        try:
-            ref = scenario_hash(config)
-        except TypeError:
-            continue
-        if ref not in hashes:
-            hashes.append(ref)
-    return hashes
+    try:
+        os.killpg(proc.pid, signal.SIGKILL)
+    except OSError:
+        pass
 
 
 class JobManager:
@@ -373,7 +320,6 @@ class JobManager:
                 "pid": None,
                 "exit_code": None,
                 "error": None,
-                "scenario_hashes": plan_scenario_hashes(normalized),
                 "artifacts": self._artifacts(job_id, normalized),
             }
             self._save(record)
@@ -521,19 +467,21 @@ class JobManager:
     def stop(self, *, graceful: bool = True, timeout: float = 30.0) -> None:
         """Stop the pool; running jobs drain to their checkpoints.
 
-        With ``graceful`` each live child gets one SIGTERM (drain and
-        exit 4, leaving the job ``queued`` for the next server);
-        without, children are SIGKILLed and their records stay stale
-        until :meth:`recover`.
+        With ``graceful`` each live child gets one SIGTERM (drain its
+        own pool and exit 4, leaving the job ``queued`` for the next
+        server); without, each child's process group -- the child and
+        its ``--jobs`` pool workers -- is SIGKILLed and the records stay
+        stale until :meth:`recover`.
         """
         self._stopping.set()
         with self._lock:
             procs = dict(self._procs)
         for proc in procs.values():
-            if proc.poll() is None:
+            if not graceful:
+                _kill_group(proc)
+            elif proc.poll() is None:
                 try:
-                    proc.send_signal(
-                        signal.SIGTERM if graceful else signal.SIGKILL)
+                    proc.send_signal(signal.SIGTERM)
                 except OSError:
                     pass
         deadline = time.monotonic() + timeout
@@ -546,19 +494,16 @@ class JobManager:
     def kill(self) -> None:
         """Simulate a server crash: SIGKILL children, abandon workers.
 
-        Job records are deliberately left stale (``running`` with a
-        dead pid) -- exactly what a power cut leaves behind -- so tests
-        can drive the :meth:`recover` path.
+        Each child's whole process group dies, so no pool worker of a
+        killed job outlives it.  Job records are deliberately left stale
+        (``running`` with a dead pid) -- exactly what a power cut leaves
+        behind -- so tests can drive the :meth:`recover` path.
         """
         self._stopping.set()
         with self._lock:
             procs = dict(self._procs)
         for proc in procs.values():
-            if proc.poll() is None:
-                try:
-                    proc.kill()
-                except OSError:
-                    pass
+            _kill_group(proc)
         for proc in procs.values():
             try:
                 proc.wait(timeout=10.0)
@@ -660,8 +605,14 @@ class JobManager:
         try:
             with open(out_path, "w", encoding="utf-8") as out, \
                     open(log_path, "a", encoding="utf-8") as log:
+                # A session of its own makes the child a process-group
+                # leader, so _kill_group reaches its pool workers too;
+                # signals meant for the server (a terminal's Ctrl-C)
+                # no longer reach the child, which drains only on the
+                # server's SIGTERM.
                 proc = subprocess.Popen(argv, stdout=out, stderr=log,
-                                        env=self._child_env())
+                                        env=self._child_env(),
+                                        start_new_session=True)
         except OSError as exc:
             with self._lock:
                 record["state"] = "failed"

@@ -4,51 +4,32 @@ Every quantity the simulation engine derives from the *physical*
 scenario alone -- per-link Rayleigh margin scales, stationary channel
 utilisations, the round-robin sensing scatter layouts, the per-user R-D
 demand constants, the FBS id grid -- is independent of scheme, seed,
-replication index, and simulation horizon.  Historically each
-:class:`~repro.sim.engine.SimulationEngine` recomputed all of it in its
-constructor, once per replication; a 100-point sensitivity sweep with 10
-replications and 3 schemes therefore rebuilt the same handful of
-scenarios 3000 times.
+replication index, and simulation horizon.
 
-:func:`build_scenario` performs that derivation once and packages it as
-a :class:`BuiltScenario`, which the engine accepts pre-built (``built=``)
-and the :class:`~repro.store.scenario_store.ScenarioStore` caches by
-:func:`~repro.store.confighash.scenario_hash`.  The artifact is strictly
-read-only at run time and fully JSON-serialisable
-(:meth:`BuiltScenario.to_payload` / :meth:`BuiltScenario.from_payload`
-round-trip bit-exactly), so a :class:`~repro.store.workspace.FileWorkspace`
-can persist it across processes and sessions.
-
-Bit-identity contract: an engine running from a ``BuiltScenario`` --
-fresh, memory-cached, or loaded from disk -- produces byte-identical
-results to one that derives everything itself.  Asserted by
-``tests/store/test_store_equivalence.py``.
+:func:`build_scenario` performs that derivation and packages it as a
+:class:`BuiltScenario`; every :class:`~repro.sim.engine.SimulationEngine`
+builds its own from its config and treats it as read-only.  A build
+costs about a millisecond even on the 20x20 city grid -- under 1% of one
+replication -- so it is not cached (DESIGN.md §14 has the measurement).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
 from repro.sim.config import ScenarioConfig
-from repro.utils.errors import ConfigurationError
 from repro.video.sequences import rd_slot_increment
-
-#: Schema version of serialised built-scenario artifacts.
-BUILD_FORMAT_VERSION = 1
 
 
 @dataclass
 class BuiltScenario:
-    """Read-only per-scenario invariants shared by all of its runs.
+    """Read-only per-scenario invariants, identical for every run of it.
 
     Attributes
     ----------
-    scenario_hash:
-        The :func:`~repro.store.confighash.scenario_hash` this artifact
-        was built under (``None`` for artifacts built outside a store).
     csi_user_ids:
         User ids in topology order; the fading stream is consumed in
         this interleaved ``(mbs_0, fbs_0, mbs_1, fbs_1, ...)`` order.
@@ -74,7 +55,6 @@ class BuiltScenario:
         ``M``).
     """
 
-    scenario_hash: Optional[str] = None
     csi_user_ids: List[int] = field(default_factory=list)
     csi_scales: np.ndarray = field(default_factory=lambda: np.empty(0))
     etas: np.ndarray = field(default_factory=lambda: np.empty(0))
@@ -84,66 +64,6 @@ class BuiltScenario:
     demands_static: Dict[int, dict] = field(default_factory=dict)
     sensing_layouts: Dict[int, Tuple[np.ndarray, ...]] = field(
         default_factory=dict)
-
-    def to_payload(self) -> dict:
-        """JSON-compatible representation (floats round-trip exactly).
-
-        ``json`` serialises Python floats with their shortest
-        round-tripping ``repr``, so every value read back compares
-        bit-equal to the original -- the property the store's
-        byte-identity guarantee rests on.
-        """
-        return {
-            "format_version": BUILD_FORMAT_VERSION,
-            "scenario_hash": self.scenario_hash,
-            "csi_user_ids": [int(uid) for uid in self.csi_user_ids],
-            "csi_scales": [float(x) for x in self.csi_scales],
-            "etas": [float(x) for x in self.etas],
-            "sorted_user_ids": [int(uid) for uid in self.sorted_user_ids],
-            "fbs_ids": [int(i) for i in self.fbs_ids],
-            "interfering": bool(self.interfering),
-            "demands_static": [
-                [int(uid), {
-                    "fbs_id": int(static["fbs_id"]),
-                    "success_mbs": float(static["success_mbs"]),
-                    "success_fbs": float(static["success_fbs"]),
-                    "r_mbs": float(static["r_mbs"]),
-                    "r_fbs": float(static["r_fbs"]),
-                }]
-                for uid, static in self.demands_static.items()
-            ],
-            "sensing_layouts": [
-                [int(offset), [arr.tolist() for arr in layout]]
-                for offset, layout in sorted(self.sensing_layouts.items())
-            ],
-        }
-
-    @classmethod
-    def from_payload(cls, payload: dict) -> "BuiltScenario":
-        """Reconstruct an artifact written by :meth:`to_payload`."""
-        version = payload.get("format_version")
-        if version != BUILD_FORMAT_VERSION:
-            raise ConfigurationError(
-                f"unsupported built-scenario format version {version!r} "
-                f"(this build reads {BUILD_FORMAT_VERSION})")
-        return cls(
-            scenario_hash=payload.get("scenario_hash"),
-            csi_user_ids=[int(uid) for uid in payload["csi_user_ids"]],
-            csi_scales=np.asarray(payload["csi_scales"], dtype=np.float64),
-            etas=np.asarray(payload["etas"], dtype=np.float64),
-            sorted_user_ids=[int(u) for u in payload["sorted_user_ids"]],
-            fbs_ids=[int(i) for i in payload["fbs_ids"]],
-            interfering=bool(payload["interfering"]),
-            demands_static={
-                int(uid): dict(static)
-                for uid, static in payload["demands_static"]
-            },
-            sensing_layouts={
-                int(offset): tuple(np.asarray(arr, dtype=np.int64)
-                                   for arr in layout)
-                for offset, layout in payload["sensing_layouts"]
-            },
-        )
 
 
 def sensing_layout(n_users: int, n_fbs: int, n_channels: int,
@@ -165,8 +85,7 @@ def sensing_layout(n_users: int, n_fbs: int, n_channels: int,
     return (user_channels, user_counts, order, sorted_channels, positions)
 
 
-def build_scenario(config: ScenarioConfig, *,
-                   scenario_hash: Optional[str] = None) -> BuiltScenario:
+def build_scenario(config: ScenarioConfig) -> BuiltScenario:
     """Derive every per-scenario invariant the engine needs.
 
     Pure function of the config's topology and physical parameters
@@ -213,7 +132,6 @@ def build_scenario(config: ScenarioConfig, *,
     }
 
     return BuiltScenario(
-        scenario_hash=scenario_hash,
         csi_user_ids=csi_user_ids,
         csi_scales=csi_scales,
         etas=etas,

@@ -46,7 +46,7 @@ from repro.phy.fading import draw_rayleigh_margins
 from repro.sensing.belief import ChannelBeliefTracker
 from repro.sensing.detector import SpectrumSensor, sense_observations_batched
 from repro.sensing.fusion import fuse_posteriors_batched
-from repro.sim.build import BuiltScenario, build_scenario
+from repro.sim.build import build_scenario
 from repro.sim.channel_assignment import (
     color_partition_allocation,
     expected_channels_of,
@@ -90,22 +90,14 @@ class SimulationEngine:
         The scenario.
     record_slots:
         Keep a :class:`SlotRecord` per slot (memory-heavy for long runs).
-    built:
-        A pre-built :class:`~repro.sim.build.BuiltScenario` holding the
-        per-scenario invariants (typically served by the
-        :class:`~repro.store.scenario_store.ScenarioStore`).  ``None``
-        builds one inline -- bit-identical either way, since
-        :func:`~repro.sim.build.build_scenario` performs exactly the
-        derivation this constructor used to inline.
     """
 
-    def __init__(self, config: ScenarioConfig, *, record_slots: bool = False,
-                 built: Optional[BuiltScenario] = None) -> None:
+    def __init__(self, config: ScenarioConfig, *,
+                 record_slots: bool = False) -> None:
         self.config = config
         self.record_slots = bool(record_slots)
         self.records: List[SlotRecord] = []
-        if built is None:
-            built = build_scenario(config)
+        built = build_scenario(config)
 
         streams = spawn_streams(
             config.seed, ["spectrum", "sensing", "access", "fading", "traces"])
@@ -149,20 +141,18 @@ class SimulationEngine:
 
         # Per-scenario invariants come from the BuiltScenario: the
         # topology is static, so link margins, sensing layouts, demand
-        # constants, and the FBS grid never change across slots -- or
-        # across replications, which is why they are built once and
-        # shared (see repro.sim.build).  The interleaved csi scale
-        # vector -- (mbs_0, fbs_0, mbs_1, fbs_1, ...) in topology user
-        # order -- lets one exponential array draw walk the fading
-        # stream exactly like the scalar per-user loop.
-        self._sorted_user_ids = list(built.sorted_user_ids)
-        self._csi_user_ids = list(built.csi_user_ids)
+        # constants, and the FBS grid never change across slots (see
+        # repro.sim.build).  The interleaved csi scale vector -- (mbs_0,
+        # fbs_0, mbs_1, fbs_1, ...) in topology user order -- lets one
+        # exponential array draw walk the fading stream exactly like the
+        # scalar per-user loop.
+        self._sorted_user_ids = built.sorted_user_ids
+        self._csi_user_ids = built.csi_user_ids
         self._csi_scales = built.csi_scales
         self._etas = built.etas
         # The round-robin sensing layout repeats with period M; the
-        # built artifact carries every offset's scatter precomputed
-        # (lazily fillable for artifacts from older builds).
-        self._sensing_layout: Dict[int, tuple] = dict(built.sensing_layouts)
+        # build precomputes the scatter of every offset 0..M-1.
+        self._sensing_layouts = built.sensing_layouts
 
         scheme_info = scheme_registry().get(config.scheme)
         self._greedy_channels = scheme_info.greedy_channels
@@ -178,7 +168,7 @@ class SimulationEngine:
                                                   self.allocator)
         self.degradations: List[DegradationEvent] = []
         self._interfering = built.interfering
-        self._fbs_ids = list(built.fbs_ids)
+        self._fbs_ids = built.fbs_ids
         self._greedy = (GreedyChannelAllocator(topology.interference_graph,
                                                memoize=config.memoize_q,
                                                warm_start=config.warm_start)
@@ -192,14 +182,10 @@ class SimulationEngine:
             "sensing": 0.0, "access": 0.0, "allocation": 0.0,
             "transmission": 0.0}
 
-        # Demand constants are shared with the (possibly cached) built
-        # artifact; copied per engine so nothing downstream can mutate
-        # the cache.  GOP clocks are per-run mutable state and stay here.
+        # Demand constants come from the build; GOP clocks are per-run
+        # mutable state and stay here.
         self.clocks: Dict[int, GopClock] = {}
-        self._demands_static: Dict[int, dict] = {
-            user_id: dict(static)
-            for user_id, static in built.demands_static.items()
-        }
+        self._demands_static = built.demands_static
         for user in topology.users:
             sequence = get_sequence(user.sequence_name)
             self.clocks[user.user_id] = GopClock(
@@ -324,21 +310,8 @@ class SimulationEngine:
         n_channels = config.n_channels
         n_fbs = len(self._fbs_sensors)
         n_users = len(self._sorted_user_ids)
-        offset = self._slot % n_channels
-        layout = self._sensing_layout.get(offset)
-        if layout is None:
-            user_channels = (np.arange(n_users) + offset) % n_channels
-            user_counts = np.bincount(user_channels, minlength=n_channels)
-            # Group user observations by channel, preserving user order
-            # within each channel (stable sort = the scalar append order).
-            order = np.argsort(user_channels, kind="stable")
-            sorted_channels = user_channels[order]
-            starts = np.cumsum(user_counts) - user_counts
-            positions = n_fbs + np.arange(n_users) - starts[sorted_channels]
-            layout = (user_channels, user_counts, order,
-                      sorted_channels, positions)
-            self._sensing_layout[offset] = layout
-        user_channels, user_counts, order, sorted_channels, positions = layout
+        user_channels, user_counts, order, sorted_channels, positions = \
+            self._sensing_layouts[self._slot % n_channels]
         states = np.concatenate([
             np.tile(occupancy, n_fbs), occupancy[user_channels]])
         observations = sense_observations_batched(
@@ -435,7 +408,7 @@ class SimulationEngine:
         tick = self._mark_phase("sensing", tick, tracer)
 
         # --- Access decision ------------------------------------------------
-        access = self.access_policy.decide_batched(posteriors)
+        access = self.access_policy.decide(posteriors)
         self.collisions.record(access, state.occupancy)
         available = access.available_channels.tolist()
         posterior_map = {m: float(posteriors[m]) for m in range(config.n_channels)}

@@ -3,8 +3,8 @@
 The dual solves inside one slot are inherently sequential (each greedy
 ``Q(c)`` evaluation warm-starts from the previous one), but *different
 replications* of the same scenario are completely independent -- and,
-sharing one :class:`~repro.sim.build.BuiltScenario`, they produce slot
-problems of identical shape.  This module advances B sibling engines in
+deriving the same :class:`~repro.sim.build.BuiltScenario`, they produce
+slot problems of identical shape.  This module advances B sibling engines in
 lockstep through their slot generators (:meth:`SimulationEngine._step_iter`),
 collects the :class:`~repro.core.batch.SolveRequest` each yields, and
 answers a whole round with one call to the stacked kernel
@@ -43,7 +43,6 @@ from repro.obs.metrics import (
 from repro.obs.trace import active_tracer
 from repro.registry.schemes import scheme_registry
 from repro.sim.engine import SimulationEngine
-from repro.store.scenario_store import built_for
 from repro.utils.errors import ReproError
 from repro.utils.rng import derive_seed
 
@@ -203,7 +202,7 @@ def run_cells_lockstep(
         start = time.perf_counter()
         try:
             with _ScopedRegistry(registry):
-                engine = SimulationEngine(seeded, built=built_for(seeded))
+                engine = SimulationEngine(seeded)
         except ReproError:
             # Build failed; the per-cell path will fail (and retry)
             # identically on its own clock.

@@ -40,7 +40,7 @@ from repro.sim.metrics import (
     summarize_runs,
 )
 from repro.store.confighash import config_hash
-from repro.store.scenario_store import activate_workspace, built_for
+from repro.store.workspace import FileWorkspace
 from repro.utils.errors import (
     ConfigurationError,
     ReproError,
@@ -52,17 +52,6 @@ logger = get_logger(__name__)
 
 #: Attempts per replication: the first try plus one fresh-seed retry.
 MAX_ATTEMPTS = 2
-
-
-def _run_replication(config: ScenarioConfig) -> RunMetrics:
-    """Fetch (or build) the scenario invariants and run one engine.
-
-    The store lookup happens *here*, together with engine construction,
-    so that under metrics collection both run against the replication's
-    private registry -- cache-hit counters ride the obs snapshot back
-    from pool workers exactly like every other engine metric.
-    """
-    return SimulationEngine(config, built=built_for(config)).run()
 
 
 def execute_run(config: ScenarioConfig, run_index: int
@@ -93,11 +82,11 @@ def execute_run(config: ScenarioConfig, run_index: int
                     # worker process or in-line) and be merged by the
                     # parent -- totals come out identical at any --jobs N.
                     with scoped_registry() as registry:
-                        metrics = _run_replication(seeded)
+                        metrics = SimulationEngine(seeded).run()
                     metrics = replace(metrics,
                                       obs_snapshot=registry.snapshot())
                 else:
-                    metrics = _run_replication(seeded)
+                    metrics = SimulationEngine(seeded).run()
             return metrics, None
         except ReproError as exc:
             last_error = exc
@@ -162,10 +151,6 @@ class MonteCarloRunner:
         Per-replication and whole-campaign wall-clock budgets in
         seconds; either one switches execution to the watchdog
         :class:`~repro.exec.supervisor.SupervisedExecutor`.
-    workspace:
-        Optional :class:`~repro.store.workspace.FileWorkspace` (or
-        directory path); activated as the scenario store's disk cache
-        for this process and its pool workers.
 
     Attributes
     ----------
@@ -179,12 +164,9 @@ class MonteCarloRunner:
                  jobs: Optional[int] = None,
                  executor: Optional[object] = None,
                  cell_timeout: Optional[float] = None,
-                 deadline: Optional[float] = None,
-                 workspace: Optional[object] = None) -> None:
+                 deadline: Optional[float] = None) -> None:
         if n_runs < 1:
             raise ConfigurationError(f"n_runs must be >= 1, got {n_runs}")
-        if workspace is not None:
-            activate_workspace(workspace)
         self.config = config
         self.n_runs = int(n_runs)
         self.jobs = jobs
@@ -202,7 +184,7 @@ class MonteCarloRunner:
         plan = self.config.fault_plan
         if plan is not None and hasattr(plan, "begin_run"):
             plan.begin_run(run_index, attempt)
-        return _run_replication(self.config.with_seed(seed))
+        return SimulationEngine(self.config.with_seed(seed)).run()
 
     def run_all(self) -> List[RunMetrics]:
         """Execute every replication and return the surviving runs' metrics.
@@ -364,11 +346,9 @@ def sweep(base_config: ScenarioConfig, parameter: str, values: Sequence[object],
         checkpointing everything that finished.
     workspace:
         Optional :class:`~repro.store.workspace.FileWorkspace` (or
-        directory path).  Activated as the scenario store's disk cache
-        (pool workers reattach through the exported environment), and
-        the sweep registers its scenario hashes and checkpoint there
-        under ``run_name`` so ``repro workspace gc`` can protect the
-        artifacts a resumable checkpoint still needs.
+        directory path).  The sweep registers its checkpoint there under
+        ``run_name`` so ``repro workspace list`` shows it and
+        ``repro workspace gc`` prunes the entry once its files are gone.
     run_name:
         Workspace registry name for this sweep (defaults to
         ``"<parameter>-sweep"``); ignored without ``workspace``.
@@ -385,11 +365,6 @@ def sweep(base_config: ScenarioConfig, parameter: str, values: Sequence[object],
     from repro.exec.plan import plan_sweep
     from repro.exec.supervisor import active_shutdown
 
-    if workspace is not None:
-        # Before planning: planning computes scenario hashes, and the
-        # workers spawned below discover the disk cache through the
-        # environment activate_workspace exports.
-        workspace = activate_workspace(workspace)
     plan = plan_sweep(base_config, parameter, values, schemes,
                       n_runs=n_runs, configure=configure)
     checkpoint = None
@@ -410,13 +385,12 @@ def sweep(base_config: ScenarioConfig, parameter: str, values: Sequence[object],
             schemes=schemes, n_runs=n_runs, seed=base_config.seed,
             config_hash=base_hash)
     if workspace is not None:
-        refs = sorted({cell.scenario_ref for cell in plan.cells
-                       if cell.scenario_ref is not None})
+        if not isinstance(workspace, FileWorkspace):
+            workspace = FileWorkspace(workspace)
         workspace.register_run(
             run_name or f"{parameter}-sweep",
             parameter=parameter,
             n_cells=len(plan.cells),
-            scenario_hashes=refs,
             checkpoint=(None if checkpoint is None else checkpoint.path))
 
     if executor is None:

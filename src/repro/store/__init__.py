@@ -1,17 +1,18 @@
-"""Scenario/artifact store: config-hash caching and managed workspaces.
+"""Configuration hashing and managed workspaces.
 
-Three layers (DESIGN.md §14):
+Two layers (DESIGN.md §14):
 
 * :mod:`repro.store.confighash` -- deterministic content hashing of
   scenario configurations (canonical JSON, stable float representation,
-  numpy coercion, order independence);
-* :mod:`repro.store.scenario_store` -- the build/run split's cache:
-  :class:`ScenarioStore` serves :class:`~repro.sim.build.BuiltScenario`
-  artifacts keyed by :func:`scenario_hash`, with
-  :func:`build_scenario`/:func:`run_scenario` as the split entry points;
+  numpy coercion, order independence), used for result provenance and
+  checkpoint identity;
 * :mod:`repro.store.workspace` -- :class:`FileWorkspace`, the managed
-  on-disk layout (scenarios/, results/, checkpoints/, traces/,
-  manifests/, jobs/) with an atomic JSON index and garbage collection.
+  on-disk layout (results/, checkpoints/, traces/, manifests/, jobs/)
+  with an atomic JSON run index and garbage collection of stale runs.
+
+:func:`build_scenario` and :class:`BuiltScenario` are re-exported from
+:mod:`repro.sim.build`, where every engine derives its per-scenario
+invariants.
 """
 
 from repro.sim.build import BuiltScenario, build_scenario
@@ -22,38 +23,16 @@ from repro.store.confighash import (
     hash_value,
     scenario_hash,
 )
-from repro.store.scenario_store import (
-    ScenarioStore,
-    activate_workspace,
-    built_for,
-    default_store,
-    reset_default_store,
-    run_scenario,
-    scenario_engine,
-    set_default_store,
-    store_enabled,
-    use_store,
-)
 from repro.store.workspace import ACTIVE_JOB_STATES, FileWorkspace
 
 __all__ = [
     "ACTIVE_JOB_STATES",
     "BuiltScenario",
     "FileWorkspace",
-    "ScenarioStore",
-    "activate_workspace",
     "build_scenario",
-    "built_for",
     "canonical_json",
     "canonical_value",
     "config_hash",
-    "default_store",
     "hash_value",
-    "reset_default_store",
-    "run_scenario",
-    "scenario_engine",
     "scenario_hash",
-    "set_default_store",
-    "store_enabled",
-    "use_store",
 ]

@@ -1,7 +1,8 @@
 """Deterministic content hashing of scenario configurations.
 
-The scenario store caches built-scenario artifacts by *configuration
-identity*, so the identity function must be rock solid: the same config
+Result provenance, checkpoint fingerprints, and the executors'
+per-scenario solver-cache scopes key on *configuration identity*, so
+the identity function must be rock solid: the same config
 must hash identically in every process (serial parent, ``--jobs N``
 pool workers, a rerun next month on another machine), and any change to
 a physical parameter must change the hash.  Python's builtin ``hash``
@@ -31,7 +32,7 @@ Two hashes are derived from the canonical form:
 * :func:`scenario_hash` covers only the fields that feed
   :func:`repro.sim.build.build_scenario` (:data:`SCENARIO_BUILD_FIELDS`
   plus the topology), so replications, schemes, and seeds of one
-  physical scenario share a single cached build artifact.
+  physical scenario share one build identity.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ import numpy as np
 
 #: ScenarioConfig fields consumed by ``build_scenario`` (besides the
 #: topology).  Everything else -- scheme, seed, horizon, ablation
-#: switches, solver options -- varies freely against one cached build.
+#: switches, solver options -- varies freely under one build identity.
 SCENARIO_BUILD_FIELDS: Tuple[str, ...] = (
     "n_channels",
     "p01",
@@ -57,7 +58,7 @@ SCENARIO_BUILD_FIELDS: Tuple[str, ...] = (
     # Registry identity: the generator that produced this scenario and
     # its build parameters (see repro.registry.scenarios).  Two
     # registered generators can therefore never alias one build
-    # artifact, even if their scalar fields happen to coincide.
+    # identity, even if their scalar fields happen to coincide.
     "generator",
     "generator_params",
 )
@@ -207,11 +208,12 @@ def config_hash(config: object) -> str:
 
 
 def scenario_hash(config: object) -> str:
-    """Build-identity sha256: the scenario store's cache key.
+    """Build-identity sha256 of a config.
 
     Covers the topology plus :data:`SCENARIO_BUILD_FIELDS` only, so all
     replications, schemes, and ablation variants of one physical
-    scenario map to the same cached :class:`~repro.sim.build.BuiltScenario`.
+    scenario -- which derive the same
+    :class:`~repro.sim.build.BuiltScenario` -- share one hash.
     """
     cached = getattr(config, _SCENARIO_HASH_ATTR, None)
     if cached is not None:

@@ -4,38 +4,31 @@ A :class:`FileWorkspace` gives every run a predictable home::
 
     <root>/
       index.json      -- run registry (atomic, human-readable)
-      scenarios/      -- content-addressed BuiltScenario artifacts
       results/        -- figure result JSON files
       checkpoints/    -- sweep checkpoints (resume state)
       traces/         -- execution traces (--trace)
       manifests/      -- run manifests (--manifest)
       jobs/           -- job-service records and per-job logs (repro serve)
 
-Scenario artifacts are content-addressed by
-:func:`~repro.store.confighash.scenario_hash`, so concurrent writers of
-the same scenario produce identical bytes and the atomic rename makes
-the last one win harmlessly.  Every write in the workspace goes through
+Every write in the workspace goes through
 :func:`repro.utils.fsio.atomic_write_text`, so an interrupted run never
-leaves a half-written index or artifact behind.
+leaves a half-written index or record behind.
 
-The index maps run names to their files and the scenario hashes they
-used; :meth:`FileWorkspace.gc` reclaims scenario artifacts using it --
-an artifact is *protected* when some registered run still has a live
-checkpoint that references it (resuming that checkpoint must not have
-to rebuild), or when an active job record (queued/building/running,
-see ``jobs/``) references it, and runs whose files have all vanished
-are pruned from the index.  The CLI surfaces this as ``repro workspace
-list|inspect|gc``.
+The index maps run names to their files; :meth:`FileWorkspace.gc` prunes
+the entries whose files have all vanished, but never the run of an
+active job record (queued/building/running, see ``jobs/``).  The CLI
+surfaces this as ``repro workspace list|inspect|gc``.  Workspaces
+written by older versions may still hold a ``scenarios/`` directory and
+``scenario_hashes`` fields; both are ignored.
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Union
 
 from repro.obs.logging import get_logger
-from repro.sim.build import BuiltScenario
 from repro.utils.errors import ConfigurationError
 from repro.utils.fsio import atomic_write_text
 
@@ -47,18 +40,21 @@ INDEX_NAME = "index.json"
 #: Schema version of the index file.
 INDEX_FORMAT_VERSION = 1
 
-#: Managed subdirectories, created eagerly so every path helper works.
-SUBDIRS = ("scenarios", "results", "checkpoints", "traces", "manifests",
-           "jobs")
+#: Environment variable naming the default workspace directory of
+#: ``repro workspace`` and ``repro serve``.
+ENV_WORKSPACE = "REPRO_WORKSPACE"
 
-#: Job-record states that still need their inputs: a job in one of these
+#: Managed subdirectories, created eagerly so every path helper works.
+SUBDIRS = ("results", "checkpoints", "traces", "manifests", "jobs")
+
+#: Job-record states that still need their run: a job in one of these
 #: states has not produced (or finished producing) its results, so gc
-#: must not reclaim the scenario artifacts it references.
+#: must not prune its run entry.
 ACTIVE_JOB_STATES = frozenset({"queued", "building", "running"})
 
 #: Index-entry fields accumulated as lists across repeated registrations
 #: (a figure run may save several result files into one entry).
-_MERGED_FIELDS = ("results", "scenario_hashes")
+_MERGED_FIELDS = ("results",)
 
 
 class FileWorkspace:
@@ -79,10 +75,6 @@ class FileWorkspace:
     def index_path(self) -> Path:
         """The run registry file."""
         return self.root / INDEX_NAME
-
-    def scenario_path(self, ref: str) -> Path:
-        """Content-addressed artifact file of one scenario hash."""
-        return self.root / "scenarios" / f"{ref}.json"
 
     def results_path(self, name: str) -> Path:
         """A result file under ``results/``."""
@@ -121,50 +113,6 @@ class FileWorkspace:
         """Inverse of :meth:`_relative`."""
         path = Path(recorded)
         return path if path.is_absolute() else self.root / path
-
-    # ------------------------------------------------------------------
-    # Scenario artifacts
-    # ------------------------------------------------------------------
-    def save_scenario(self, built: BuiltScenario) -> Path:
-        """Persist a built scenario under its hash; idempotent.
-
-        An existing file is left untouched: content addressing means it
-        already holds these exact bytes (same hash, same build).
-        """
-        if not built.scenario_hash:
-            raise ConfigurationError(
-                "cannot persist a BuiltScenario without a scenario_hash; "
-                "build it through the ScenarioStore")
-        path = self.scenario_path(built.scenario_hash)
-        if not path.exists():
-            atomic_write_text(
-                path, json.dumps(built.to_payload(), sort_keys=True))
-            logger.info("workspace: persisted scenario %s",
-                        built.scenario_hash[:12])
-        return path
-
-    def load_scenario(self, ref: str) -> Optional[BuiltScenario]:
-        """Load a persisted scenario, or ``None`` if absent/unreadable.
-
-        Unreadable means a truncated file or an incompatible format
-        version; both degrade to a cache miss (the store rebuilds and
-        rewrites), never to an error.
-        """
-        path = self.scenario_path(ref)
-        try:
-            payload = json.loads(path.read_text(encoding="utf-8"))
-            return BuiltScenario.from_payload(payload)
-        except FileNotFoundError:
-            return None
-        except (ValueError, KeyError, TypeError, ConfigurationError) as exc:
-            logger.warning("workspace: discarding unreadable scenario "
-                           "artifact %s (%s)", path.name, exc)
-            return None
-
-    def scenario_refs(self) -> List[str]:
-        """Hashes of every persisted scenario artifact, sorted."""
-        return sorted(path.stem
-                      for path in (self.root / "scenarios").glob("*.json"))
 
     # ------------------------------------------------------------------
     # Run registry
@@ -241,9 +189,6 @@ class FileWorkspace:
                 files[entry[key]] = self._resolve(entry[key]).exists()
         for recorded in entry.get("results", []):
             files[recorded] = self._resolve(recorded).exists()
-        for ref in entry.get("scenario_hashes", []):
-            files[self._relative(self.scenario_path(ref))] = \
-                self.scenario_path(ref).exists()
         return {"name": name, "entry": entry, "files": files}
 
     # ------------------------------------------------------------------
@@ -287,60 +232,38 @@ class FileWorkspace:
     # Garbage collection
     # ------------------------------------------------------------------
     def gc(self, *, dry_run: bool = False) -> dict:
-        """Reclaim unreferenced scenario artifacts and stale run entries.
+        """Prune run entries whose files have all been deleted.
 
-        Protection rule: a scenario artifact survives when some
-        registered run lists its hash *and* that run's checkpoint file
-        still exists -- a live checkpoint may be resumed, and the
-        resume should find its warmed build -- **or** when an active
-        (queued/building/running) job record references it: a queued
-        job has not touched its checkpoint yet, so without this a gc
-        racing a busy job service would delete inputs the job is about
-        to need.  Run entries whose checkpoint and results have all
-        been deleted are pruned from the index.  With ``dry_run``
-        nothing is deleted; the report shows what would happen.
+        A run entry is stale when its checkpoint and every result file
+        it lists are gone.  The run of an active (queued/building/
+        running) job record is never pruned: a queued job has not
+        written its checkpoint yet, and the service still needs the
+        entry it is about to fill.  With ``dry_run`` nothing is
+        deleted; the report shows what would happen.
         """
         index = self._read_index()
-        protected = set()
+        active_jobs = sorted(
+            job_id for job_id, record in self.job_records().items()
+            if record.get("state") in ACTIVE_JOB_STATES)
         pruned_runs: List[str] = []
-        active_jobs: List[str] = []
-        for job_id, record in self.job_records().items():
-            if record.get("state") in ACTIVE_JOB_STATES:
-                active_jobs.append(job_id)
-                protected.update(record.get("scenario_hashes", []))
         for name in sorted(index["runs"]):
             entry = index["runs"][name]
             checkpoint = entry.get("checkpoint")
-            checkpoint_alive = (checkpoint is not None
-                                and self._resolve(checkpoint).exists())
-            results_alive = any(self._resolve(recorded).exists()
-                                for recorded in entry.get("results", []))
-            if checkpoint_alive:
-                protected.update(entry.get("scenario_hashes", []))
-            if (not checkpoint_alive and not results_alive
-                    and name not in active_jobs):
+            alive = ((checkpoint is not None
+                      and self._resolve(checkpoint).exists())
+                     or any(self._resolve(recorded).exists()
+                            for recorded in entry.get("results", [])))
+            if not alive and name not in active_jobs:
                 pruned_runs.append(name)
-        removed: List[str] = []
-        kept: List[str] = []
-        for ref in self.scenario_refs():
-            if ref in protected:
-                kept.append(ref)
-            else:
-                removed.append(ref)
-                if not dry_run:
-                    self.scenario_path(ref).unlink()
         if not dry_run:
             for name in pruned_runs:
                 del index["runs"][name]
             self._write_index(index)
-        logger.info("workspace gc%s: %d scenario(s) removed, %d kept, "
-                    "%d run entr%s pruned",
-                    " (dry run)" if dry_run else "", len(removed), len(kept),
-                    len(pruned_runs), "y" if len(pruned_runs) == 1 else "ies")
+        logger.info("workspace gc%s: %d run entr%s pruned",
+                    " (dry run)" if dry_run else "", len(pruned_runs),
+                    "y" if len(pruned_runs) == 1 else "ies")
         return {
             "dry_run": dry_run,
-            "removed_scenarios": removed,
-            "kept_scenarios": kept,
             "pruned_runs": pruned_runs,
-            "active_jobs": sorted(active_jobs),
+            "active_jobs": active_jobs,
         }

@@ -8,10 +8,11 @@ serialise byte-for-byte like the per-replication path.
 These tests pin that contract at three levels -- individual solve
 requests (fuzzed shapes, warm starts, ragged budgets, stall exits), the
 order-sensitive reduction helper, and whole campaigns (batched vs
-unbatched, serial vs pooled, store on vs off).
+unbatched, serial vs pooled).
 """
 
 import json
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -349,33 +350,27 @@ class TestCampaignDifferential:
         assert counters.get("repro_lockstep_groups_total", 0) == 0
 
 
-@pytest.mark.parametrize("store_on", [True, False])
-def test_pool_jobs_invariant_with_batching(tmp_path, monkeypatch, store_on):
-    """--jobs 1 and --jobs 2 serialise identically, store on and off.
+@pytest.mark.parametrize("batched", [True, False])
+def test_pool_jobs_invariant_with_batching(tmp_path, batched):
+    """--jobs 1 and --jobs 2 serialise identically, batched and unbatched.
 
     Worker pools receive pickled cell chunks; unpickling preserves the
     config sharing inside a chunk, so pool workers form (smaller)
     lockstep groups of their own.  The serialised sweep must not depend
-    on any of it.
+    on any of it.  ``unbatched`` is process-local, so with
+    ``batched=False`` the serial run is replication by replication while
+    the pool workers may still form lockstep groups.
     """
     from repro.experiments.results_io import sweep_to_dict
     from repro.sim.runner import sweep
-    from repro.store.scenario_store import ENV_STORE, reset_default_store
 
-    if not store_on:
-        monkeypatch.setenv(ENV_STORE, "0")
-    reset_default_store()
-    try:
-        config = single_fbs_scenario(n_gops=1, seed=77,
-                                     scheme="proposed-fast")
-        serialised = {}
-        for jobs in (1, 2):
-            checkpoint = tmp_path / f"jobs{jobs}-store{store_on}.jsonl"
+    config = single_fbs_scenario(n_gops=1, seed=77, scheme="proposed-fast")
+    serialised = {}
+    for jobs in (1, 2):
+        checkpoint = tmp_path / f"jobs{jobs}-batched{batched}.jsonl"
+        with (nullcontext() if batched else unbatched()):
             result = sweep(config, "n_channels", [6], ["proposed-fast"],
                            n_runs=3, jobs=jobs,
                            checkpoint_path=str(checkpoint))
-            serialised[jobs] = json.dumps(sweep_to_dict(result),
-                                          sort_keys=True)
-        assert serialised[1] == serialised[2]
-    finally:
-        reset_default_store()
+        serialised[jobs] = json.dumps(sweep_to_dict(result), sort_keys=True)
+    assert serialised[1] == serialised[2]

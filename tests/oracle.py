@@ -12,9 +12,9 @@ production path to them:
   subgradient iteration with per-iteration closed-form shares;
 * :func:`water_filling_scalar`, :func:`solve_given_assignment_scalar`,
   :func:`flip_polish_scalar` -- the pure-Python exact inner solves;
-* :func:`sense_fuse_scalar`, :func:`draw_csi` -- one
-  :class:`~repro.sensing.detector.SensingResult` per observation and
-  one fading draw per link.
+* :func:`sense_fuse_scalar`, :func:`draw_csi`, :func:`decide_scalar`
+  -- one :class:`~repro.sensing.detector.SensingResult` per
+  observation, one fading draw per link, and one ``P_D`` per channel.
 
 :func:`scalar_path` routes a whole simulation through them (patching
 the production seams for the duration of a ``with`` block), and
@@ -41,7 +41,7 @@ from repro.core.dual import (
 from repro.core.problem import Allocation, SlotProblem
 from repro.core.reference import _validate_water_filling
 from repro.obs.metrics import ITERATION_BUCKETS
-from repro.sensing.access import AccessPolicy
+from repro.sensing.access import AccessDecision, AccessPolicy
 from repro.sensing.assignment import assign_sensors_round_robin
 from repro.sensing.detector import SensingResult
 from repro.sensing.fusion import fuse_posterior
@@ -49,6 +49,7 @@ from repro.sim import lockstep
 from repro.sim.engine import SimulationEngine
 from repro.sim.fallback import DegradationEvent
 from repro.utils.errors import ConfigurationError
+from repro.utils.validation import check_probability_array
 
 
 # -- exact inner solves -----------------------------------------------------
@@ -363,6 +364,26 @@ def sense_fuse_scalar(engine: SimulationEngine, occupancy: np.ndarray) -> np.nda
     return posteriors
 
 
+def decide_scalar(policy: AccessPolicy, posteriors) -> AccessDecision:
+    """Access decisions with one :meth:`AccessPolicy.access_probability`
+    call per channel, then the same ``rng.random(M)`` draw."""
+    posteriors = check_probability_array(posteriors, "posteriors")
+    if posteriors.size != policy.n_channels:
+        raise ValueError(
+            f"expected {policy.n_channels} posteriors, got {posteriors.size}")
+    probs = np.array([
+        policy.access_probability(m, posteriors[m])
+        for m in range(policy.n_channels)
+    ])
+    draws = policy._rng.random(policy.n_channels)
+    decisions = np.where(draws < probs, 0, 1).astype(np.int8)
+    return AccessDecision(
+        access_probabilities=probs,
+        decisions=decisions,
+        posteriors=posteriors.copy(),
+    )
+
+
 # -- routing whole runs through the oracle ----------------------------------
 
 
@@ -404,7 +425,7 @@ def scalar_path():
     with _patched([
         (SimulationEngine, "_sense_fuse_batched", sense_fuse_scalar),
         (SimulationEngine, "_draw_csi_batched", draw_csi),
-        (AccessPolicy, "decide_batched", AccessPolicy.decide),
+        (AccessPolicy, "decide", decide_scalar),
         (DualDecompositionSolver, "_solve", solve_scalar),
         (dual, "flip_polish", flip_polish_scalar),
         (batch, "flip_polish", flip_polish_scalar),

@@ -234,16 +234,15 @@ class TestSupervisionTelemetry:
 
         def deterministic(snapshot):
             # Wall-clock samples (busy/phase seconds) legitimately vary
-            # between runs, and cache-traffic counters (scenario-store
-            # and R-D table hit/miss splits) depend on how cells spread
-            # over worker processes, not on simulation events; every
-            # other event-count sample must not vary.
-            cache_prefixes = ("repro_scenario_store_requests_total",
-                              "repro_video_rd_table_requests_total")
+            # between runs, and cache-traffic counters (R-D table
+            # hit/miss splits) depend on how cells spread over worker
+            # processes, not on simulation events; every other
+            # event-count sample must not vary.
             return {section: {key: normalise(value)
                               for key, value in samples.items()
                               if "seconds" not in key
-                              and not key.startswith(cache_prefixes)}
+                              and not key.startswith(
+                                  "repro_video_rd_table_requests_total")}
                     for section, samples in snapshot.items()}
 
         plain = collect()

@@ -200,7 +200,8 @@ class TestBatchedBeliefTracking:
 
 @pytest.mark.parametrize("policy_cls", [AccessPolicy, HardThresholdAccessPolicy])
 class TestBatchedAccess:
-    def test_decide_batched_matches_decide(self, policy_cls):
+    def test_decide_matches_scalar_oracle(self, policy_cls):
+        from tests.oracle import decide_scalar
         rng = np.random.default_rng(23)
         for _ in range(40):
             n_channels = int(rng.integers(1, 9))
@@ -213,8 +214,8 @@ class TestBatchedAccess:
                 if rng.random() < 0.25:
                     posteriors[int(rng.integers(0, n_channels))] = rng.choice(
                         [0.0, 1.0])
-                a = batched.decide_batched(posteriors)
-                b = scalar.decide(posteriors)
+                a = batched.decide(posteriors)
+                b = decide_scalar(scalar, posteriors)
                 assert np.array_equal(a.access_probabilities,
                                       b.access_probabilities)
                 assert np.array_equal(a.decisions, b.decisions)
@@ -234,11 +235,12 @@ class TestBatchedAccess:
         assert np.array_equal(batch, scalars)
 
     def test_rng_stream_identical_after_decisions(self, policy_cls):
+        from tests.oracle import decide_scalar
         batched = policy_cls([0.1, 0.2], rng=np.random.default_rng(7))
         scalar = policy_cls([0.1, 0.2], rng=np.random.default_rng(7))
         posteriors = np.array([0.8, 0.4])
-        batched.decide_batched(posteriors)
-        scalar.decide(posteriors)
+        batched.decide(posteriors)
+        decide_scalar(scalar, posteriors)
         assert (batched._rng.bit_generator.state
                 == scalar._rng.bit_generator.state)
 
@@ -269,7 +271,8 @@ class TestEngineSensingEquivalence:
         for slot in range(2 * small_scenario.n_channels):
             engine._slot = slot
             engine._sense_fuse_batched(occupancy)
-        assert len(engine._sensing_layout) == small_scenario.n_channels
+        assert sorted(engine._sensing_layouts) == list(
+            range(small_scenario.n_channels))
 
 
 def test_log_likelihood_values_use_libm():

@@ -15,14 +15,11 @@ from repro.exec.supervisor import (
     EXIT_HARD_ABORT,
     EXIT_INTERRUPTED,
 )
-from repro.experiments.fig4 import FIG4B_CHANNELS
 from repro.serve.jobs import (
-    ALLOWED_COMMANDS,
     MAX_AUTO_RESUMES,
     SWEEP_COMMANDS,
     JobError,
     JobManager,
-    plan_scenario_hashes,
     spec_hash,
     validate_spec,
 )
@@ -111,19 +108,6 @@ class TestSpecHash:
             assert spec_hash(validate_spec(other)) != spec_hash(base)
 
 
-class TestPlanScenarioHashes:
-    def test_fig4b_hashes_one_config_per_channel_count(self):
-        spec = validate_spec({"command": "fig4b", "runs": 1, "gops": 1})
-        hashes = plan_scenario_hashes(spec)
-        assert len(hashes) == len(FIG4B_CHANNELS)
-        assert len(set(hashes)) == len(hashes)
-
-    def test_every_command_plans_at_least_one_hash(self):
-        for command in ALLOWED_COMMANDS:
-            spec = validate_spec({"command": command, "runs": 1, "gops": 1})
-            assert plan_scenario_hashes(spec), command
-
-
 class TestSubmit:
     def test_record_is_persisted_and_queued(self, manager):
         record, deduplicated = manager.submit(
@@ -134,7 +118,6 @@ class TestSubmit:
         assert path.exists()
         on_disk = json.loads(path.read_text())
         assert on_disk["spec_hash"] == record["spec_hash"]
-        assert on_disk["scenario_hashes"] == record["scenario_hashes"]
 
     def test_sweep_jobs_get_a_checkpoint_simulate_jobs_do_not(self, manager):
         sweep, _ = manager.submit({"command": "fig4b", "runs": 1, "gops": 1})

@@ -9,6 +9,7 @@ resume it from the checkpoint, and finish with the same bytes a direct
 CLI run produces at a different ``--jobs`` count.
 """
 
+import os
 import time
 
 import pytest
@@ -33,7 +34,8 @@ def wait_until(predicate, timeout=WAIT, interval=0.05):
 
 @pytest.fixture
 def crashed(tmp_path):
-    """A workspace holding one job killed mid-sweep, plus its id."""
+    """A workspace holding one job killed mid-sweep, its id, and the
+    process group the killed job child ran in."""
     workspace = tmp_path / "ws"
     first_life = JobManager(workspace, job_workers=1)
     first_life.start()
@@ -44,19 +46,21 @@ def crashed(tmp_path):
     def cells_checkpointed():
         if not checkpoint.exists():
             return 0
-        return sum(1 for line in checkpoint.read_text().splitlines()
-                   if line.strip())
+        lines = sum(1 for line in checkpoint.read_text().splitlines()
+                    if line.strip())
+        return lines - 1  # line 1 is the sweep header, not a cell
 
     wait_until(lambda: cells_checkpointed() >= 2)
+    pgid = os.getpgid(first_life.get(job_id)["pid"])
     first_life.kill()
-    yield workspace, job_id
+    yield workspace, job_id, pgid
     # (second-life managers are stopped by the tests themselves)
 
 
 class TestCrashRecovery:
     def test_restart_resumes_from_checkpoint_byte_identically(
             self, crashed, tmp_path):
-        workspace, job_id = crashed
+        workspace, job_id, _ = crashed
         stale = JobManager(workspace).get(job_id)
         # The crash left the record exactly as a power cut would.
         assert stale["state"] in ("building", "running")
@@ -88,22 +92,35 @@ class TestCrashRecovery:
         assert served.read_bytes() == direct.read_bytes()
 
     def test_gc_protects_the_interrupted_jobs_inputs(self, crashed):
-        workspace, job_id = crashed
+        workspace, job_id, _ = crashed
         ws = FileWorkspace(workspace)
         record = ws.job_records()[job_id]
-        assert record["scenario_hashes"]
-        report = ws.gc(dry_run=True)
+        checkpoint = workspace / record["artifacts"]["checkpoint"]
+        # The job's run entry (its resumable checkpoint) survives gc
+        # while the job is active, even with every file gone...
+        checkpoint.unlink()
+        report = ws.gc()
         assert job_id in report["active_jobs"]
-        # Every scenario the job planned survives while it is active...
-        assert not set(record["scenario_hashes"]) \
-            & set(report["removed_scenarios"])
-        # ...but once the job record turns terminal AND its checkpoint
-        # is gone (a live checkpoint independently protects its builds,
-        # since it could still be resumed), gc may reclaim them.
+        assert job_id not in report["pruned_runs"]
+        assert job_id in ws.entries()
+        # ...and is pruned once the job record turns terminal.
         record["state"] = "cancelled"
         ws.save_job(record)
-        (workspace / record["artifacts"]["checkpoint"]).unlink()
-        report = ws.gc(dry_run=True)
+        report = ws.gc()
         assert job_id not in report["active_jobs"]
-        built = set(record["scenario_hashes"]) & set(ws.scenario_refs())
-        assert built <= set(report["removed_scenarios"])
+        assert job_id in report["pruned_runs"]
+        assert job_id not in ws.entries()
+
+    def test_crash_leaves_no_process_of_the_jobs_group(self, crashed):
+        # kill() takes the job child's --jobs pool down with it: no
+        # orphaned worker of its process group outlives the crash.
+        _, _, pgid = crashed
+
+        def group_gone():
+            try:
+                os.killpg(pgid, 0)
+            except ProcessLookupError:
+                return True
+            return False
+
+        wait_until(group_gone, timeout=10.0)

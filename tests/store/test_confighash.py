@@ -1,7 +1,7 @@
 """Stability and sensitivity of the deterministic config hashes.
 
-The scenario store caches by content identity, so these tests pin the
-two promises of :mod:`repro.store.confighash`: the same config hashes
+Provenance, checkpoint fingerprints and solver-cache scopes key on
+content identity, so these tests pin the two promises of :mod:`repro.store.confighash`: the same config hashes
 identically everywhere (numpy or builtin scalars, any dict ordering,
 any process), and any physical parameter change changes the hash.
 """

@@ -1,10 +1,8 @@
-"""Differential contract: the store never changes a single result byte.
+"""Differential contract: a workspace never changes a single result byte.
 
-Runs the same small sweep with the scenario store on and off, serially
-and with a 2-worker pool, and asserts the serialised results and the
-checkpoint files are byte-identical.  A warmed workspace must also skip
-rebuilding (disk loads observed, zero misses) while still reproducing
-the cold results exactly.
+Runs the same small sweep with and without a managed workspace,
+serially and with a 2-worker pool, and asserts the serialised results
+are byte-identical and the checkpoints hold the same cell records.
 """
 
 import json
@@ -14,25 +12,11 @@ import pytest
 from repro.experiments.results_io import sweep_to_dict
 from repro.experiments.scenarios import single_fbs_scenario
 from repro.sim.runner import sweep
-from repro.store.scenario_store import (
-    ENV_STORE,
-    ENV_WORKSPACE,
-    default_store,
-    reset_default_store,
-)
+from repro.store.workspace import FileWorkspace
 
 SWEEP_VALUES = (4, 6)
 SWEEP_SCHEMES = ("proposed-fast", "heuristic1")
 N_RUNS = 2
-
-
-@pytest.fixture(autouse=True)
-def isolated_store(monkeypatch):
-    monkeypatch.delenv(ENV_STORE, raising=False)
-    monkeypatch.delenv(ENV_WORKSPACE, raising=False)
-    reset_default_store()
-    yield
-    reset_default_store()
 
 
 def run_sweep(tmp_path, tag, *, jobs=1, workspace=None):
@@ -47,66 +31,24 @@ def run_sweep(tmp_path, tag, *, jobs=1, workspace=None):
 
 
 def _canonical_checkpoint(raw):
-    """Checkpoint bytes, line-order-insensitive.
+    """Checkpoint lines, order-insensitive.
 
     Cells are appended in *completion* order, which at ``--jobs 2`` is
-    scheduling-dependent even between two identical store-on runs; each
-    cell's record must still be byte-identical store on vs off.
+    scheduling-dependent between two identical runs; each cell's record
+    must still be byte-identical.
     """
     return sorted(raw.splitlines())
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
-def test_results_identical_store_on_vs_off(tmp_path, monkeypatch, jobs):
-    on_json, on_checkpoint = run_sweep(tmp_path, f"on-{jobs}", jobs=jobs)
-    # The env switch (not use_store) so --jobs pool workers see it too.
-    monkeypatch.setenv(ENV_STORE, "0")
-    reset_default_store()
-    off_json, off_checkpoint = run_sweep(tmp_path, f"off-{jobs}", jobs=jobs)
-    assert on_json == off_json
-    if jobs == 1:
-        assert on_checkpoint == off_checkpoint
-    else:
-        assert (_canonical_checkpoint(on_checkpoint)
-                == _canonical_checkpoint(off_checkpoint))
-
-
-@pytest.mark.parametrize("jobs", [1, 2])
-def test_warmed_workspace_skips_rebuild(tmp_path, monkeypatch, jobs):
-    from repro.store.scenario_store import ENV_DISK_FLOOR
-    from repro.store.workspace import FileWorkspace
-    # Floor 0 so the tiny test scenarios persist; the env is inherited
-    # by --jobs pool workers, unlike a constructor argument.
-    monkeypatch.setenv(ENV_DISK_FLOOR, "0")
-    cold_json, _ = run_sweep(tmp_path, f"cold-{jobs}", jobs=jobs,
-                             workspace=tmp_path / "ws")
-    # The cold run persisted one artifact per sweep point (built in the
-    # parent at jobs=1, in pool workers at jobs=2).
-    persisted = FileWorkspace(tmp_path / "ws").scenario_refs()
-    assert len(persisted) == len(SWEEP_VALUES)
-
-    # A fresh process-global store against the same workspace: every
-    # build must come from disk (or memory after the first load) --
-    # never be recomputed.
-    reset_default_store()
-    warm_json, _ = run_sweep(tmp_path, f"warm-{jobs}", jobs=jobs,
-                             workspace=tmp_path / "ws")
-    warm_store = default_store()
-    assert warm_json == cold_json
-    if jobs == 1:
-        assert warm_store.misses == 0
-        assert warm_store.disk_loads == len(SWEEP_VALUES)
-        assert warm_store.hits > 0
-
-
-def test_campaign_runner_identical_store_on_vs_off(monkeypatch):
-    from repro.sim.runner import MonteCarloRunner
-    config = single_fbs_scenario(n_gops=1, seed=20260807)
-    with_store = MonteCarloRunner(config, n_runs=2).run_all()
-    monkeypatch.setenv(ENV_STORE, "0")
-    reset_default_store()
-    without = MonteCarloRunner(config, n_runs=2).run_all()
-    for a, b in zip(with_store, without):
-        assert a.per_user_psnr == b.per_user_psnr
-        assert a.mean_psnr == b.mean_psnr
-        assert list(a.collision_rates) == list(b.collision_rates)
+def test_results_identical_with_and_without_workspace(tmp_path, jobs):
+    plain_json, plain_checkpoint = run_sweep(tmp_path, f"plain-{jobs}",
+                                             jobs=jobs)
+    ws_json, ws_checkpoint = run_sweep(tmp_path, f"ws-{jobs}", jobs=jobs,
+                                       workspace=tmp_path / "ws")
+    assert ws_json == plain_json
+    assert (_canonical_checkpoint(ws_checkpoint)
+            == _canonical_checkpoint(plain_checkpoint))
+    # The path was coerced to a workspace and the sweep registered there.
+    entry = FileWorkspace(tmp_path / "ws").entries()[f"ws-{jobs}"]
+    assert entry["n_cells"] == len(SWEEP_VALUES) * len(SWEEP_SCHEMES) * N_RUNS

@@ -1,12 +1,10 @@
-"""FileWorkspace: layout, run registry, inspect, and gc protection."""
+"""FileWorkspace: layout, run registry, inspect, and gc of stale runs."""
 
 import json
 
 import pytest
 
-from repro.experiments.scenarios import single_fbs_scenario
-from repro.sim.build import build_scenario
-from repro.store.confighash import scenario_hash
+from repro import cli
 from repro.store.workspace import SUBDIRS, FileWorkspace
 from repro.utils.errors import ConfigurationError
 
@@ -14,12 +12,6 @@ from repro.utils.errors import ConfigurationError
 @pytest.fixture
 def workspace(tmp_path):
     return FileWorkspace(tmp_path / "ws")
-
-
-@pytest.fixture
-def built():
-    config = single_fbs_scenario(n_gops=1, seed=20260807)
-    return build_scenario(config, scenario_hash=scenario_hash(config))
 
 
 class TestLayout:
@@ -32,50 +24,19 @@ class TestLayout:
         assert workspace.checkpoint_path("a.jsonl").parent.name == "checkpoints"
         assert workspace.trace_path("a.jsonl").parent.name == "traces"
         assert workspace.manifest_path("a.json").parent.name == "manifests"
-        assert workspace.scenario_path("abc").name == "abc.json"
-
-
-class TestScenarioArtifacts:
-    def test_save_load_round_trip(self, workspace, built):
-        workspace.save_scenario(built)
-        loaded = workspace.load_scenario(built.scenario_hash)
-        assert loaded.to_payload() == built.to_payload()
-        assert workspace.scenario_refs() == [built.scenario_hash]
-
-    def test_save_is_idempotent(self, workspace, built):
-        path = workspace.save_scenario(built)
-        before = path.stat().st_mtime_ns
-        workspace.save_scenario(built)
-        assert path.stat().st_mtime_ns == before
-
-    def test_save_requires_a_hash(self, workspace, built):
-        import dataclasses
-        unhashed = dataclasses.replace(built, scenario_hash="")
-        with pytest.raises(ConfigurationError):
-            workspace.save_scenario(unhashed)
-
-    def test_load_missing_returns_none(self, workspace):
-        assert workspace.load_scenario("no-such-hash") is None
-
-    def test_load_corrupt_returns_none(self, workspace, built):
-        workspace.scenario_path("bad").write_text("{truncated")
-        assert workspace.load_scenario("bad") is None
-        wrong_version = dict(built.to_payload(), format_version=999)
-        workspace.scenario_path("v999").write_text(json.dumps(wrong_version))
-        assert workspace.load_scenario("v999") is None
 
 
 class TestRunRegistry:
     def test_register_and_merge(self, workspace):
         workspace.register_run("fig4b", parameter="n_channels",
-                               scenario_hashes=["aa", "bb"],
+                               results=[workspace.results_path("a.json")],
                                checkpoint=workspace.checkpoint_path("c.jsonl"))
         entry = workspace.register_run(
-            "fig4b", scenario_hashes=["bb", "cc"],
-            results=[workspace.results_path("fig4b.json")], skipped=None)
+            "fig4b", results=[workspace.results_path("a.json"),
+                              workspace.results_path("b.json")],
+            skipped=None)
         assert entry["parameter"] == "n_channels"
-        assert entry["scenario_hashes"] == ["aa", "bb", "cc"]
-        assert entry["results"] == ["results/fig4b.json"]
+        assert entry["results"] == ["results/a.json", "results/b.json"]
         assert entry["checkpoint"] == "checkpoints/c.jsonl"
         assert "skipped" not in entry
 
@@ -89,18 +50,14 @@ class TestRunRegistry:
         workspace.index_path.write_text("{broken")
         assert workspace.entries() == {}
 
-    def test_inspect_reports_file_liveness(self, workspace, built):
-        workspace.save_scenario(built)
+    def test_inspect_reports_file_liveness(self, workspace):
         checkpoint = workspace.checkpoint_path("run.jsonl")
         checkpoint.write_text("{}\n")
         workspace.register_run("run", checkpoint=checkpoint,
-                               scenario_hashes=[built.scenario_hash],
                                results=[workspace.results_path("gone.json")])
         report = workspace.inspect("run")
-        files = report["files"]
-        assert files["checkpoints/run.jsonl"] is True
-        assert files["results/gone.json"] is False
-        assert files[f"scenarios/{built.scenario_hash}.json"] is True
+        assert report["files"] == {"checkpoints/run.jsonl": True,
+                                   "results/gone.json": False}
 
     def test_inspect_unknown_run_raises(self, workspace):
         workspace.register_run("known", parameter="p")
@@ -109,30 +66,21 @@ class TestRunRegistry:
 
 
 class TestGc:
-    def test_live_checkpoint_protects_scenarios(self, workspace, built):
-        workspace.save_scenario(built)
+    def test_live_checkpoint_keeps_run_entry(self, workspace):
         checkpoint = workspace.checkpoint_path("run.jsonl")
         checkpoint.write_text("{}\n")
-        workspace.register_run("run", checkpoint=checkpoint,
-                               scenario_hashes=[built.scenario_hash])
+        workspace.register_run("run", checkpoint=checkpoint)
         report = workspace.gc()
-        assert report["removed_scenarios"] == []
-        assert report["kept_scenarios"] == [built.scenario_hash]
-        assert workspace.scenario_path(built.scenario_hash).exists()
+        assert report["pruned_runs"] == []
+        assert "run" in workspace.entries()
 
-    def test_dead_checkpoint_frees_scenarios(self, workspace, built):
-        workspace.save_scenario(built)
+    def test_live_results_keep_run_entry(self, workspace):
         checkpoint = workspace.checkpoint_path("run.jsonl")
-        checkpoint.write_text("{}\n")
         results = workspace.results_path("run.json")
         results.write_text("{}\n")
-        workspace.register_run("run", checkpoint=checkpoint, results=[results],
-                               scenario_hashes=[built.scenario_hash])
-        checkpoint.unlink()
+        workspace.register_run("run", checkpoint=checkpoint, results=[results])
         report = workspace.gc()
-        assert report["removed_scenarios"] == [built.scenario_hash]
-        assert not workspace.scenario_path(built.scenario_hash).exists()
-        # Results still live: the run entry survives.
+        assert report["pruned_runs"] == []
         assert "run" in workspace.entries()
 
     def test_fully_dead_run_is_pruned(self, workspace):
@@ -143,20 +91,13 @@ class TestGc:
         assert report["pruned_runs"] == ["stale"]
         assert workspace.entries() == {}
 
-    def test_dry_run_deletes_nothing(self, workspace, built):
-        workspace.save_scenario(built)
+    def test_dry_run_deletes_nothing(self, workspace):
         workspace.register_run(
             "stale", checkpoint=workspace.checkpoint_path("gone.jsonl"))
         report = workspace.gc(dry_run=True)
         assert report["dry_run"] is True
-        assert report["removed_scenarios"] == [built.scenario_hash]
-        assert workspace.scenario_path(built.scenario_hash).exists()
+        assert report["pruned_runs"] == ["stale"]
         assert "stale" in workspace.entries()
-
-    def test_unregistered_scenarios_are_collected(self, workspace, built):
-        workspace.save_scenario(built)
-        report = workspace.gc()
-        assert report["removed_scenarios"] == [built.scenario_hash]
 
 
 class TestJobRecords:
@@ -189,32 +130,72 @@ class TestJobRecords:
 
 
 class TestGcJobProtection:
-    def job(self, job_id, state, hashes):
-        return {"id": job_id, "state": state, "scenario_hashes": hashes}
+    def job(self, job_id, state):
+        return {"id": job_id, "state": state}
 
-    def test_active_job_protects_its_scenarios(self, workspace, built):
-        workspace.save_scenario(built)
-        workspace.save_job(self.job("job-0001", "queued",
-                                    [built.scenario_hash]))
-        report = workspace.gc()
-        assert report["active_jobs"] == ["job-0001"]
-        assert report["kept_scenarios"] == [built.scenario_hash]
-        assert workspace.scenario_path(built.scenario_hash).exists()
-
-    def test_terminal_job_releases_its_scenarios(self, workspace, built):
-        workspace.save_scenario(built)
-        workspace.save_job(self.job("job-0001", "succeeded",
-                                    [built.scenario_hash]))
+    def test_terminal_jobs_run_entry_is_pruned(self, workspace):
+        workspace.register_run(
+            "job-0001", checkpoint=workspace.checkpoint_path("gone.jsonl"))
+        workspace.save_job(self.job("job-0001", "succeeded"))
         report = workspace.gc()
         assert report["active_jobs"] == []
-        assert report["removed_scenarios"] == [built.scenario_hash]
+        assert report["pruned_runs"] == ["job-0001"]
 
     def test_active_jobs_run_entry_survives_dead_files(self, workspace):
         # A recovering job's registry entry must not be pruned while the
         # job is queued behind a dead checkpoint (it will recreate it).
         workspace.register_run(
             "job-0001", checkpoint=workspace.checkpoint_path("gone.jsonl"))
-        workspace.save_job(self.job("job-0001", "queued", []))
+        workspace.save_job(self.job("job-0001", "queued"))
         report = workspace.gc()
+        assert report["active_jobs"] == ["job-0001"]
         assert report["pruned_runs"] == []
         assert "job-0001" in workspace.entries()
+
+
+class TestOldLayout:
+    """Workspaces written while built scenarios were cached on disk
+    (a ``scenarios/`` directory, ``scenario_hashes`` in the index and in
+    job records) still list, inspect and gc."""
+
+    @pytest.fixture
+    def old_root(self, tmp_path):
+        root = tmp_path / "old-ws"
+        (root / "scenarios").mkdir(parents=True)
+        (root / "scenarios" / "abc123.json").write_text(
+            '{"format_version": 1, "scenario_hash": "abc123"}')
+        (root / "checkpoints").mkdir()
+        (root / "checkpoints" / "live.jsonl").write_text("{}\n")
+        (root / "index.json").write_text(json.dumps({
+            "format_version": 1,
+            "runs": {
+                "live": {"checkpoint": "checkpoints/live.jsonl",
+                         "scenario_hashes": ["abc123"]},
+                "stale": {"checkpoint": "checkpoints/gone.jsonl",
+                          "scenario_hashes": ["abc123"]},
+                "job-0001": {"checkpoint": "checkpoints/job-0001.jsonl",
+                             "scenario_hashes": ["abc123"]},
+            }}))
+        (root / "jobs").mkdir()
+        (root / "jobs" / "job-0001.json").write_text(json.dumps(
+            {"id": "job-0001", "state": "queued",
+             "scenario_hashes": ["abc123"]}))
+        return root
+
+    def test_list_inspect_and_gc(self, old_root, capsys):
+        ws = ["--workspace", str(old_root)]
+        assert cli.main(["workspace", "list"] + ws) == 0
+        listing = capsys.readouterr().out
+        assert "registered runs: 3" in listing
+        assert "scenario" not in listing
+
+        assert cli.main(["workspace", "inspect", "live"] + ws) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["files"] == {"checkpoints/live.jsonl": True}
+
+        assert cli.main(["workspace", "gc"] + ws) == 0
+        assert "pruned 1 stale run entry" in capsys.readouterr().out
+        assert sorted(FileWorkspace(old_root).entries()) == ["job-0001",
+                                                              "live"]
+        # The old scenarios/ directory is left alone.
+        assert (old_root / "scenarios" / "abc123.json").exists()
