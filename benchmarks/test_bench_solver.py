@@ -13,14 +13,21 @@ deliberately *not* bit-identical: seeding each slot's dual solve with the
 previous slot's multipliers changes the iterate path, so the contract is
 equal-or-better per-slot objectives, asserted here on a drifting sequence
 of slot problems.
+
+A third leg records what one iteration of the stacked dual loop costs
+at the lockstep widths the simulator runs (``kernel-width``).
 """
 
 import json
+import time
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
+
 from benchmarks.conftest import BENCH_GOPS, BENCH_RUNS, BENCH_SEED, report
 from repro.core.allocator import ProposedAllocator
+from repro.core.batch import SolveRequest, answer_request, solve_requests
 from repro.core.dual import fast_solve
 from repro.core.problem import SlotProblem, UserDemand
 from repro.experiments.scenarios import interfering_fbs_scenario
@@ -34,6 +41,15 @@ MIN_SPEEDUP = 1.5
 #: Where the speedup trajectory accumulates (uploaded by the CI job).
 BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_solver.json"
 
+#: Lockstep widths of the kernel-width leg: a lone solve, the narrow
+#: tails of a thinning round, and a full fig6 round (10 replications).
+KERNEL_WIDTHS = (1, 2, 3, 10)
+#: Same-shape groups timed per width, and timed passes over them.
+KERNEL_GROUPS = 20
+KERNEL_REPEATS = 5
+#: The greedy channel allocation's per-Q(c) iteration budget.
+EVAL_ITERATIONS = 150
+
 
 def _fingerprint(runs):
     """Deterministic serialisation of a run list for bit-identity checks."""
@@ -42,10 +58,35 @@ def _fingerprint(runs):
 
 
 def _timed_runs(config):
-    import time
     start = time.perf_counter()
     runs = MonteCarloRunner(config, n_runs=BENCH_RUNS).run_all()
     return runs, time.perf_counter() - start
+
+
+def _fig6_requests(rng, width):
+    """``width`` solve requests shaped like a fig6 slot.
+
+    Nine users in three cells (four stations) under the greedy's
+    iteration budget -- the requests the lockstep kernel answers on the
+    interfering scenario.
+    """
+    requests = []
+    for _ in range(width):
+        users = [
+            UserDemand(
+                user_id=j, fbs_id=1 + j % 3,
+                w_prev=26.0 + 8.0 * rng.random(),
+                success_mbs=0.5 + 0.5 * rng.random(),
+                success_fbs=0.5 + 0.5 * rng.random(),
+                r_mbs=float(rng.random() * 2.0),
+                r_fbs=float(rng.random() * 1.5))
+            for j in range(9)
+        ]
+        problem = SlotProblem(users=users, expected_channels={
+            i: float(rng.random() * 4.0) for i in (1, 2, 3)})
+        requests.append(SolveRequest(problem=problem,
+                                     max_iterations=EVAL_ITERATIONS))
+    return requests
 
 
 def _drifting_problems(n_slots=40, n_users=6, n_fbss=2, seed=BENCH_SEED):
@@ -54,7 +95,6 @@ def _drifting_problems(n_slots=40, n_users=6, n_fbss=2, seed=BENCH_SEED):
     Mimics consecutive engine slots (same users, sensing-driven G drift),
     the regime the warm-start contract is written for.
     """
-    import numpy as np
     rng = np.random.default_rng(seed)
     users = [
         UserDemand(
@@ -158,3 +198,88 @@ def test_bench_solver_warm_start(benchmark):
     assert not worse, (
         f"warm-started solves fell below the cold objective on "
         f"{len(worse)} slot(s); first: cold={worse[0][0]!r} warm={worse[0][1]!r}")
+
+
+def _solution_key(solution):
+    return (solution.multipliers, solution.iterations, solution.converged,
+            solution.allocation.objective)
+
+
+def _quartiles(samples):
+    q1, median, q3 = np.percentile(samples, [25, 50, 75])
+    return round(float(median), 2), round(float(q1), 2), round(float(q3), 2)
+
+
+def test_bench_kernel_width(benchmark):
+    rng = np.random.default_rng(BENCH_SEED)
+    groups = {width: [_fig6_requests(rng, width)
+                      for _ in range(KERNEL_GROUPS)]
+              for width in KERNEL_WIDTHS}
+
+    def timed_passes():
+        seconds = {width: [] for width in KERNEL_WIDTHS}
+        for _ in range(KERNEL_REPEATS):
+            # Interleave the widths so drift on the machine hits each.
+            for width in KERNEL_WIDTHS:
+                start = time.perf_counter()
+                for group in groups[width]:
+                    solve_requests(group)
+                seconds[width].append(time.perf_counter() - start)
+        return seconds
+
+    # Untimed pass: answers, the bit-identity check, and warm-up.
+    answers = {width: [solve_requests(group) for group in groups[width]]
+               for width in KERNEL_WIDTHS}
+    identical = all(
+        _solution_key(got) == _solution_key(answer_request(request))
+        for width in KERNEL_WIDTHS
+        for group, solved in zip(groups[width], answers[width])
+        for request, got in zip(group, solved))
+    seconds = benchmark.pedantic(timed_passes, rounds=1, iterations=1)
+
+    legs = {}
+    for width in KERNEL_WIDTHS:
+        solved = [s for group in answers[width] for s in group]
+        # One stacked iteration per loop trip: a group loops as long as
+        # its longest-running member.
+        trips = sum(max(s.iterations for s in group)
+                    for group in answers[width])
+        median, q1, q3 = _quartiles([1e6 * s / trips
+                                     for s in seconds[width]])
+        legs[str(width)] = {
+            "us_per_iteration": median,
+            "us_per_iteration_q1": q1,
+            "us_per_iteration_q3": q3,
+            "stack_iterations": trips,
+            "solves": len(solved),
+            "iterations_mean": round(
+                sum(s.iterations for s in solved) / len(solved), 2),
+            "unconverged_frac": round(
+                sum(not s.converged for s in solved) / len(solved), 3),
+        }
+
+    _record_trajectory({
+        "benchmark": "kernel-width",
+        "shape": "9 users, 4 stations",
+        "max_iterations": EVAL_ITERATIONS,
+        "groups": KERNEL_GROUPS,
+        "repeats": KERNEL_REPEATS,
+        "seed": BENCH_SEED,
+        "widths": legs,
+        "bit_identical": identical,
+    })
+
+    report("Stacked dual kernel: cost of one iteration by width", "\n".join(
+        [f"requests         : 9 users, 3 FBSs, max_iterations="
+         f"{EVAL_ITERATIONS}; {KERNEL_GROUPS} groups per width, "
+         f"median (IQR) of {KERNEL_REPEATS} passes"]
+        + [f"width {width:>2}         : {leg['us_per_iteration']:7.2f} us/iter "
+           f"({leg['us_per_iteration_q1']:.2f}-{leg['us_per_iteration_q3']:.2f}), "
+           f"{leg['solves']} solves, {leg['iterations_mean']} iterations mean, "
+           f"{leg['unconverged_frac']:.1%} unconverged"
+           for width, leg in ((w, legs[str(w)]) for w in KERNEL_WIDTHS)]
+        + [f"bit-identical    : {identical}",
+           f"trajectory       : {BENCH_JSON.name}"]))
+
+    assert identical, (
+        "the stacked kernel diverged from answering each request alone")

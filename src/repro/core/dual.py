@@ -32,12 +32,14 @@ Two solvers are provided:
   solutions as the full subgradient method on the paper's scenarios and
   is validated against the exhaustive oracle in the test suite.
 
-Both run one iteration, :class:`_DualState`: the per-problem prologue,
-the single-member subgradient loop, and the primal-recovery epilogue.
-The stacked cross-replication kernel (:mod:`repro.core.batch`) builds
-the same states and finishes them through the same epilogue.  The
-scalar reference implementations these are validated against live in
-the test suite (``tests/oracle.py``).
+Both run one subgradient loop, :func:`_iterate`, over :class:`_DualState`
+members (the per-problem prologue and the primal-recovery epilogue).
+The loop iterates any number of same-shape problems as one ``(B, 2n)``
+stack, each row holding a problem's MBS branch and FBS branch side by
+side: a single solve is a stack of one, and the cross-replication
+kernel (:mod:`repro.core.batch`) runs one stack per group.  The scalar
+reference implementations these are validated against live in the test
+suite (``tests/oracle.py``).
 """
 
 from __future__ import annotations
@@ -179,7 +181,7 @@ class DualDecompositionSolver:
                            max_iterations=self.max_iterations,
                            decay_after=self.decay_after)
         trace = [state.lam.copy()] if self.record_trace else None
-        state.run(state.lam, 0, trace)
+        _iterate([state], trace)
         solution = state.finish(registry)
 
         if tracer is not None:
@@ -202,18 +204,19 @@ class DualDecompositionSolver:
 class _DualState:
     """One dual solve: hoisted problem constants, iterate, exit bookkeeping.
 
-    ``__init__`` is the prologue, :meth:`run` the single-member
-    subgradient loop, :meth:`finish` the epilogue (solver counters and
-    primal recovery).  :meth:`DualDecompositionSolver.solve` runs all
-    three in sequence; the stacked kernel (:mod:`repro.core.batch`)
-    iterates many states' arrays as one ``(B, N)`` stack, hands narrow
-    remnants to :meth:`run`, and finishes every member here.
+    ``__init__`` is the prologue and :meth:`finish` the epilogue (solver
+    counters and primal recovery); :func:`_iterate` runs the subgradient
+    loop over any number of same-shape states as one ``(B, .)`` stack.
+    :meth:`DualDecompositionSolver.solve` runs it with one member, the
+    stacked kernel (:mod:`repro.core.batch`) with one group at a time.
+
+    Every per-user constant is one ``(2n,)`` row holding both branches:
+    the MBS branch in columns ``[0, n)``, the FBS branch in ``[n, 2n)``.
     """
 
     __slots__ = (
         "problem", "users", "stations", "station_pos", "n",
-        "w", "s_mbs", "s_fbs", "r_mbs", "r_fbs_eff", "fbs_pos",
-        "cost0", "cost1", "dead0", "dead1", "lam", "step", "stop_sq",
+        "s", "cost", "r", "w2", "dead", "flat2", "lam", "step", "stop_sq",
         "max_iterations", "decay_after", "iterations", "converged",
         "movement", "choose_mbs", "best_recovered", "stagnant_checks",
     )
@@ -227,24 +230,28 @@ class _DualState:
         self.stations = stations
         self.station_pos = {station: pos for pos, station in enumerate(stations)}
 
-        # Vectorise the user data once.
+        # Vectorise the user data once, both branches side by side:
+        # success probability, rate slope (G_i R1_j on the FBS side),
+        # and the PSNR state repeated per branch.
         users = list(problem.users)
         self.users = users
         self.n = len(users)
-        self.w = np.array([u.w_prev for u in users])
-        self.s_mbs = np.array([u.success_mbs for u in users])
-        self.s_fbs = np.array([u.success_fbs for u in users])
-        self.r_mbs = np.array([u.r_mbs for u in users])
-        self.r_fbs_eff = np.array([problem.g_for_user(u) * u.r_fbs for u in users])
-        self.fbs_pos = np.array([self.station_pos[u.fbs_id] for u in users])
+        self.s = np.array([u.success_mbs for u in users]
+                          + [u.success_fbs for u in users])
+        self.r = np.array([u.r_mbs for u in users]
+                          + [problem.g_for_user(u) * u.r_fbs for u in users])
+        w = np.array([u.w_prev for u in users])
+        self.w2 = np.concatenate([w, w])
+        # Multiplier index of each branch: the MBS, then the user's FBS.
+        self.flat2 = np.array([0] * self.n
+                              + [self.station_pos[u.fbs_id] for u in users])
 
         # Natural multiplier scale: marginal utility of the first unit of
         # share, averaged over users/branches.  Problem (12) is invariant
         # to a common rescaling of (W, R), which rescales lambda by the
         # inverse; anchoring step and threshold to this scale makes the
         # solver configuration dimensionless.
-        marginals = np.concatenate([self.s_mbs * self.r_mbs / self.w,
-                                    self.s_fbs * self.r_fbs_eff / self.w])
+        marginals = self.s * self.r / self.w2
         positive = marginals[marginals > 0]
         scale = float(positive.mean()) if positive.size else 1.0
         self.step = float(step_size) * scale
@@ -258,14 +265,11 @@ class _DualState:
         self.lam = lam
 
         # Loop invariants of the closed-form shares (Table I step 3):
-        # the live-branch masks and the W/slope costs.
-        live0 = (self.r_mbs > 0) & (self.s_mbs > 0)
-        live1 = (self.r_fbs_eff > 0) & (self.s_fbs > 0)
-        self.dead0 = ~live0
-        self.dead1 = ~live1
+        # the dead-branch mask (no rate or no success) and W/slope.
+        live = (self.r > 0) & (self.s > 0)
+        self.dead = ~live
         with np.errstate(over="ignore"):
-            self.cost0 = self.w / np.where(live0, self.r_mbs, 1.0)
-            self.cost1 = self.w / np.where(live1, self.r_fbs_eff, 1.0)
+            self.cost = self.w2 / np.where(live, self.r, 1.0)
 
         self.max_iterations = int(max_iterations)
         self.decay_after = int(decay_after)
@@ -275,78 +279,6 @@ class _DualState:
         self.choose_mbs = np.zeros(self.n, dtype=bool)
         self.best_recovered = None
         self.stagnant_checks = 0
-
-    def run(self, lam: np.ndarray, start: int,
-            trace: Optional[List[np.ndarray]] = None) -> None:
-        """Iterate from multipliers ``lam`` after ``start`` iterations.
-
-        Runs until the stopping rule, the stall exit, or the budget
-        fires, leaving the final iterate in ``lam``/``choose_mbs``.
-        ``trace`` (Fig. 4(a)) receives a copy of every new iterate.
-        """
-        w, s_mbs, s_fbs = self.w, self.s_mbs, self.s_fbs
-        r_mbs, r_fbs_eff = self.r_mbs, self.r_fbs_eff
-        cost0, cost1 = self.cost0, self.cost1
-        dead0, dead1 = self.dead0, self.dead1
-        fbs_pos = self.fbs_pos
-        n_stations = len(self.stations)
-        step = self.step
-        stop_sq = self.stop_sq
-        decay_after = self.decay_after
-        choose_mbs = self.choose_mbs
-        movement = self.movement
-        t = start
-        with np.errstate(over="ignore"):
-            for t in range(start + 1, self.max_iterations + 1):
-                lam0 = lam[0]
-                lam_user = lam[fbs_pos]
-                # Table I step 3: closed-form stationary shares
-                # [s/lambda - W/slope]^+, clipped to the per-user range
-                # [0, 1]; dead branches (no rate or no success) get zero.
-                # A vanishing multiplier makes the raw share overflow;
-                # the clip makes that harmless.
-                safe_lam0 = lam0 if lam0 > _LAMBDA_EPS else _LAMBDA_EPS
-                rho0 = s_mbs / safe_lam0 - cost0
-                np.maximum(rho0, 0.0, out=rho0)
-                np.minimum(rho0, 1.0, out=rho0)
-                rho0[dead0] = 0.0
-                safe_lam1 = np.where(lam_user > _LAMBDA_EPS, lam_user,
-                                     _LAMBDA_EPS)
-                rho1 = s_fbs / safe_lam1 - cost1
-                np.maximum(rho1, 0.0, out=rho1)
-                np.minimum(rho1, 1.0, out=rho1)
-                rho1[dead1] = 0.0
-                # Table I step 4: pick the branch with the larger
-                # Lagrangian term.  Utilities are expected log-PSNR gains
-                # (see repro.core.problem for the eq. (11) vs eq. (12)
-                # discussion).
-                util0 = s_mbs * np.log1p(rho0 * r_mbs / w) - lam0 * rho0
-                util1 = s_fbs * np.log1p(rho1 * r_fbs_eff / w) - lam_user * rho1
-                choose_mbs = util0 > util1
-
-                # Steps 9 / eqs. (16),(18),(19): projected subgradient
-                # update using only the shares of users that selected
-                # each station.
-                usage = np.zeros(n_stations)
-                usage[0] = rho0[choose_mbs].sum()
-                np.add.at(usage, fbs_pos[~choose_mbs], rho1[~choose_mbs])
-                effective_step = (step if t <= decay_after
-                                  else step * decay_after / t)
-                new_lam = np.maximum(0.0, lam - effective_step * (1.0 - usage))
-                movement = float(np.square(new_lam - lam).sum())
-                lam = new_lam
-                if trace is not None:
-                    trace.append(lam.copy())
-                if movement <= stop_sq:
-                    self.converged = True
-                    break
-                if (t % _STALL_CHECK_EVERY == 0 and t > decay_after
-                        and self.stalled(choose_mbs)):
-                    break
-        self.iterations = t
-        self.choose_mbs = choose_mbs
-        self.lam = lam
-        self.movement = movement
 
     def stalled(self, choose_mbs: np.ndarray) -> bool:
         """Limit-cycle exit: whether the recovered primal has stagnated.
@@ -394,6 +326,184 @@ class _DualState:
             iterations=self.iterations,
             converged=self.converged,
         )
+
+
+#: numpy sums a compressed selection of fewer than this many elements
+#: strictly left to right; from this count on it switches to an
+#: unrolled eight-accumulator combine tree.
+_SEQUENTIAL_SUM_LIMIT = 8
+
+
+def _masked_row_sums(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Per-row ``values[row, mask[row]].sum()``: the literal compressed sum.
+
+    The dense-row fix-up of :func:`_iterate`: its one ``bincount`` adds
+    each station's shares strictly left to right, which is the single
+    solve's MBS sum only while fewer than ``_SEQUENTIAL_SUM_LIMIT``
+    users choose the MBS.  Rows at or above that count get this sum.
+    """
+    return np.array([values[row, mask[row]].sum()
+                     for row in range(len(values))])
+
+
+def _iterate(members: List[_DualState],
+             trace: Optional[List[np.ndarray]] = None) -> None:
+    """Run the Table I/II subgradient loop for same-shape states as one stack.
+
+    Row ``b`` of every ``(B, .)`` array is member ``b``'s iteration; the
+    group may have any width, one included.  All members start at
+    iteration 1 together and only ever *freeze* (converge, stall out,
+    or exhaust their budget), so the loop counter ``t`` is every active
+    member's own iteration count.  A frozen member gets its final
+    iterate, branch choices and exit state, and its row is compressed
+    out of the stack (fancy indexing copies values exactly), so a member
+    that stops at iteration 37 ends with the same bits whether its batch
+    mates run 37 or 5000 iterations.  ``trace`` (Fig. 4(a), width 1
+    only) receives a copy of every new iterate.
+
+    Bit-exactness against the one-member loop rests on three facts.
+    Elementwise ufuncs compute the same bits per element whatever the
+    array shape.  The one ``np.bincount`` adds each bucket's weights in
+    element order from ``+0.0`` -- the per-station order of the single
+    solve's ``np.add.at``, and for the MBS bucket the left-to-right sum
+    that numpy's compressed ``.sum()`` performs below
+    ``_SEQUENTIAL_SUM_LIMIT`` selected users; denser rows take the
+    literal sum (:func:`_masked_row_sums`).  Rows use disjoint buckets,
+    and the movement norm reduces along the contiguous last axis, so
+    rows never interact.
+    """
+    n = members[0].n
+    n_stations = len(members[0].stations)
+    active = list(members)
+    s = np.stack([m.s for m in active])
+    cost = np.stack([m.cost for m in active])
+    r = np.stack([m.r for m in active])
+    w2 = np.stack([m.w2 for m in active])
+    dead = np.stack([m.dead for m in active])
+    positions = np.stack([m.flat2 for m in active])
+    lam = np.stack([m.lam for m in active])
+    steps = np.array([[m.step] for m in active])
+    decays = np.array([[float(m.decay_after)] for m in active])
+    stop_sqs = np.array([m.stop_sq for m in active])
+    min_budget = min(m.max_iterations for m in active)
+    min_decay = float(decays.min())
+    # 0-d operands: ufuncs take them faster than Python floats.
+    zero, one, eps = np.array(0.0), np.array(1.0), np.array(_LAMBDA_EPS)
+    t = 0
+    rebuild = True
+    with np.errstate(over="ignore"):
+        while True:
+            if rebuild:
+                # Indices into the flattened multiplier stack, and the
+                # work buffers, for the current width.
+                width = len(active)
+                flat2 = positions + (np.arange(width) * n_stations)[:, None]
+                mbs_flat, fbs_flat = flat2[:, :n], flat2[:, n:]
+                lam2 = np.empty((width, 2 * n))
+                rho = np.empty((width, 2 * n))
+                util = np.empty((width, 2 * n))
+                rho0, rho1 = rho[:, :n], rho[:, n:]
+                util0, util1 = util[:, :n], util[:, n:]
+                choose = np.empty((width, n), dtype=bool)
+                rebuild = False
+            t += 1
+            # Table I step 3: closed-form stationary shares
+            # [s/lambda - W/slope]^+, clipped to the per-user range
+            # [0, 1]; dead branches get zero.  The multipliers are
+            # projected non-negative, so the epsilon guard against a
+            # vanishing one is a single ``maximum``; the overflow it can
+            # still cause is harmless after the clip.
+            lam.take(flat2, out=lam2, mode="clip")
+            np.maximum(lam2, eps, out=rho)
+            np.divide(s, rho, out=rho)
+            np.subtract(rho, cost, out=rho)
+            np.maximum(rho, zero, out=rho)
+            np.minimum(rho, one, out=rho)
+            np.copyto(rho, zero, where=dead)
+            # Table I step 4: pick the branch with the larger Lagrangian
+            # term s log1p(rho R / W) - lambda rho.  Utilities are
+            # expected log-PSNR gains (see repro.core.problem for the
+            # eq. (11) vs eq. (12) discussion); they multiply by the
+            # *raw* multipliers, which differ from the guarded ones when
+            # a multiplier projects to zero.
+            np.multiply(rho, r, out=util)
+            np.divide(util, w2, out=util)
+            np.log1p(util, out=util)
+            np.multiply(util, s, out=util)
+            np.multiply(lam2, rho, out=lam2)
+            np.subtract(util, lam2, out=util)
+            np.greater(util0, util1, out=choose)
+
+            # Step 9 / eqs. (16),(18),(19): projected subgradient update
+            # from the shares of the users that selected each station.
+            bucket = np.where(choose, mbs_flat, fbs_flat).ravel()
+            usage = np.bincount(
+                bucket, np.where(choose, rho0, rho1).ravel(), lam.size)
+            if n >= _SEQUENTIAL_SUM_LIMIT:
+                counts = np.bincount(bucket, None, lam.size)[::n_stations]
+                if max(counts.tolist()) >= _SEQUENTIAL_SUM_LIMIT:
+                    dense = np.flatnonzero(counts >= _SEQUENTIAL_SUM_LIMIT)
+                    usage[dense * n_stations] = _masked_row_sums(
+                        rho0[dense], choose[dense])
+            usage = usage.reshape(lam.shape)
+            if t <= min_decay:
+                effective_step = steps
+            else:
+                effective_step = np.where(t <= decays, steps,
+                                          steps * decays / t)
+            np.subtract(one, usage, out=usage)
+            np.multiply(usage, effective_step, out=usage)
+            np.subtract(lam, usage, out=usage)
+            new_lam = np.maximum(zero, usage, out=usage)
+            np.subtract(new_lam, lam, out=lam)
+            np.multiply(lam, lam, out=lam)
+            movement = np.add.reduce(lam, axis=1)
+            lam = new_lam
+            if trace is not None:
+                trace.append(lam[0].copy())
+            converged = movement <= stop_sqs
+            stall_tick = t % _STALL_CHECK_EVERY == 0
+            if not (stall_tick or t >= min_budget
+                    or np.count_nonzero(converged)):
+                continue
+            # Slow path: at least one member converged, hit its budget,
+            # or reached a stall-check tick.
+            finished = []
+            for row, member in enumerate(active):
+                done = False
+                if converged[row]:
+                    member.converged = True
+                    done = True
+                elif stall_tick and t > member.decay_after:
+                    # Limit-cycle exit, per member.
+                    done = member.stalled(choose[row])
+                if not done and t >= member.max_iterations:
+                    done = True
+                if done:
+                    member.iterations = t
+                    member.choose_mbs = choose[row].copy()
+                    member.lam = lam[row].copy()
+                    member.movement = float(movement[row])
+                    finished.append(row)
+            if len(finished) == len(active):
+                return
+            if finished:
+                keep = np.ones(len(active), dtype=bool)
+                keep[finished] = False
+                active = [m for row, m in enumerate(active) if keep[row]]
+                s = s[keep]
+                cost = cost[keep]
+                r = r[keep]
+                w2 = w2[keep]
+                dead = dead[keep]
+                positions = positions[keep]
+                lam = lam[keep]
+                steps = steps[keep]
+                decays = decays[keep]
+                stop_sqs = stop_sqs[keep]
+                min_budget = min(m.max_iterations for m in active)
+                min_decay = float(decays.min())
+                rebuild = True
 
 
 def fast_solve(problem: SlotProblem, *, max_iterations: int = 400,

@@ -20,20 +20,20 @@ import pytest
 from repro.core import caches
 from repro.core.batch import (
     SolveRequest,
-    _masked_row_sums,
     answer_request,
     drive,
     fast_solve_iter,
     fast_solve_warm_iter,
     solve_requests,
 )
-from repro.core.dual import fast_solve, fast_solve_warm
+from repro.core.dual import _masked_row_sums, fast_solve, fast_solve_warm
+from repro.core.problem import SlotProblem
 from repro.exec.plan import plan_campaign
 from repro.experiments.scenarios import single_fbs_scenario
 from repro.sim.checkpoint import run_metrics_to_dict
 from repro.sim.lockstep import MAX_BATCH, plan_batch_groups
 from repro.sim.runner import MonteCarloRunner
-from tests.conftest import make_problem, random_problem
+from tests.conftest import make_problem, make_user, random_problem
 from tests.oracle import answer_request_scalar, unbatched
 
 
@@ -77,7 +77,7 @@ class TestRequestDifferential:
         assert solve_requests([]) == []
 
     def test_single_request_matches_scalar(self):
-        # Width 1 takes the scalar-continuation path end to end.
+        # Width 1 is a stack of one: the loop a single solve runs.
         request = SolveRequest(problem=make_problem(4, n_fbss=2, seed=3))
         assert_same_solution(oracle_answers([request])[0],
                              solve_requests([request])[0])
@@ -88,8 +88,8 @@ class TestRequestDifferential:
         scalar = oracle_answers(requests)
         index = 0
         while index < len(requests):
-            # Widths below, at, and above the stacked-width cutoff;
-            # ragged shapes inside one call exercise the grouping.
+            # Narrow and wide stacks; ragged shapes inside one call
+            # exercise the grouping.
             width = int(rng.choice([1, 2, 3, 5, 8]))
             chunk = requests[index:index + width]
             for expected, got in zip(scalar[index:index + width],
@@ -144,11 +144,91 @@ class TestRequestDifferential:
             assert_same_solution(expected, got)
 
 
+def production_problem(rng, n_users, n_fbss, *, dead_fbs):
+    """A slot problem of the production size (8-20 users).
+
+    With ``dead_fbs`` most users get ``r_fbs = 0`` and similar, strong
+    MBS links: their FBS branch is dead, so they all take a share of
+    the MBS -- a dense-MBS row -- and a cell whose users are all dead
+    sees no usage and drives its multiplier to zero.
+    """
+    spread = 0.2 if dead_fbs else 1.0
+    users = [
+        make_user(j, fbs_id=1 + j % n_fbss,
+                  w_prev=30.0 + 4.0 * spread * rng.random(),
+                  success_mbs=0.9 + 0.1 * spread * rng.random(),
+                  success_fbs=0.4 + 0.6 * rng.random(),
+                  r_mbs=(300.0 if dead_fbs else 1.0)
+                  * (1.0 + spread * rng.random()),
+                  r_fbs=(0.0 if dead_fbs and rng.random() < 0.8
+                         else float(rng.random() * 1.5)))
+        for j in range(n_users)
+    ]
+    return SlotProblem(users=users,
+                       expected_channels={i: 1.0 + 3.0 * float(rng.random())
+                                          for i in range(1, n_fbss + 1)})
+
+
+def production_batch(rng, width):
+    """``width`` same-shape requests, so they share one stack.
+
+    Some requests take a large step, which keeps the multipliers
+    moving, so a usage sum one ulp off shows in the answer.
+    """
+    n_users = int(rng.integers(8, 21))
+    n_fbss = int(rng.integers(1, 4))
+    return [SolveRequest(problem=production_problem(rng, n_users, n_fbss,
+                                                    dead_fbs=rng.random() < 0.6),
+                         max_iterations=int(rng.choice([150, 400])),
+                         step_size=float(rng.choice([0.02, 0.5])))
+            for _ in range(width)]
+
+
+def warm_restarts(rng, requests, answers):
+    """Warm starts from earlier answers, some multipliers pinned to zero."""
+    return [SolveRequest(problem=request.problem,
+                         max_iterations=request.max_iterations,
+                         step_size=request.step_size,
+                         initial_multipliers={
+                             station: (0.0 if rng.random() < 0.4 else value)
+                             for station, value in answer.multipliers.items()})
+            for request, answer in zip(requests, answers)]
+
+
+class TestProductionShapeDifferential:
+    """solve_requests vs the scalar oracle at the production problem size.
+
+    The fig6 slots have 9 users; here 8-20.  These are the sizes at
+    which numpy's MBS-usage sum stops being a left-to-right sum: rows
+    where 8 or more users choose the MBS take its eight-accumulator
+    order.
+    """
+
+    @pytest.mark.parametrize("width", [1, 2, 3, 10])
+    def test_fuzzed_batches_match_scalar(self, width):
+        rng = np.random.default_rng(20261017 + width)
+        dense_rows = zero_multipliers = 0
+        for _ in range(max(2, 12 // width)):
+            requests = production_batch(rng, width)
+            cold = oracle_answers(requests)
+            for expected, got in zip(cold, solve_requests(requests)):
+                assert_same_solution(expected, got)
+            warm = warm_restarts(rng, requests, cold)
+            for expected, got in zip(oracle_answers(warm),
+                                     solve_requests(warm)):
+                assert_same_solution(expected, got)
+            for answer in cold:
+                dense_rows += len(answer.allocation.mbs_user_ids) >= 8
+                zero_multipliers += 0.0 in answer.multipliers.values()
+        # The cases the batch is built for do occur.
+        assert dense_rows and zero_multipliers
+
+
 class TestMaskedRowSums:
     def test_matches_per_row_compressed_sum(self):
-        # Exactness is association-sensitive: the helper must replay
-        # numpy's sequential (k < 8) and unrolled-by-8 (k >= 8) summation
-        # orders, across the n >= 16 fallback boundary too.
+        # Exactness is association-sensitive: the dense-row fix-up must
+        # give numpy's sequential (k < 8) and unrolled-by-8 (k >= 8)
+        # summation orders, for rows of any length.
         rng = np.random.default_rng(42)
         for _ in range(300):
             b = int(rng.integers(1, 12))
@@ -171,6 +251,23 @@ class TestMaskedRowSums:
                                  for row in range(6)])
             assert _masked_row_sums(values, mask).tobytes() \
                 == expected.tobytes()
+
+    def test_bincount_is_the_compressed_sum_below_eight(self):
+        # The order argument of the stacked loop: one bincount bucket
+        # sums left to right from +0.0, which is numpy's compressed
+        # ``.sum()`` for fewer than 8 elements and not, in general, for
+        # more -- hence the dense-row fix-up.
+        rng = np.random.default_rng(9)
+        differs = False
+        for _ in range(2000):
+            k = int(rng.integers(0, 20))
+            values = rng.random(k)
+            bucket = np.bincount(np.zeros(k, dtype=np.intp), values, 1)
+            if k < 8:
+                assert bucket.tobytes() == values.sum().tobytes()
+            else:
+                differs |= bucket[0] != values.sum()
+        assert differs
 
 
 class TestSolveGenerators:

@@ -214,7 +214,21 @@ class TestSingleSolveDifferential:
         assert exits >= {(True, False), (False, True), (False, False)}
 
     def test_trace_on_matches_trace_off(self):
-        for kwargs, problem in _fuzzed_solvers_and_problems():
+        # Twelve users with dead FBS branches and alike, strong MBS
+        # links all take an MBS share: a dense-MBS row, whose usage sum
+        # numpy takes in eight-accumulator order.
+        rng = np.random.default_rng(12)
+        dense = SlotProblem(
+            users=[make_user(j, fbs_id=1 + j % 2,
+                             w_prev=30.0 + 0.8 * rng.random(),
+                             success_mbs=0.9 + 0.02 * rng.random(),
+                             r_mbs=300.0 * (1.0 + 0.2 * rng.random()),
+                             r_fbs=0.0)
+                   for j in range(12)],
+            expected_channels={1: 2.0, 2: 2.0})
+        cases = _fuzzed_solvers_and_problems() + [
+            ({}, dense), ({"step_size": 0.5, "max_iterations": 400}, dense)]
+        for kwargs, problem in cases:
             plain = DualDecompositionSolver(**kwargs).solve(problem)
             traced = DualDecompositionSolver(record_trace=True,
                                              **kwargs).solve(problem)
@@ -227,4 +241,6 @@ class TestSingleSolveDifferential:
             assert traced.trace[-1].tolist() == final
             oracle = solve_scalar(
                 DualDecompositionSolver(record_trace=True, **kwargs), problem)
-            assert np.array_equal(oracle.trace, traced.trace)
+            assert oracle.trace.tobytes() == traced.trace.tobytes()
+            if problem is dense:
+                assert len(traced.allocation.mbs_user_ids) >= 8
