@@ -15,7 +15,9 @@ equal-or-better per-slot objectives, asserted here on a drifting sequence
 of slot problems.
 
 A third leg records what one iteration of the stacked dual loop costs
-at the lockstep widths the simulator runs (``kernel-width``).
+at the lockstep widths the simulator runs (``kernel-width``), and a
+fourth what continuous batching saves over one stack per round
+(``kernel-continuous``).
 """
 
 import json
@@ -27,7 +29,12 @@ import numpy as np
 
 from benchmarks.conftest import BENCH_GOPS, BENCH_RUNS, BENCH_SEED, report
 from repro.core.allocator import ProposedAllocator
-from repro.core.batch import SolveRequest, answer_request, solve_requests
+from repro.core.batch import (
+    RunningStack,
+    SolveRequest,
+    answer_request,
+    solve_requests,
+)
 from repro.core.dual import fast_solve
 from repro.core.problem import SlotProblem, UserDemand
 from repro.experiments.scenarios import interfering_fbs_scenario
@@ -49,6 +56,10 @@ KERNEL_GROUPS = 20
 KERNEL_REPEATS = 5
 #: The greedy channel allocation's per-Q(c) iteration budget.
 EVAL_ITERATIONS = 150
+#: Members of the kernel-continuous leg (a fig6 formation), and the
+#: range of requests each makes (the greedy's count varies by member).
+STREAM_MEMBERS = 10
+STREAM_LENGTHS = (20, 60)
 
 
 def _fingerprint(runs):
@@ -283,3 +294,103 @@ def test_bench_kernel_width(benchmark):
 
     assert identical, (
         "the stacked kernel diverged from answering each request alone")
+
+
+def _rounds(streams):
+    """Answer per-member streams one stack per round: round ``k`` stacks
+    the ``k``-th request of every member that still has one, and runs
+    until its slowest row freezes.  Returns the answers per member and
+    the stacked iterations."""
+    answers = [[] for _ in streams]
+    stacked = 0
+    for k in range(max(len(stream) for stream in streams)):
+        live = [m for m, stream in enumerate(streams) if k < len(stream)]
+        solved = solve_requests([streams[m][k] for m in live])
+        stacked += max(s.iterations for s in solved)
+        for m, solution in zip(live, solved):
+            answers[m].append(solution)
+    return answers, stacked
+
+
+def _refilling(streams):
+    """Answer per-member streams through one refilling stack: a member's
+    next request joins as soon as its previous one is answered."""
+    answers = [[] for _ in streams]
+    stack = RunningStack()
+    for m, stream in enumerate(streams):
+        stack.join(stream[0], m)
+    while stack.width:
+        for m, solution in solve_requests(stack):
+            answers[m].append(solution)
+            if len(answers[m]) < len(streams[m]):
+                stack.join(streams[m][len(answers[m])], m)
+    return answers, stack.iterations
+
+
+def test_bench_kernel_continuous(benchmark):
+    rng = np.random.default_rng(BENCH_SEED)
+    streams = [_fig6_requests(rng, int(rng.integers(*STREAM_LENGTHS)))
+               for _ in range(STREAM_MEMBERS)]
+    ways = {"rounds": _rounds, "refilling": _refilling}
+
+    def timed_passes():
+        seconds = {way: [] for way in ways}
+        for _ in range(KERNEL_REPEATS):
+            # Interleave the two ways so drift on the machine hits both.
+            for way, run in ways.items():
+                start = time.perf_counter()
+                run(streams)
+                seconds[way].append(time.perf_counter() - start)
+        return seconds
+
+    # Untimed pass: answers, the bit-identity check, and warm-up.
+    results = {way: run(streams) for way, run in ways.items()}
+    identical = all(
+        _solution_key(got) == _solution_key(answer_request(request))
+        for answers, _ in results.values()
+        for stream, solved in zip(streams, answers)
+        for request, got in zip(stream, solved))
+    seconds = benchmark.pedantic(timed_passes, rounds=1, iterations=1)
+
+    member_iterations = sum(s.iterations for stream in results["rounds"][0]
+                            for s in stream)
+    legs = {}
+    for way in ways:
+        median, q1, q3 = _quartiles([1e6 * s / member_iterations
+                                     for s in seconds[way]])
+        legs[way] = {
+            "us_per_member_iteration": median,
+            "us_per_member_iteration_q1": q1,
+            "us_per_member_iteration_q3": q3,
+            "stack_iterations": results[way][1],
+        }
+
+    _record_trajectory({
+        "benchmark": "kernel-continuous",
+        "shape": "9 users, 4 stations",
+        "max_iterations": EVAL_ITERATIONS,
+        "members": STREAM_MEMBERS,
+        "solves": sum(len(stream) for stream in streams),
+        "member_iterations": member_iterations,
+        "repeats": KERNEL_REPEATS,
+        "seed": BENCH_SEED,
+        "ways": legs,
+        "bit_identical": identical,
+    })
+
+    report("Stacked dual kernel: one stack per round vs a refilling stack",
+           "\n".join(
+               [f"streams          : {STREAM_MEMBERS} members, "
+                f"{sum(len(s) for s in streams)} fig6-shaped requests, "
+                f"{member_iterations} member-iterations; median (IQR) of "
+                f"{KERNEL_REPEATS} passes"]
+               + [f"{way:<17}: {leg['us_per_member_iteration']:6.2f} us per "
+                  f"member-iteration ({leg['us_per_member_iteration_q1']:.2f}-"
+                  f"{leg['us_per_member_iteration_q3']:.2f}), "
+                  f"{leg['stack_iterations']} stacked iterations"
+                  for way, leg in legs.items()]
+               + [f"bit-identical    : {identical}",
+                  f"trajectory       : {BENCH_JSON.name}"]))
+
+    assert identical, (
+        "the refilling stack diverged from answering each request alone")

@@ -12,22 +12,26 @@ The module provides two layers:
 
 * :class:`SolveRequest` / :func:`solve_requests` -- the stacked kernel.
   Each request describes one ``DualDecompositionSolver.solve`` call
-  (problem, warm start, solver parameters); ``solve_requests`` answers a
-  whole batch with the exact :class:`~repro.core.dual.DualSolution` each
-  single solve would have produced.  It builds one
-  :class:`repro.core.dual._DualState` per request, groups the states by
-  shape and runs each group, whatever its width, through the single
-  solver's own loop :func:`repro.core.dual._iterate` -- a single solve
-  is that loop with one member.  **Bit-exactness contract:** rows of the
-  stack never interact.  Every elementwise operation computes the same
-  bits per element whatever the array shape; the per-station usage
-  reduces through one ``np.bincount`` whose per-bucket addition order is
-  each row's own (with the literal compressed sum on rows where 8 or
-  more users choose the MBS); the movement norm reduces along the
-  contiguous last axis.  Finished members freeze: their rows are removed
-  from the stack and never recomputed, so a member that converges at
+  (problem, warm start, solver parameters), and the kernel answers it
+  with the exact :class:`~repro.core.dual.DualSolution` the single
+  solve would have produced.  Requests of one shape share a stack in
+  the solver's own loop :func:`repro.core.dual._iterate`, which is
+  resumable: :class:`RunningStack` keeps a stack in flight between
+  calls, and each ``solve_requests(stack)`` admits the requests that
+  joined since the last call into the rows of members that froze,
+  iterates until a row freezes, and answers the frozen rows -- the
+  lockstep driver's continuous batching.  ``solve_requests(batch)``
+  runs one stack per shape to completion with no refills, and a single
+  solve is that loop with one member.  **Bit-exactness contract:** rows
+  of the stack never interact.  Every elementwise operation computes
+  the same bits per element whatever the array shape; the per-station
+  usage reduces through one ``np.bincount`` whose per-bucket addition
+  order is each row's own (with the literal compressed sum on rows
+  where 8 or more users choose the MBS); the movement norm reduces
+  along the contiguous last axis; and each row counts its own
+  iterations from its admission, so a member that converges at its
   iteration 37 returns the same iterate whether its batch mates run 37
-  or 5000 iterations.
+  or 5000 iterations, or joined the stack before or after it.
 
 * Solve *generators* -- :func:`fast_solve_iter` and friends mirror the
   entry points of :mod:`repro.core.dual` but ``yield`` each
@@ -40,9 +44,10 @@ The module provides two layers:
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Dict, Generator, List, Optional, Sequence
+from typing import Dict, Generator, List, Optional, Sequence, Union
 
 from repro.core.dual import (
     DualDecompositionSolver,
@@ -168,28 +173,108 @@ def fast_solve_warm_iter(problem: SlotProblem,
 # -- the stacked kernel ---------------------------------------------------
 
 
-def solve_requests(requests: Sequence[SolveRequest]) -> List[DualSolution]:
-    """Answer a batch of solve requests with the stacked kernel.
+def request_shape(request: SolveRequest) -> tuple:
+    """``(n_users, n_stations)``: requests of one shape share a stack."""
+    problem = request.problem
+    return len(problem.users), 1 + len(problem.fbs_ids)
 
-    Requests are grouped by problem shape ``(n_users, n_stations)`` --
-    members of a group share their array stack; groups iterate
-    independently.  Returns one :class:`DualSolution` per request, in
-    request order, bit-identical to answering each request with
-    :func:`answer_request` (asserted by
-    ``tests/core/test_batched_allocation.py``).
+
+class RunningStack:
+    """Continuous batching: one shape's stack of solves in flight.
+
+    Requests :meth:`join` the stack between resumptions; each call
+    ``solve_requests(stack)`` admits them into the loop
+    :func:`repro.core.dual._iterate` (refilling the rows of members that
+    froze at the last resumption), iterates until at least one row
+    freezes, and returns ``(owner, solution)`` for each frozen row.  Its
+    ``len()`` is the number of requests waiting to join, so summed over
+    resumptions it counts every request exactly once.
     """
+
+    __slots__ = ("joining", "iterations", "row_seconds", "_rows", "_loop")
+
+    def __init__(self) -> None:
+        #: ``(request, owner)`` pairs admitted at the next resumption.
+        self.joining: List[tuple] = []
+        #: Stack iterations run over the stack's lifetime.
+        self.iterations = 0
+        #: Kernel seconds per row so far: a row in flight from one
+        #: reading to the next was charged the difference.
+        self.row_seconds = 0.0
+        self._rows: Dict[_DualState, tuple] = {}
+        self._loop = None
+
+    def join(self, request: SolveRequest, owner: object) -> None:
+        self.joining.append((request, owner))
+
+    def __len__(self) -> int:
+        return len(self.joining)
+
+    @property
+    def width(self) -> int:
+        """Rows the next resumption iterates: in flight plus joining."""
+        return len(self._rows) + len(self.joining)
+
+    def drain(self) -> List[tuple]:
+        """Empty the stack; return every unanswered ``(request, owner)``."""
+        pending = list(self._rows.values()) + self.joining
+        self._rows = {}
+        self.joining = []
+        self._loop = None
+        return pending
+
+    def _resume(self) -> List[tuple]:
+        if not self.width:
+            return []
+        start = time.perf_counter()
+        admitted = [_DualState(request.problem, request.initial_multipliers,
+                               step_size=request.step_size,
+                               threshold=request.threshold,
+                               max_iterations=request.max_iterations,
+                               decay_after=request.decay_after)
+                    for request, _ in self.joining]
+        self._rows.update(zip(admitted, self.joining))
+        self.joining = []
+        width = len(self._rows)
+        if self._loop is None:
+            self._loop = _iterate(admitted)
+            frozen, ran = next(self._loop)
+        else:
+            frozen, ran = self._loop.send(admitted)
+        self.iterations += ran
+        answers = [(self._rows[state][1],
+                    state.finish(self._rows[state][0].registry))
+                   for state in frozen]
+        for state in frozen:
+            del self._rows[state]
+        self.row_seconds += (time.perf_counter() - start) / width
+        return answers
+
+
+def solve_requests(requests: Union[Sequence[SolveRequest], RunningStack]
+                   ) -> list:
+    """Answer solve requests with the stacked kernel.
+
+    ``requests`` is either a sequence of :class:`SolveRequest` or a
+    :class:`RunningStack`.  A sequence is grouped by
+    :func:`request_shape` -- members of a group share one stack, groups
+    iterate independently -- and each stack runs until every row has
+    frozen, with no refills; the result is one :class:`DualSolution`
+    per request, in request order, bit-identical to answering each
+    request with :func:`answer_request` (asserted by
+    ``tests/core/test_batched_allocation.py``).  A running stack is
+    resumed once, and the result is the ``(owner, solution)`` pairs of
+    the rows that froze.
+    """
+    if isinstance(requests, RunningStack):
+        return requests._resume()
     results: List[Optional[DualSolution]] = [None] * len(requests)
-    groups: Dict[tuple, List[tuple]] = {}
+    stacks: Dict[tuple, RunningStack] = {}
     for index, request in enumerate(requests):
-        state = _DualState(request.problem, request.initial_multipliers,
-                           step_size=request.step_size,
-                           threshold=request.threshold,
-                           max_iterations=request.max_iterations,
-                           decay_after=request.decay_after)
-        groups.setdefault((state.n, len(state.stations)), []).append(
-            (index, state))
-    for entries in groups.values():
-        _iterate([state for _, state in entries])
-        for index, state in entries:
-            results[index] = state.finish(requests[index].registry)
+        stack = stacks.setdefault(request_shape(request), RunningStack())
+        stack.join(request, index)
+    for stack in stacks.values():
+        while stack.width:
+            for index, solution in stack._resume():
+                results[index] = solution
     return results

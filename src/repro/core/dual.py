@@ -36,8 +36,10 @@ Both run one subgradient loop, :func:`_iterate`, over :class:`_DualState`
 members (the per-problem prologue and the primal-recovery epilogue).
 The loop iterates any number of same-shape problems as one ``(B, 2n)``
 stack, each row holding a problem's MBS branch and FBS branch side by
-side: a single solve is a stack of one, and the cross-replication
-kernel (:mod:`repro.core.batch`) runs one stack per group.  The scalar
+side, and it is resumable: a frozen row can be refilled in place by a
+new member.  A single solve is a stack of one, and the
+cross-replication kernel (:mod:`repro.core.batch`) keeps one running
+stack per shape.  The scalar
 reference implementations these are validated against live in the test
 suite (``tests/oracle.py``).
 """
@@ -46,7 +48,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, Generator, List, Optional, Tuple
 
 import numpy as np
 
@@ -181,7 +183,8 @@ class DualDecompositionSolver:
                            max_iterations=self.max_iterations,
                            decay_after=self.decay_after)
         trace = [state.lam.copy()] if self.record_trace else None
-        _iterate([state], trace)
+        for _ in _iterate([state], trace):
+            pass
         solution = state.finish(registry)
 
         if tracer is not None:
@@ -208,7 +211,8 @@ class _DualState:
     counters and primal recovery); :func:`_iterate` runs the subgradient
     loop over any number of same-shape states as one ``(B, .)`` stack.
     :meth:`DualDecompositionSolver.solve` runs it with one member, the
-    stacked kernel (:mod:`repro.core.batch`) with one group at a time.
+    stacked kernel (:mod:`repro.core.batch`) with a running stack per
+    shape whose rows are refilled as members freeze.
 
     Every per-user constant is one ``(2n,)`` row holding both branches:
     the MBS branch in columns ``[0, n)``, the FBS branch in ``[n, 2n)``.
@@ -346,20 +350,64 @@ def _masked_row_sums(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
                      for row in range(len(values))])
 
 
+def _next_event(member: _DualState, t: int) -> int:
+    """The first iteration after ``t`` at which ``member`` may freeze
+    without converging: its budget, or a stall-check tick past
+    ``decay_after``."""
+    tick = (max(t, member.decay_after) // _STALL_CHECK_EVERY + 1) \
+        * _STALL_CHECK_EVERY
+    return min(member.max_iterations, tick)
+
+
+def _row_values(member: _DualState) -> tuple:
+    """``member``'s row of each per-row stack array: its constants and
+    its multipliers."""
+    return (member.s, member.cost, member.r, member.w2, member.dead,
+            member.flat2, member.lam, (member.step,),
+            (float(member.decay_after),), member.stop_sq)
+
+
+def _row_arrays(members: List[_DualState]) -> List[np.ndarray]:
+    """The per-row stack arrays of ``members``, one row each."""
+    return [np.array(column)
+            for column in zip(*map(_row_values, members))]
+
+
+#: A resumable subgradient loop: yields the members that froze at each
+#: freeze event with the stack iterations run since it was resumed, and
+#: takes the members joining the stack when it is resumed.
+DualLoop = Generator[Tuple[List[_DualState], int],
+                     Optional[List[_DualState]], None]
+
+
 def _iterate(members: List[_DualState],
-             trace: Optional[List[np.ndarray]] = None) -> None:
+             trace: Optional[List[np.ndarray]] = None) -> DualLoop:
     """Run the Table I/II subgradient loop for same-shape states as one stack.
 
-    Row ``b`` of every ``(B, .)`` array is member ``b``'s iteration; the
-    group may have any width, one included.  All members start at
-    iteration 1 together and only ever *freeze* (converge, stall out,
-    or exhaust their budget), so the loop counter ``t`` is every active
-    member's own iteration count.  A frozen member gets its final
-    iterate, branch choices and exit state, and its row is compressed
-    out of the stack (fancy indexing copies values exactly), so a member
-    that stops at iteration 37 ends with the same bits whether its batch
-    mates run 37 or 5000 iterations.  ``trace`` (Fig. 4(a), width 1
-    only) receives a copy of every new iterate.
+    A resumable loop over fixed-capacity rows: row ``b`` of every
+    ``(B, .)`` array is one member's iteration, and the stack may have
+    any width, one included.  The loop runs until at least one member
+    *freezes* (converges, stalls out, or exhausts its budget), yields
+    the frozen members and the stack iterations it ran, and is resumed
+    with ``send(joining)``: each joining member is admitted into a
+    frozen member's row in place, and the stack shrinks only when fewer
+    members join than froze (or grows when more do).  Iterating the
+    generator plainly (``send(None)``) admits nobody, and the loop ends
+    when every row has frozen -- the single solve and the batch answer
+    API run it that way.
+
+    Rows are independent, so each keeps its own iteration count
+    ``t = T - begun``: the stack counter ``T`` minus the stack
+    iteration the row was admitted after.  The decayed step, the stall
+    ticks and the budget all read a row's own ``t``, and each row keeps
+    the stack iteration of its next event (its budget or its next stall
+    tick past ``decay_after``), so the common iteration tests one scalar
+    against the earliest event plus ``count_nonzero`` of the converged
+    rows.  A frozen member gets its final iterate, branch choices and
+    exit state, and its row is handed on; a member that stops at its
+    iteration 37 ends with the same bits whether its batch mates run 37
+    or 5000 iterations, started before it or after.  ``trace``
+    (Fig. 4(a), width 1 only) receives a copy of every new iterate.
 
     Bit-exactness against the one-member loop rests on three facts.
     Elementwise ufuncs compute the same bits per element whatever the
@@ -374,136 +422,156 @@ def _iterate(members: List[_DualState],
     """
     n = members[0].n
     n_stations = len(members[0].stations)
-    active = list(members)
-    s = np.stack([m.s for m in active])
-    cost = np.stack([m.cost for m in active])
-    r = np.stack([m.r for m in active])
-    w2 = np.stack([m.w2 for m in active])
-    dead = np.stack([m.dead for m in active])
-    positions = np.stack([m.flat2 for m in active])
-    lam = np.stack([m.lam for m in active])
-    steps = np.array([[m.step] for m in active])
-    decays = np.array([[float(m.decay_after)] for m in active])
-    stop_sqs = np.array([m.stop_sq for m in active])
-    min_budget = min(m.max_iterations for m in active)
-    min_decay = float(decays.min())
     # 0-d operands: ufuncs take them faster than Python floats.
     zero, one, eps = np.array(0.0), np.array(1.0), np.array(_LAMBDA_EPS)
-    t = 0
-    rebuild = True
-    with np.errstate(over="ignore"):
-        while True:
-            if rebuild:
-                # Indices into the flattened multiplier stack, and the
-                # work buffers, for the current width.
-                width = len(active)
-                flat2 = positions + (np.arange(width) * n_stations)[:, None]
-                mbs_flat, fbs_flat = flat2[:, :n], flat2[:, n:]
-                lam2 = np.empty((width, 2 * n))
-                rho = np.empty((width, 2 * n))
-                util = np.empty((width, 2 * n))
-                rho0, rho1 = rho[:, :n], rho[:, n:]
-                util0, util1 = util[:, :n], util[:, n:]
-                choose = np.empty((width, n), dtype=bool)
-                rebuild = False
-            t += 1
-            # Table I step 3: closed-form stationary shares
-            # [s/lambda - W/slope]^+, clipped to the per-user range
-            # [0, 1]; dead branches get zero.  The multipliers are
-            # projected non-negative, so the epsilon guard against a
-            # vanishing one is a single ``maximum``; the overflow it can
-            # still cause is harmless after the clip.
-            lam.take(flat2, out=lam2, mode="clip")
-            np.maximum(lam2, eps, out=rho)
-            np.divide(s, rho, out=rho)
-            np.subtract(rho, cost, out=rho)
-            np.maximum(rho, zero, out=rho)
-            np.minimum(rho, one, out=rho)
-            np.copyto(rho, zero, where=dead)
-            # Table I step 4: pick the branch with the larger Lagrangian
-            # term s log1p(rho R / W) - lambda rho.  Utilities are
-            # expected log-PSNR gains (see repro.core.problem for the
-            # eq. (11) vs eq. (12) discussion); they multiply by the
-            # *raw* multipliers, which differ from the guarded ones when
-            # a multiplier projects to zero.
-            np.multiply(rho, r, out=util)
-            np.divide(util, w2, out=util)
-            np.log1p(util, out=util)
-            np.multiply(util, s, out=util)
-            np.multiply(lam2, rho, out=lam2)
-            np.subtract(util, lam2, out=util)
-            np.greater(util0, util1, out=choose)
+    rows: List[_DualState] = []
+    begun: List[int] = []
+    events: List[int] = []
+    free: List[int] = []
+    arrays: list = []
+    joining = list(members)
+    width = 0
+    T = 0
+    while True:
+        # Admission: refill frozen rows in place, then drop the rows
+        # nobody refilled, or append the members that found no row.
+        refills = min(len(free), len(joining))
+        for row, member in zip(free, joining):
+            rows[row] = member
+            begun[row] = T
+            events[row] = T + _next_event(member, 0)
+            for array, value in zip(arrays, _row_values(member)):
+                array[row] = value
+        if len(free) > refills:
+            keep = np.ones(len(rows), dtype=bool)
+            keep[free[refills:]] = False
+            rows = [m for row, m in enumerate(rows) if keep[row]]
+            begun = [b for row, b in enumerate(begun) if keep[row]]
+            events = [e for row, e in enumerate(events) if keep[row]]
+            arrays = [array[keep] for array in arrays]
+        elif len(joining) > refills:
+            extra = joining[refills:]
+            added = _row_arrays(extra)
+            arrays = ([np.concatenate([a, b]) for a, b in zip(arrays, added)]
+                      if rows else added)
+            rows.extend(extra)
+            begun.extend([T] * len(extra))
+            events.extend(T + _next_event(m, 0) for m in extra)
+        free = []
+        if not rows:
+            return
+        s, cost, r, w2, dead, positions, lam, steps, decays, stop_sqs = arrays
+        starts = np.array(begun, dtype=float)[:, None]
+        if len(rows) != width:
+            # Work buffers for the new width.
+            width = len(rows)
+            lam2 = np.empty((width, 2 * n))
+            rho = np.empty((width, 2 * n))
+            util = np.empty((width, 2 * n))
+            rho0, rho1 = rho[:, :n], rho[:, n:]
+            util0, util1 = util[:, :n], util[:, n:]
+            choose = np.empty((width, n), dtype=bool)
+        # Indices into the flattened multiplier stack.
+        flat2 = positions + (np.arange(width) * n_stations)[:, None]
+        mbs_flat, fbs_flat = flat2[:, :n], flat2[:, n:]
+        next_event = min(events)
+        decay_start = min(b + m.decay_after for b, m in zip(begun, rows))
+        resumed_at = T
+        frozen: List[_DualState] = []
+        with np.errstate(over="ignore"):
+            while not frozen:
+                T += 1
+                # Table I step 3: closed-form stationary shares
+                # [s/lambda - W/slope]^+, clipped to the per-user range
+                # [0, 1]; dead branches get zero.  The multipliers are
+                # projected non-negative, so the epsilon guard against a
+                # vanishing one is a single ``maximum``; the overflow it
+                # can still cause is harmless after the clip.
+                lam.take(flat2, out=lam2, mode="clip")
+                np.maximum(lam2, eps, out=rho)
+                np.divide(s, rho, out=rho)
+                np.subtract(rho, cost, out=rho)
+                np.maximum(rho, zero, out=rho)
+                np.minimum(rho, one, out=rho)
+                np.copyto(rho, zero, where=dead)
+                # Table I step 4: pick the branch with the larger
+                # Lagrangian term s log1p(rho R / W) - lambda rho.
+                # Utilities are expected log-PSNR gains (see
+                # repro.core.problem for the eq. (11) vs eq. (12)
+                # discussion); they multiply by the *raw* multipliers,
+                # which differ from the guarded ones when a multiplier
+                # projects to zero.
+                np.multiply(rho, r, out=util)
+                np.divide(util, w2, out=util)
+                np.log1p(util, out=util)
+                np.multiply(util, s, out=util)
+                np.multiply(lam2, rho, out=lam2)
+                np.subtract(util, lam2, out=util)
+                np.greater(util0, util1, out=choose)
 
-            # Step 9 / eqs. (16),(18),(19): projected subgradient update
-            # from the shares of the users that selected each station.
-            bucket = np.where(choose, mbs_flat, fbs_flat).ravel()
-            usage = np.bincount(
-                bucket, np.where(choose, rho0, rho1).ravel(), lam.size)
-            if n >= _SEQUENTIAL_SUM_LIMIT:
-                counts = np.bincount(bucket, None, lam.size)[::n_stations]
-                if max(counts.tolist()) >= _SEQUENTIAL_SUM_LIMIT:
-                    dense = np.flatnonzero(counts >= _SEQUENTIAL_SUM_LIMIT)
-                    usage[dense * n_stations] = _masked_row_sums(
-                        rho0[dense], choose[dense])
-            usage = usage.reshape(lam.shape)
-            if t <= min_decay:
-                effective_step = steps
-            else:
-                effective_step = np.where(t <= decays, steps,
-                                          steps * decays / t)
-            np.subtract(one, usage, out=usage)
-            np.multiply(usage, effective_step, out=usage)
-            np.subtract(lam, usage, out=usage)
-            new_lam = np.maximum(zero, usage, out=usage)
-            np.subtract(new_lam, lam, out=lam)
-            np.multiply(lam, lam, out=lam)
-            movement = np.add.reduce(lam, axis=1)
-            lam = new_lam
-            if trace is not None:
-                trace.append(lam[0].copy())
-            converged = movement <= stop_sqs
-            stall_tick = t % _STALL_CHECK_EVERY == 0
-            if not (stall_tick or t >= min_budget
-                    or np.count_nonzero(converged)):
-                continue
-            # Slow path: at least one member converged, hit its budget,
-            # or reached a stall-check tick.
-            finished = []
-            for row, member in enumerate(active):
-                done = False
-                if converged[row]:
-                    member.converged = True
-                    done = True
-                elif stall_tick and t > member.decay_after:
-                    # Limit-cycle exit, per member.
-                    done = member.stalled(choose[row])
-                if not done and t >= member.max_iterations:
-                    done = True
-                if done:
-                    member.iterations = t
-                    member.choose_mbs = choose[row].copy()
-                    member.lam = lam[row].copy()
-                    member.movement = float(movement[row])
-                    finished.append(row)
-            if len(finished) == len(active):
-                return
-            if finished:
-                keep = np.ones(len(active), dtype=bool)
-                keep[finished] = False
-                active = [m for row, m in enumerate(active) if keep[row]]
-                s = s[keep]
-                cost = cost[keep]
-                r = r[keep]
-                w2 = w2[keep]
-                dead = dead[keep]
-                positions = positions[keep]
-                lam = lam[keep]
-                steps = steps[keep]
-                decays = decays[keep]
-                stop_sqs = stop_sqs[keep]
-                min_budget = min(m.max_iterations for m in active)
-                min_decay = float(decays.min())
-                rebuild = True
+                # Step 9 / eqs. (16),(18),(19): projected subgradient
+                # update from the shares of the users that selected each
+                # station.
+                bucket = np.where(choose, mbs_flat, fbs_flat).ravel()
+                usage = np.bincount(
+                    bucket, np.where(choose, rho0, rho1).ravel(), lam.size)
+                if n >= _SEQUENTIAL_SUM_LIMIT:
+                    counts = np.bincount(bucket, None, lam.size)[::n_stations]
+                    if max(counts.tolist()) >= _SEQUENTIAL_SUM_LIMIT:
+                        dense = np.flatnonzero(counts >= _SEQUENTIAL_SUM_LIMIT)
+                        usage[dense * n_stations] = _masked_row_sums(
+                            rho0[dense], choose[dense])
+                usage = usage.reshape(lam.shape)
+                if T <= decay_start:
+                    effective_step = steps
+                else:
+                    t = T - starts
+                    effective_step = np.where(t <= decays, steps,
+                                              steps * decays / t)
+                np.subtract(one, usage, out=usage)
+                np.multiply(usage, effective_step, out=usage)
+                np.subtract(lam, usage, out=usage)
+                new_lam = np.maximum(zero, usage, out=usage)
+                np.subtract(new_lam, lam, out=lam)
+                np.multiply(lam, lam, out=lam)
+                movement = np.add.reduce(lam, axis=1)
+                lam = new_lam
+                if trace is not None:
+                    trace.append(lam[0].copy())
+                converged = movement <= stop_sqs
+                if T < next_event and not np.count_nonzero(converged):
+                    continue
+                # Slow path: a member converged, or reached its budget or
+                # a stall-check tick.
+                hits = set(np.flatnonzero(converged).tolist())
+                if T >= next_event:
+                    hits.update(row for row, event in enumerate(events)
+                                if event == T)
+                for row in sorted(hits):
+                    member = rows[row]
+                    t = T - begun[row]
+                    done = False
+                    if converged[row]:
+                        member.converged = True
+                        done = True
+                    elif t % _STALL_CHECK_EVERY == 0 and t > member.decay_after:
+                        # Limit-cycle exit, per member.
+                        done = member.stalled(choose[row])
+                    if not done and t >= member.max_iterations:
+                        done = True
+                    if done:
+                        member.iterations = t
+                        member.choose_mbs = choose[row].copy()
+                        member.lam = lam[row].copy()
+                        member.movement = float(movement[row])
+                        frozen.append(member)
+                        free.append(row)
+                    else:
+                        events[row] = begun[row] + _next_event(member, t)
+                if not frozen:
+                    next_event = min(events)
+        arrays[6] = lam
+        joining = (yield frozen, T - resumed_at) or []
 
 
 def fast_solve(problem: SlotProblem, *, max_iterations: int = 400,

@@ -4,11 +4,18 @@ The dual solves inside one slot are inherently sequential (each greedy
 ``Q(c)`` evaluation warm-starts from the previous one), but *different
 replications* of the same scenario are completely independent -- and,
 deriving the same :class:`~repro.sim.build.BuiltScenario`, they produce
-slot problems of identical shape.  This module advances B sibling engines in
-lockstep through their slot generators (:meth:`SimulationEngine._step_iter`),
-collects the :class:`~repro.core.batch.SolveRequest` each yields, and
-answers a whole round with one call to the stacked kernel
-(:func:`~repro.core.batch.solve_requests`).
+slot problems of identical shape.  This module runs B sibling engines
+through their slot generators (:meth:`SimulationEngine._step_iter`) as
+one event loop with continuous batching: each
+:class:`~repro.core.batch.SolveRequest` a member yields joins the
+running stack for its shape (:class:`~repro.core.batch.RunningStack`),
+and every call to the stacked kernel
+(:func:`~repro.core.batch.solve_requests`) resumes that stack until a
+row freezes.  Only the members whose rows froze are answered and
+advanced -- flip-polish, their next ``Q(c)``, or their next slot --
+and their next requests refill the freed rows.  There is no round or
+slot barrier: a member leaves the stack only when its last slot ends
+or it escapes.
 
 Correctness contract
 --------------------
@@ -22,16 +29,23 @@ and re-run standalone through the normal per-cell path -- whose retry
 semantics then apply verbatim.  Phase timings are the only telemetry
 that needs repair: a suspended member's wall clock keeps running while
 its batch mates compute, so the driver refunds each member the
-suspension time beyond its fair share of the kernel (timings are
-explicitly excluded from serialized results, so this is cosmetic).
+suspension time beyond its fair share of the kernel -- an equal share
+of every resumption its row was in flight for (timings are explicitly
+excluded from serialized results, so this is cosmetic).
 """
 
 from __future__ import annotations
 
 import time
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.core.batch import answer_request, solve_requests
+from repro.core.batch import (
+    RunningStack,
+    SolveRequest,
+    answer_request,
+    request_shape,
+    solve_requests,
+)
 from repro.exec.plan import Cell
 from repro.obs.logging import get_logger
 from repro.obs.metrics import (
@@ -49,13 +63,10 @@ from repro.utils.rng import derive_seed
 logger = get_logger(__name__)
 
 #: Largest lockstep formation.  The stacked kernel's per-iteration cost
-#: is nearly flat in B, but memory for B live engines adds up and wider
-#: groups drag more members through the slowest member's convergence
-#: tail before the remnant drops to the single-member loop.
+#: is nearly flat in B, but memory for B live engines adds up, and a
+#: wider formation has a longer tail: the stack narrows as members run
+#: out of slots, and its last rows run at the width of the stragglers.
 MAX_BATCH = 32
-
-#: Advance outcomes.
-_PENDING, _DONE, _FAILED = "pending", "done", "failed"
 
 
 def lockstep_eligible() -> bool:
@@ -127,8 +138,9 @@ class _ScopedRegistry:
 class _LockstepMember:
     """One replication advancing through the formation."""
 
-    __slots__ = ("cell", "registry", "engine", "gen", "request",
-                 "request_time", "busy_seconds", "overcharge", "error")
+    __slots__ = ("cell", "registry", "engine", "gen", "slots_left",
+                 "request_time", "share_mark", "busy_seconds", "overcharge",
+                 "error")
 
     def __init__(self, cell: Cell, registry: Optional[MetricsRegistry],
                  engine: SimulationEngine) -> None:
@@ -136,52 +148,56 @@ class _LockstepMember:
         self.registry = registry
         self.engine = engine
         self.gen = None
-        self.request = None
+        self.slots_left = engine.config.n_slots
         self.request_time = 0.0
+        self.share_mark = 0.0
         self.busy_seconds = 0.0
         self.overcharge = 0.0
         self.error: Optional[ReproError] = None
 
-    def advance(self, payload=None) -> str:
-        """Drive the slot generator one hop under the member registry.
+    def advance(self, payload=None) -> Optional[SolveRequest]:
+        """Drive the member to its next solve request, under its registry.
 
-        ``payload`` is ``None`` to start a fresh slot, a
+        ``payload`` is ``None`` to start, a
         :class:`~repro.core.dual.DualSolution` to answer the pending
         request, or a :class:`ReproError` to raise *at the yield point*
         -- exactly where the inline solver would have raised -- so the
         engine's own degradation paths (fallback chain) run unchanged.
+        A slot that ends starts the next one.  Returns ``None`` once the
+        last slot has ended, or when the member failed (``error``).
         """
         start = time.perf_counter()
+        request = None
         try:
             with _ScopedRegistry(self.registry):
-                if self.gen is None:
-                    self.gen = self.engine._step_iter(None)
-                    self.request = self.gen.send(None)
-                elif isinstance(payload, ReproError):
-                    self.request = self.gen.throw(payload)
-                else:
-                    self.request = self.gen.send(payload)
-            self.request_time = time.perf_counter()
-            self.busy_seconds += self.request_time - start
-            return _PENDING
-        except StopIteration:
-            self.gen = None
-            self.request = None
-            self.busy_seconds += time.perf_counter() - start
-            return _DONE
+                while request is None and (self.gen is not None
+                                           or self.slots_left):
+                    try:
+                        if self.gen is None:
+                            self.gen = self.engine._step_iter(None)
+                            request = self.gen.send(None)
+                        elif isinstance(payload, ReproError):
+                            request = self.gen.throw(payload)
+                        else:
+                            request = self.gen.send(payload)
+                    except StopIteration:
+                        self.gen = None
+                        self.slots_left -= 1
+                        payload = None
         except ReproError as exc:
             self.gen = None
-            self.request = None
-            self.busy_seconds += time.perf_counter() - start
             self.error = exc
-            return _FAILED
+            request = None
+        self.request_time = time.perf_counter()
+        self.busy_seconds += self.request_time - start
+        return request
 
 
 def run_cells_lockstep(
         cells: Sequence[Cell],
         fallback: Callable[[Cell], Tuple[str, object, float]],
 ) -> List[Tuple[str, object, float]]:
-    """Execute a batch group in lockstep; return ``(key, result, seconds)``.
+    """Execute a batch group as one event loop; return ``(key, result, seconds)``.
 
     Mirrors what ``_execute_cell`` would produce for each cell, in cell
     order.  Members that fail anywhere -- scenario build, any slot --
@@ -220,56 +236,58 @@ def run_cells_lockstep(
         member.busy_seconds += time.perf_counter() - start
         members.append(member)
 
-    live = list(members)
-    rounds = 0
+    stacks: Dict[tuple, RunningStack] = {}
+
+    def deliver(member: _LockstepMember, payload) -> None:
+        """Advance ``member``; its next request joins its shape's stack."""
+        request = member.advance(payload)
+        if request is not None:
+            shape = request_shape(request)
+            if shape not in stacks:
+                stacks[shape] = RunningStack()
+            stack = stacks[shape]
+            member.share_mark = stack.row_seconds
+            stack.join(request, member)
+        elif member.error is not None:
+            escaped.append(member.cell)
+
+    for member in members:
+        deliver(member, None)
+    resumptions = 0
     batched_solves = 0
-    for _ in range(config.n_slots):
-        if not live:
+    while True:
+        busy = [stack for stack in stacks.values() if stack.width]
+        if not busy:
             break
-        pending: List[_LockstepMember] = []
-        for member in list(live):
-            status = member.advance(None)
-            if status == _PENDING:
-                pending.append(member)
-            elif status == _FAILED:
-                live.remove(member)
-                escaped.append(member.cell)
-        while pending:
-            requests = [member.request for member in pending]
-            kernel_start = time.perf_counter()
+        for stack in busy:
+            resumptions += 1
+            batched_solves += len(stack)
             try:
-                answers = solve_requests(requests)
+                answers = solve_requests(stack)
             except ReproError:
-                # The stacked kernel refused the round; answer each
-                # request alone (booking to its member's registry) and
+                # The stacked kernel refused; answer every request of the
+                # stack alone (booking to its member's registry) and
                 # deliver per-member results or exceptions, exactly as
                 # the unbatched path would.
                 answers = []
-                for request in requests:
+                for request, member in stack.drain():
                     try:
-                        answers.append(answer_request(request))
+                        answers.append((member, answer_request(request)))
                     except ReproError as exc:
-                        answers.append(exc)
-            share = (time.perf_counter() - kernel_start) / len(pending)
-            rounds += 1
-            batched_solves += len(pending)
-            next_pending: List[_LockstepMember] = []
-            for member, answer in zip(pending, answers):
+                        answers.append((member, exc))
+            for member, answer in answers:
+                share = stack.row_seconds - member.share_mark
                 member.busy_seconds += share
                 # Refund the suspension: wall time since this member
-                # yielded, minus its fair share of the kernel round.
+                # yielded, minus its fair share of the kernel.
                 member.overcharge += max(
                     0.0, (time.perf_counter() - member.request_time) - share)
-                status = member.advance(answer)
-                if status == _PENDING:
-                    next_pending.append(member)
-                elif status == _FAILED:
-                    live.remove(member)
-                    escaped.append(member.cell)
-            pending = next_pending
+                deliver(member, answer)
 
     results = {}
-    for member in live:
+    for member in members:
+        if member.error is not None:
+            continue
         start = time.perf_counter()
         engine = member.engine
         engine.phase_seconds["allocation"] = max(
@@ -290,9 +308,11 @@ def run_cells_lockstep(
         registry.counter("repro_lockstep_groups_total").inc()
         registry.counter("repro_lockstep_batch_members_total").inc(
             len(members))
-        registry.counter("repro_lockstep_rounds_total").inc(rounds)
+        registry.counter("repro_lockstep_rounds_total").inc(resumptions)
         registry.counter("repro_lockstep_batched_solves_total").inc(
             batched_solves)
+        registry.counter("repro_lockstep_stacked_iterations_total").inc(
+            sum(stack.iterations for stack in stacks.values()))
         if refused:
             registry.counter("repro_lockstep_refused_total").inc(refused)
         if escaped:

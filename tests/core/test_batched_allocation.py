@@ -5,10 +5,11 @@ The stacked kernel (:mod:`repro.core.batch`) and the lockstep driver
 answer must be *bit-identical* to the scalar oracle (``tests/oracle.py``)
 and to the single-request solver, and every campaign they batch must
 serialise byte-for-byte like the per-replication path.
-These tests pin that contract at three levels -- individual solve
-requests (fuzzed shapes, warm starts, ragged budgets, stall exits), the
-order-sensitive reduction helper, and whole campaigns (batched vs
-unbatched, serial vs pooled).
+These tests pin that contract at four levels -- individual solve
+requests (fuzzed shapes, warm starts, ragged budgets, stall exits),
+per-member request streams through a running stack that refills its
+rows, the order-sensitive reduction helper, and whole campaigns
+(batched vs unbatched, serial vs pooled).
 """
 
 import json
@@ -19,6 +20,7 @@ import pytest
 
 from repro.core import caches
 from repro.core.batch import (
+    RunningStack,
     SolveRequest,
     answer_request,
     drive,
@@ -29,7 +31,10 @@ from repro.core.batch import (
 from repro.core.dual import _masked_row_sums, fast_solve, fast_solve_warm
 from repro.core.problem import SlotProblem
 from repro.exec.plan import plan_campaign
-from repro.experiments.scenarios import single_fbs_scenario
+from repro.experiments.scenarios import (
+    interfering_fbs_scenario,
+    single_fbs_scenario,
+)
 from repro.sim.checkpoint import run_metrics_to_dict
 from repro.sim.lockstep import MAX_BATCH, plan_batch_groups
 from repro.sim.runner import MonteCarloRunner
@@ -224,6 +229,109 @@ class TestProductionShapeDifferential:
         assert dense_rows and zero_multipliers
 
 
+def run_streams(streams):
+    """Answer per-member request streams through one refilling stack.
+
+    Each stream is one member's requests in order: its next request
+    joins the running stack as soon as its previous one is answered, so
+    rows are refilled at whatever iteration the stack has reached.
+    Returns the answers per stream and, per resumption, the stack width
+    and the number of streams that still had requests to make.
+    """
+    stack = RunningStack()
+    answers = [[] for _ in streams]
+    resumptions = []
+    for member, stream in enumerate(streams):
+        stack.join(stream[0], member)
+    while stack.width:
+        unfinished = sum(len(got) < len(stream)
+                         for got, stream in zip(answers, streams))
+        resumptions.append((stack.width, len(stack), unfinished))
+        for member, solution in solve_requests(stack):
+            answers[member].append(solution)
+            if len(answers[member]) < len(streams[member]):
+                stack.join(streams[member][len(answers[member])], member)
+    return answers, resumptions
+
+
+class TestContinuousStack:
+    """A refilling stack vs answer_request, request by request.
+
+    Production's 150/400-iteration budgets never reach the decayed step
+    or the stall checks (``decay_after`` is 400), so these streams are
+    what holds the per-row iteration count to the single solve: rows
+    admitted at different stack iterations decay, tick and stall on
+    their own clocks.
+    """
+
+    def _streams(self, rng, n_members, *, n_users, n_fbss):
+        streams = []
+        for _ in range(n_members):
+            stream = []
+            for _ in range(int(rng.integers(3, 9))):
+                problem = production_problem(rng, n_users, n_fbss,
+                                             dead_fbs=rng.random() < 0.5)
+                params = {"max_iterations": int(rng.choice([150, 400, 5000])),
+                          "step_size": float(rng.choice([0.02, 0.5]))}
+                if rng.random() < 0.5:
+                    # Decay and stall checks inside the budget.
+                    params.update(decay_after=int(rng.integers(20, 140)),
+                                  threshold=float(rng.choice([1e-5, 1e-14])))
+                stream.append(SolveRequest(problem=problem, **params))
+            streams.append(stream)
+        return streams
+
+    def _check(self, streams):
+        answers, resumptions = run_streams(streams)
+        for stream, got in zip(streams, answers):
+            assert len(got) == len(stream)
+            for request, solution in zip(stream, got):
+                assert_same_solution(answer_request(request), solution)
+        return answers, resumptions
+
+    @pytest.mark.parametrize("n_users", [9, 12])
+    def test_refilled_rows_match_answer_request(self, n_users):
+        rng = np.random.default_rng(20261017 + n_users)
+        streams = self._streams(rng, 6, n_users=n_users, n_fbss=3)
+        answers, resumptions = self._check(streams)
+        solved = [s for got in answers for s in got]
+        # No barrier: every resumption runs every unfinished stream.
+        assert all(width == unfinished
+                   for width, _, unfinished in resumptions)
+        # Rows were refilled while others were in flight ...
+        assert any(0 < joining < width for width, joining, _ in resumptions)
+        # ... and the exits the per-row clock drives all occurred: budget
+        # exits, stall exits past decay_after, and dense-MBS rows.
+        requests = [r for stream in streams for r in stream]
+        exits = {(s.converged, s.iterations == r.max_iterations)
+                 for r, s in zip(requests, solved)}
+        assert (False, True) in exits and (False, False) in exits
+        assert any(len(s.allocation.mbs_user_ids) >= 8 for s in solved)
+
+    def test_warm_starts_with_zeroed_multipliers(self):
+        rng = np.random.default_rng(99)
+        streams = self._streams(rng, 5, n_users=10, n_fbss=2)
+        answers, _ = self._check(streams)
+        warm = [warm_restarts(rng, stream, got)
+                for stream, got in zip(streams, answers)]
+        assert any(0.0 in r.initial_multipliers.values()
+                   for stream in warm for r in stream)
+        self._check(warm)
+
+    def test_drain_returns_every_unanswered_request(self):
+        rng = np.random.default_rng(3)
+        streams = self._streams(rng, 4, n_users=9, n_fbss=3)
+        stack = RunningStack()
+        for member, stream in enumerate(streams):
+            stack.join(stream[0], member)
+        frozen = {member for member, _ in solve_requests(stack)}
+        stack.join(streams[0][1], "late")
+        pending = stack.drain()
+        assert stack.width == 0 and len(stack) == 0
+        assert sorted(map(str, (owner for _, owner in pending))) == sorted(
+            map(str, [m for m in range(4) if m not in frozen] + ["late"]))
+
+
 class TestMaskedRowSums:
     def test_matches_per_row_compressed_sum(self):
         # Exactness is association-sensitive: the dense-row fix-up must
@@ -415,6 +523,82 @@ class TestCampaignDifferential:
         finally:
             enable_metrics(False)
             reset_metrics()
+
+    def test_interfering_campaign_runs_without_barriers(self, monkeypatch):
+        # The greedy Q(c) makes members send different numbers of
+        # requests per slot.  The event loop must still match the
+        # unbatched run's bytes and obs snapshots, and never resume the
+        # kernel with fewer rows than members that have slots left: a
+        # member waits for nobody's round or slot.
+        from repro.obs.metrics import (
+            enable_metrics,
+            reset_metrics,
+            scoped_registry,
+        )
+        from repro.sim import lockstep
+
+        config = interfering_fbs_scenario(n_gops=1, seed=4242,
+                                          scheme="proposed-fast")
+        members = []
+
+        class RecordedMember(lockstep._LockstepMember):
+            __slots__ = ()
+
+            def __init__(self, *args):
+                super().__init__(*args)
+                members.append(self)
+
+        kernel = lockstep.solve_requests
+        resumptions = []
+        slots_in_flight = []
+        per_slot = {}
+
+        def resume(stack):
+            unfinished = [m for m in members
+                          if m.error is None and m.slots_left > 0]
+            resumptions.append((stack.width, len(stack), len(unfinished)))
+            slots_in_flight.append({m.engine._slot for m in unfinished})
+            answers = kernel(stack)
+            for member, _ in answers:
+                key = (member.cell.key, member.engine._slot)
+                per_slot[key] = per_slot.get(key, 0) + 1
+            return answers
+
+        monkeypatch.setattr(lockstep, "_LockstepMember", RecordedMember)
+        monkeypatch.setattr(lockstep, "solve_requests", resume)
+        enable_metrics(True)
+        try:
+            with scoped_registry():
+                base = _campaign(config, batched=False, token="events-base",
+                                 n_runs=4)
+            with scoped_registry() as registry:
+                batched = _campaign(config, batched=True,
+                                    token="events-batched", n_runs=4)
+                counters = registry.counters()
+        finally:
+            enable_metrics(False)
+            reset_metrics()
+        assert _fingerprint(base) == _fingerprint(batched)
+        for expected, got in zip(base, batched):
+            assert expected.obs_snapshot == got.obs_snapshot
+        assert len(members) == 4
+        assert all(width >= unfinished for width, _, unfinished in resumptions)
+        # Members send different numbers of requests in one slot, and
+        # no slot is a barrier: members run different slots at once.
+        counts = {}
+        for (key, slot), count in per_slot.items():
+            counts.setdefault(slot, set()).add(count)
+        assert any(len(seen) > 1 for seen in counts.values())
+        assert any(len(slots) > 1 for slots in slots_in_flight)
+        # The counters describe the path that ran.
+        assert counters["repro_lockstep_rounds_total"] == len(resumptions)
+        assert counters["repro_lockstep_batched_solves_total"] == sum(
+            joining for _, joining, _ in resumptions)
+        solver_iterations = sum(
+            got.obs_snapshot["counters"]["repro_solver_iterations_total"]
+            for got in batched)
+        stacked = counters["repro_lockstep_stacked_iterations_total"]
+        assert solver_iterations / 4 <= stacked < solver_iterations
 
     def test_monkeypatched_runner_stands_down(self, monkeypatch):
         # Tests that stub the execution seams must keep seeing their

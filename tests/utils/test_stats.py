@@ -55,6 +55,36 @@ class TestMeanConfidenceInterval:
         with pytest.raises(ValueError):
             mean_confidence_interval([1.0, 2.0], confidence=1.5)
 
+    @pytest.mark.parametrize("confidence", [0.90, 0.95, 0.99])
+    def test_quantile_is_scipy_stats_t_ppf_bit_for_bit(self, confidence):
+        # The interval takes its Student-t quantile from scipy.special;
+        # it must be scipy.stats' t.ppf exactly, so results keep their
+        # bytes for every campaign size.
+        from scipy import special
+        from scipy import stats as scipy_stats
+
+        df = np.arange(1, 1999)
+        expected = scipy_stats.t.ppf(0.5 + confidence / 2.0, df=df)
+        got = special.stdtrit(df, 0.5 + confidence / 2.0)
+        assert got.tobytes() == expected.tobytes()
+
+    def test_importing_the_cli_leaves_scipy_stats_unloaded(self):
+        # scipy.stats costs more than a second of start-up; only
+        # scipy.special may be pulled in by the program.
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+
+        src = str(Path(repro.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=src)
+        code = "import sys, repro.cli; print('scipy.stats' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], check=True,
+                             capture_output=True, text=True, env=env).stdout
+        assert out.strip() == "False"
+
     def test_interval_endpoints(self):
         ci = ConfidenceInterval(mean=10.0, half_width=2.0, confidence=0.95, n_samples=5)
         assert ci.low == 8.0
