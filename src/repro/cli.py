@@ -107,8 +107,8 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="SEC",
                        help="per-cell wall-clock deadline: a cell past it "
                             "has its worker killed and is recorded as a "
-                            "CellTimedOut failure (enables the supervised "
-                            "executor)")
+                            "CellTimedOut failure (runs cells in worker "
+                            "processes, even at --jobs 1)")
         p.add_argument("--deadline", type=float, default=None, metavar="SEC",
                        help="whole-run wall-clock deadline: on expiry the "
                             "run exits with code 5; completed cells stay "

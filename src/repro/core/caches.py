@@ -6,7 +6,7 @@ solver instances (:mod:`repro.core.batch`), and the video R-D
 slot-increment table (:mod:`repro.video.sequences`).  All of them are keyed by *value*
 (problem contents, solver parameters, sequence name), so stale entries
 can never corrupt results -- but a long-lived worker (the
-:class:`~repro.exec.supervisor.SupervisedExecutor` keeps one process per
+:class:`~repro.exec.executor.ParallelExecutor` keeps one process per
 job slot for the whole campaign) walking a multi-scenario sweep
 accumulates entries for every scenario it ever touched and its memory
 grows without bound.

@@ -7,7 +7,8 @@ sweep (or a single Monte-Carlo campaign) into a deterministic list of
 picklable :class:`~repro.exec.plan.Cell` work items -- from *execution*,
 a swappable :class:`~repro.exec.executor.Executor` strategy
 (:class:`~repro.exec.executor.SerialExecutor` in-process,
-:class:`~repro.exec.executor.ParallelExecutor` across a process pool).
+:class:`~repro.exec.executor.ParallelExecutor` across a pool of worker
+processes, with an optional per-cell and whole-run watchdog).
 
 Because every cell's randomness is derived from ``(root seed, run
 index)`` alone and results are assembled by cell key rather than
@@ -36,7 +37,6 @@ from repro.exec.supervisor import (
     EXIT_HARD_ABORT,
     EXIT_INTERRUPTED,
     ShutdownCoordinator,
-    SupervisedExecutor,
     active_shutdown,
     apply_backoff,
     backoff_delay,
@@ -56,7 +56,6 @@ __all__ = [
     "ProgressTracker",
     "SerialExecutor",
     "ShutdownCoordinator",
-    "SupervisedExecutor",
     "SweepPlan",
     "TimingReport",
     "active_shutdown",

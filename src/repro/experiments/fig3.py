@@ -57,7 +57,7 @@ def run_fig3(*, n_runs: int = 10, n_gops: int = 3, seed: int = 7,
     schemes share root seeds (paired comparison).  ``jobs`` spreads each
     scheme's replications over worker processes (see :mod:`repro.exec`);
     the rows are identical at every worker count.  ``cell_timeout`` /
-    ``deadline`` enable the supervised executor's watchdog budgets.
+    ``deadline`` arm the parallel executor's watchdog budgets.
     """
     logger.info("fig3: %d runs x %d GOPs, seed %s, schemes %s, jobs %s",
                 n_runs, n_gops, seed, list(schemes), jobs)

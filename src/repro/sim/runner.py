@@ -149,8 +149,9 @@ class MonteCarloRunner:
         overrides ``jobs`` when given.
     cell_timeout / deadline:
         Per-replication and whole-campaign wall-clock budgets in
-        seconds; either one switches execution to the watchdog
-        :class:`~repro.exec.supervisor.SupervisedExecutor`.
+        seconds; either one arms the watchdog of
+        :class:`~repro.exec.executor.ParallelExecutor`, which then runs
+        the replications in worker processes even at ``jobs=1``.
 
     Attributes
     ----------
@@ -336,9 +337,9 @@ def sweep(base_config: ScenarioConfig, parameter: str, values: Sequence[object],
         executed cell.
     cell_timeout / deadline:
         Per-cell and whole-sweep wall-clock budgets in seconds
-        (``--cell-timeout`` / ``--deadline``).  Either one switches
-        execution to the watchdog
-        :class:`~repro.exec.supervisor.SupervisedExecutor`: a cell past
+        (``--cell-timeout`` / ``--deadline``).  Either one arms the
+        watchdog of :class:`~repro.exec.executor.ParallelExecutor`
+        (worker processes even at ``jobs=1``): a cell past
         its deadline is recorded as a ``FailedRun`` with
         ``error_type="CellTimedOut"`` (and checkpointed, so a resume
         does not retry it), while an expired sweep deadline raises

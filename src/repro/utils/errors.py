@@ -72,7 +72,7 @@ class SweepDeadlineExceeded(ReproError):
     """The whole-sweep wall-clock deadline expired before every cell
     completed.
 
-    Raised by the supervised executor when ``--deadline`` elapses:
+    Raised by the parallel executor when ``--deadline`` elapses:
     in-flight workers are killed (their cells re-run on resume, they are
     *not* recorded as failed) and already-completed cells survive in the
     checkpoint.

@@ -9,9 +9,10 @@ from repro.exec.executor import (
     ParallelExecutor,
     SerialExecutor,
     make_executor,
-    _run_chunk,
+    _run_cells,
 )
 from repro.exec.plan import plan_campaign, plan_sweep
+from repro.exec.supervisor import MAX_DISPATCH_ATTEMPTS
 from repro.sim.metrics import FailedRun, RunMetrics
 from repro.sim.runner import execute_run
 from repro.testing.faults import FaultPlan
@@ -106,16 +107,18 @@ class TestWorkerCrash:
 
         monkeypatch.setattr(executor_module, "_execute_cell", crashing)
         plan = plan_campaign(single_config, 3)
-        outcomes = {o.cell.run_index: o
-                    for o in ParallelExecutor(jobs=2, chunk_size=3
-                                              ).run(plan.cells)}
-        assert set(outcomes) == {0, 1, 2}
-        assert isinstance(outcomes[1].result, FailedRun)
-        assert outcomes[1].result.error_type == "WorkerCrashed"
-        # Innocent chunk-mates were re-dispatched and completed normally.
-        for run_index in (0, 2):
-            reference, _ = execute_run(single_config, run_index)
-            assert outcomes[run_index].result.mean_psnr == reference.mean_psnr
+        for budgets in ({}, {"cell_timeout": 30.0}):
+            executor = ParallelExecutor(jobs=2, chunk_size=3, **budgets)
+            outcomes = {o.cell.run_index: o for o in executor.run(plan.cells)}
+            assert set(outcomes) == {0, 1, 2}
+            assert isinstance(outcomes[1].result, FailedRun)
+            assert outcomes[1].result.error_type == "WorkerCrashed"
+            assert outcomes[1].result.attempts == MAX_DISPATCH_ATTEMPTS
+            # Innocent chunk-mates were re-dispatched and completed normally.
+            for run_index in (0, 2):
+                reference, _ = execute_run(single_config, run_index)
+                assert outcomes[run_index].result.mean_psnr == \
+                    reference.mean_psnr
 
 
 class TestMakeExecutor:
@@ -129,16 +132,16 @@ class TestMakeExecutor:
         assert executor.jobs == 3
 
     def test_invalid_jobs(self):
-        with pytest.raises(ConfigurationError):
-            make_executor(0)
-        with pytest.raises(ConfigurationError):
-            make_executor(-2)
+        for jobs, budgets in ((0, {}), (-2, {}), (0, {"cell_timeout": 5.0}),
+                              (0, {"deadline": 5.0})):
+            with pytest.raises(ConfigurationError):
+                make_executor(jobs, **budgets)
 
 
 class TestRunChunk:
     def test_returns_key_result_seconds(self, single_config):
         plan = plan_campaign(single_config, 2)
-        results = _run_chunk(list(plan.cells))
+        results = list(_run_cells(list(plan.cells)))
         assert [key for key, _, _ in results] == [c.key for c in plan.cells]
         assert all(isinstance(result, RunMetrics) for _, result, _ in results)
         assert all(seconds >= 0.0 for _, _, seconds in results)

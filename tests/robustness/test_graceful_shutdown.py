@@ -12,12 +12,11 @@ import signal
 
 import pytest
 
-from repro.exec.executor import SerialExecutor
+from repro.exec.executor import ParallelExecutor, SerialExecutor
 from repro.exec.plan import plan_campaign
 from repro.exec.supervisor import (
     EXIT_HARD_ABORT,
     ShutdownCoordinator,
-    SupervisedExecutor,
     active_shutdown,
     shutdown_draining,
 )
@@ -147,8 +146,8 @@ class TestDrainMidSweep:
         reference = run(fast_config)
         path = tmp_path / "sweep.ckpt"
         coordinator = ShutdownCoordinator(hard_exit=lambda code: None)
-        executor = SupervisedExecutor(2, cell_timeout=120.0,
-                                      shutdown=coordinator)
+        executor = ParallelExecutor(2, cell_timeout=120.0,
+                                    shutdown=coordinator)
         with pytest.raises(SweepInterrupted):
             run(fast_config, checkpoint_path=path, executor=executor,
                 progress=TriggerAfter(coordinator, after=3))

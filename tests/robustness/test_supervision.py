@@ -17,16 +17,13 @@ import pytest
 
 from repro import obs
 from repro.exec import executor as executor_module
-from repro.exec.executor import SerialExecutor, make_executor
-from repro.exec.supervisor import (
-    MAX_DISPATCH_ATTEMPTS,
-    SupervisedExecutor,
-    backoff_delay,
-)
+from repro.exec.executor import ParallelExecutor, SerialExecutor, make_executor
+from repro.exec.supervisor import MAX_DISPATCH_ATTEMPTS, backoff_delay
 from repro.experiments.results_io import sweep_to_dict
-from repro.sim.checkpoint import SweepCheckpoint
+from repro.sim import lockstep
+from repro.sim.checkpoint import SweepCheckpoint, run_metrics_to_dict
 from repro.sim.metrics import FailedRun
-from repro.sim.runner import sweep
+from repro.sim.runner import execute_run, sweep
 from repro.testing.faults import FaultPlan
 from repro.utils.errors import ConfigurationError, SweepDeadlineExceeded
 
@@ -79,23 +76,25 @@ class TestBackoffDelay:
 class TestMakeExecutor:
     def test_timeouts_select_supervised_executor(self):
         ex = make_executor(2, cell_timeout=5.0)
-        assert isinstance(ex, SupervisedExecutor)
+        assert isinstance(ex, ParallelExecutor)
         assert ex.jobs == 2 and ex.cell_timeout == 5.0
         ex = make_executor(None, deadline=30.0)
-        assert isinstance(ex, SupervisedExecutor)
+        assert isinstance(ex, ParallelExecutor)
         assert ex.jobs == 1 and ex.deadline == 30.0
 
     def test_no_timeouts_keep_existing_strategies(self):
         assert isinstance(make_executor(1), SerialExecutor)
-        assert not isinstance(make_executor(2), SupervisedExecutor)
+        ex = make_executor(2)
+        assert isinstance(ex, ParallelExecutor)
+        assert ex.cell_timeout is None and ex.deadline is None
 
     def test_rejects_bad_budgets(self):
         with pytest.raises(ConfigurationError):
-            SupervisedExecutor(1, cell_timeout=0.0)
+            ParallelExecutor(1, cell_timeout=0.0)
         with pytest.raises(ConfigurationError):
-            SupervisedExecutor(1, deadline=-1.0)
+            ParallelExecutor(1, deadline=-1.0)
         with pytest.raises(ConfigurationError):
-            SupervisedExecutor(0)
+            ParallelExecutor(0)
 
 
 class TestSupervisedByteIdentity:
@@ -185,7 +184,7 @@ class TestWorkerCrash:
                                                         monkeypatch):
         monkeypatch.setattr(executor_module, "_execute_cell",
                             _crash_in_worker)
-        executor = SupervisedExecutor(2, cell_timeout=30.0)
+        executor = ParallelExecutor(2, cell_timeout=30.0)
         from repro.exec.plan import plan_campaign
 
         plan = plan_campaign(fast_config, 2)
@@ -264,3 +263,75 @@ class TestSupervisionTelemetry:
         assert len(trailer) == 1
         assert trailer[0]["attrs"]["cell_timeouts"] == 4
         assert sum(1 for e in events if e["name"] == "cell-timeout") == 4
+
+
+needs_fork = pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="the spy reaches workers only through fork inheritance")
+
+
+class TestBudgetsKeepLockstep:
+    @needs_fork
+    def test_budgeted_sweep_batches_inside_workers(self, fast_config,
+                                                   tmp_path, monkeypatch):
+        # 16 replications of one batchable scheme: the default chunking
+        # hands every worker multi-cell tasks at jobs 1 and at jobs 2.
+        args = ("n_channels", [4], ["proposed"])
+        reference = sweep(fast_config, *args, n_runs=16)
+        log = tmp_path / "lockstep.log"
+        original = lockstep.run_cells_lockstep
+
+        def spy(cells, fallback):
+            with open(log, "a") as handle:
+                handle.write(f"{os.getpid()}\n")
+            return original(cells, fallback)
+
+        # Not an execution seam _interception_active() watches, so the
+        # spy leaves lockstep engaged.
+        monkeypatch.setattr(lockstep, "run_cells_lockstep", spy)
+        for jobs in (1, 2):
+            log.write_text("")
+            budgeted = sweep(fast_config, *args, n_runs=16, jobs=jobs,
+                             cell_timeout=120.0)
+            assert as_json(budgeted) == as_json(reference)
+            pids = {int(line) for line in log.read_text().split()}
+            assert pids and os.getpid() not in pids
+
+
+class TestTimeoutInsideTask:
+    def test_only_the_hung_cell_is_written_off(self, fast_config, tmp_path):
+        from repro.exec.plan import plan_campaign
+
+        hung = fast_config.replace(fault_plan=FaultPlan(
+            hang_slots={0}, hang_seconds=60.0, poison_runs={1}))
+        plan = plan_campaign(hung, 4)
+        executor = ParallelExecutor(2, chunk_size=4, cell_timeout=2.0)
+        trace_path = tmp_path / "run.trace"
+        obs.reset_metrics()
+        obs.enable_metrics(True)
+        obs.activate(obs.SpanTracer(str(trace_path)))
+        try:
+            outcomes = {o.cell.run_index: o.result
+                        for o in executor.run(plan.cells)}
+            counters = obs.global_registry().snapshot()["counters"]
+        finally:
+            obs.deactivate()
+            obs.enable_metrics(False)
+            obs.reset_metrics()
+
+        # All four cells shared one task.  The hang overran the task's
+        # budget; the unreported cells were requeued solo, and only the
+        # hung one overran again.
+        assert sorted(outcomes) == [0, 1, 2, 3]
+        assert isinstance(outcomes[1], FailedRun)
+        assert outcomes[1].error_type == "CellTimedOut"
+        for run_index in (0, 2, 3):
+            reference, _ = execute_run(fast_config, run_index)
+            assert json.dumps(run_metrics_to_dict(outcomes[run_index])) == \
+                json.dumps(run_metrics_to_dict(reference))
+        # Only the written-off cell counts as a timeout; the requeue
+        # does not.
+        assert counters["repro_supervisor_cell_timeouts_total"] == 1
+        assert counters["repro_supervisor_worker_replacements_total"] == 2
+        events = obs.read_trace(str(trace_path))
+        assert sum(1 for e in events if e["name"] == "cell-timeout") == 1
