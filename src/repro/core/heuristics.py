@@ -25,7 +25,13 @@ from __future__ import annotations
 
 from typing import Dict
 
-from repro.core.problem import Allocation, SlotProblem, UserDemand, evaluate_objective
+from repro.core.problem import (
+    Allocation,
+    SlotProblem,
+    UserDemand,
+    evaluate_objective,
+    fbs_groups,
+)
 
 
 def mbs_condition(user: UserDemand) -> float:
@@ -60,8 +66,9 @@ class EqualAllocationHeuristic:
             share = 1.0 / len(mbs_users)
             for user_id in mbs_users:
                 rho_mbs[user_id] = share
-        for fbs_id in problem.fbs_ids:
-            cell = [u for u in problem.users_of_fbs(fbs_id) if u.user_id not in mbs_users]
+        users = problem.users
+        for members in fbs_groups(users).values():
+            cell = [users[j] for j in members if users[j].user_id not in mbs_users]
             if not cell:
                 continue
             share = 1.0 / len(cell)
@@ -111,10 +118,11 @@ class MultiuserDiversityHeuristic:
             mbs_users.add(mbs_winner.user_id)
             rho_mbs[mbs_winner.user_id] = 1.0
 
-        for fbs_id in problem.fbs_ids:
+        users = problem.users
+        for fbs_id, members in fbs_groups(users).items():
             g_i = problem.expected_channels[fbs_id]
-            candidates = [u for u in problem.users_of_fbs(fbs_id)
-                          if u.user_id not in mbs_users]
+            candidates = [users[j] for j in members
+                          if users[j].user_id not in mbs_users]
             winner = max(candidates, key=lambda u: self._fbs_quality(u, g_i),
                          default=None)
             if winner is not None and self._fbs_quality(winner, g_i) > 0.0:

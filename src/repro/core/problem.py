@@ -154,7 +154,11 @@ class SlotProblem:
         return sorted({user.fbs_id for user in self.users})
 
     def users_of_fbs(self, fbs_id: int) -> List[UserDemand]:
-        """The user set ``U_i`` of FBS ``fbs_id``."""
+        """The user set ``U_i`` of FBS ``fbs_id``.
+
+        One scan of the users; to visit every cell, use
+        :func:`fbs_groups`, which scans them once for all cells.
+        """
         return [user for user in self.users if user.fbs_id == fbs_id]
 
     def g_for_user(self, user: UserDemand) -> float:
@@ -164,6 +168,27 @@ class SlotProblem:
     def with_expected_channels(self, expected_channels: Dict[int, float]) -> "SlotProblem":
         """Copy of this problem with a different channel allocation outcome."""
         return replace(self, expected_channels=dict(expected_channels))
+
+
+def fbs_groups(users: Sequence[UserDemand]) -> Dict[int, List[int]]:
+    """Positions of ``users`` per FBS, from one pass over the users.
+
+    Keys are the FBS ids in ascending order (:attr:`SlotProblem.fbs_ids`)
+    and each list holds the positions of that FBS's users in user order,
+    so ``[users[j] for j in fbs_groups(users)[i]]`` is
+    ``users_of_fbs(i)``.  Each user's ``fbs_id`` is read once, which
+    keeps a visit to every cell linear in the users rather than
+    ``O(users x FBSs)``.
+    """
+    groups: Dict[int, List[int]] = {}
+    for j, user in enumerate(users):
+        fbs_id = user.fbs_id
+        members = groups.get(fbs_id)
+        if members is None:
+            groups[fbs_id] = [j]
+        else:
+            members.append(j)
+    return {fbs_id: groups[fbs_id] for fbs_id in sorted(groups)}
 
 
 @dataclass
@@ -236,10 +261,11 @@ def check_feasible(problem: SlotProblem, allocation: Allocation, *,
                     for u in problem.users if allocation.uses_mbs(u.user_id))
     if mbs_total > 1.0 + tol:
         raise ConfigurationError(f"common-channel shares sum to {mbs_total} > 1")
-    for fbs_id in problem.fbs_ids:
-        fbs_total = sum(allocation.rho_fbs.get(u.user_id, 0.0)
-                        for u in problem.users_of_fbs(fbs_id)
-                        if not allocation.uses_mbs(u.user_id))
+    users = problem.users
+    for fbs_id, members in fbs_groups(users).items():
+        fbs_total = sum(allocation.rho_fbs.get(users[j].user_id, 0.0)
+                        for j in members
+                        if not allocation.uses_mbs(users[j].user_id))
         if fbs_total > 1.0 + tol:
             raise ConfigurationError(
                 f"FBS {fbs_id} shares sum to {fbs_total} > 1")

@@ -15,21 +15,21 @@ The distributed dual algorithm (Tables I/II) is validated against these in
 the test suite; the greedy bound checks of Theorem 2 use them to compute
 true optima on small interfering instances.
 
-The water-filling step (:func:`_water_filling_arrays`, DESIGN §10) is a
-numpy formulation of the breakpoint scan (stable argsort + cumulative
-sums), engineered operation-for-operation to reproduce the pure-Python
-scan's floating-point results exactly; that scalar form is the bit-exact
-oracle in ``tests/oracle.py``.  The final objective value intentionally
-stays a scalar ``math.log1p`` loop over the (few) users with positive
-share: numpy's ``log1p`` ufunc is *not* bit-identical to ``math.log1p``
-on all inputs, while skipping the exact-zero terms of a non-negative
-sequential sum is an identity.
+The water-filling step (:func:`_water_filling`, DESIGN §10) is one
+breakpoint scan over Python float lists: a stable descending sort of the
+breakpoints, left-to-right running sums, and an objective summed with
+``math.log1p`` in ascending index order over the users with positive
+share (a zero share adds an exact ``+0.0``, so skipping it is lossless).
+It reproduces the scalar oracle in ``tests/oracle.py`` bit for bit.  The
+groups it solves hold one to a few users (one per FBS cell, plus the
+MBS group), where numpy's per-call fixed cost outweighs any
+vectorisation; DESIGN §10 has the measurements.
 
 :func:`compile_slot_problem` builds a :class:`CompiledSlotProblem` -- the
-problem's user fields packed once into arrays, with per-(station, member
+problem's users grouped per FBS in one pass, with per-(station, member
 set) water-filling results cached -- so the thousands of
 ``solve_given_assignment`` calls issued per slot by ``flip_polish`` and
-the dual solver's primal recovery stop re-extracting user attributes and
+the dual solver's primal recovery stop regrouping the users and
 re-solving identical subgroups.
 """
 
@@ -40,9 +40,7 @@ import math
 from collections import OrderedDict
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
-from repro.core.problem import Allocation, SlotProblem, UserDemand
+from repro.core.problem import Allocation, SlotProblem, UserDemand, fbs_groups
 from repro.utils.errors import ConfigurationError
 
 
@@ -62,66 +60,89 @@ def _validate_water_filling(weights: Sequence[float], bases: Sequence[float],
     return n
 
 
-def _water_filling_arrays(weights: np.ndarray, bases: np.ndarray,
-                          slopes: np.ndarray) -> Tuple[np.ndarray, float]:
-    """Vectorized breakpoint scan; bit-identical to the scalar oracle.
+def _water_filling(weights: List[float], bases: List[float],
+                   slopes: List[float]) -> Tuple[List[float], float]:
+    """Exact breakpoint scan; bit-identical to the scalar oracle.
 
-    Inputs are validated float64 arrays.  KKT: ``rho_j(lam) = (w_j / lam
-    - c_j)^+`` with ``c_j = W_j / s_j``; the budget always binds under
-    log utility, so ``lam`` solves ``sum_{j in S} (w_j / lam - c_j) = 1``
-    over the active set ``S = {j : w_j / c_j > lam}``.  Scanning users in
-    decreasing order of their activation breakpoint ``w_j / c_j``,
-    exactly one prefix yields ``lam = sum(w) / (1 + sum(c))`` consistent
-    with its own membership -- an exact O(K log K) water-filling.  When
-    subnormal weights/slopes underflow the water level, the utilities
-    involved are ~0, so any feasible choice is optimal to machine
-    precision and the best-breakpoint user is served.
+    Inputs are lists of equal length, with positive bases and
+    non-negative weights and slopes.  KKT: ``rho_j(lam) =
+    (w_j / lam - c_j)^+`` with ``c_j = W_j / s_j``; the budget always
+    binds under log utility, so ``lam`` solves ``sum_{j in S} (w_j / lam
+    - c_j) = 1`` over the active set ``S = {j : w_j / c_j > lam}``.
+    Scanning users in decreasing order of their activation breakpoint
+    ``w_j / c_j``, exactly one prefix yields ``lam = sum(w) / (1 +
+    sum(c))`` consistent with its own membership -- an exact O(K log K)
+    water-filling.  When subnormal weights/slopes underflow the water
+    level, the utilities involved are ~0, so any feasible choice is
+    optimal to machine precision and the best-breakpoint user is served.
 
-    The candidate water levels are the same running-sum quotients the
-    scalar loop computes (``cumsum`` is a sequential sum, so every
-    partial result matches), the stable descending argsort reproduces
-    Python's stable ``sorted(..., reverse=True)`` tie order, and the
-    objective is accumulated with scalar ``math.log1p`` in
-    ascending-index order exactly like the oracle (zero-share terms
-    contribute an exact ``+0.0`` there, so skipping them is lossless).
+    A cost that underflows to zero raises ``ZeroDivisionError`` from
+    ``w / c``, as the oracle does.  A NaN breakpoint (a NaN base, or an
+    infinite weight over an infinite cost) ranks after every number, in
+    index order; no comparison with it holds.
     """
-    n = weights.size
-    rho = np.zeros(n)
-    active = np.flatnonzero((weights > 0) & (slopes > 0))
-    if active.size:
-        w = weights[active]
-        with np.errstate(over="ignore"):
-            costs = bases[active] / slopes[active]
-            if not np.all(costs):
-                # bases/slopes underflowed to exact zero; the scalar
-                # oracle's ``weights[j] / costs[j]`` raises here too.
-                raise ZeroDivisionError("float division by zero")
-            keys = w / costs
-        order = np.argsort(-keys, kind="stable")
-        w_ord = w[order]
-        cost_ord = costs[order]
-        key_ord = keys[order]
-        candidates = np.cumsum(w_ord) / (1.0 + np.cumsum(cost_ord))
-        next_breakpoints = np.empty_like(key_ord)
-        next_breakpoints[:-1] = key_ord[1:]
-        next_breakpoints[-1] = 0.0
-        stops = np.flatnonzero(candidates >= next_breakpoints)
-        lam = float(candidates[stops[0]]) if stops.size else None
+    n = len(weights)
+    rho = [0.0] * n
+    active: List[int] = []
+    costs: List[float] = []
+    keys: List[float] = []
+    nan_keys = False
+    for j in range(n):
+        w = weights[j]
+        s = slopes[j]
+        if w > 0 and s > 0:
+            c = bases[j] / s
+            key = w / c
+            if key != key:
+                nan_keys = True
+            active.append(j)
+            costs.append(c)
+            keys.append(key)
+    if active:
+        if nan_keys:
+            # Python's sort cannot rank a NaN: rank the numbers, then
+            # append the NaN breakpoints in index order.
+            order = sorted((p for p, key in enumerate(keys) if key == key),
+                           key=keys.__getitem__, reverse=True)
+            order += [p for p, key in enumerate(keys) if key != key]
+        else:
+            order = sorted(range(len(active)), key=keys.__getitem__,
+                           reverse=True)
+        weight_sum = 0.0
+        cost_sum = 0.0
+        lam = None
+        last = len(order) - 1
+        for position, p in enumerate(order):
+            weight_sum += weights[active[p]]
+            cost_sum += costs[p]
+            candidate = weight_sum / (1.0 + cost_sum)
+            if candidate >= (keys[order[position + 1]]
+                             if position < last else 0.0):
+                lam = candidate
+                members = order[:position + 1]
+                break
         if lam is None or lam <= 0.0:
             rho[active[order[0]]] = 1.0
         else:
-            members = int(stops[0]) + 1
-            raw = w_ord[:members] / lam - cost_ord[:members]
-            np.maximum(raw, 0.0, out=raw)
-            raw_total = float(np.cumsum(raw)[-1])
+            raw = []
+            raw_total = 0.0
+            for p in members:
+                share = weights[active[p]] / lam - costs[p]
+                if share < 0.0:
+                    share = 0.0
+                raw.append(share)
+                raw_total += share
             if raw_total > 0.0:
-                raw = raw / raw_total
-            rho[active[order[:members]]] = raw
+                # Snap the rounding residual onto the simplex boundary.
+                raw = [share / raw_total for share in raw]
+            for p, share in zip(members, raw):
+                rho[active[p]] = share
     value = 0.0
-    with np.errstate(over="ignore"):
-        for j in np.flatnonzero(rho > 0.0):
-            value += weights[j] * math.log1p(rho[j] * slopes[j] / bases[j])
-    return rho, float(value)
+    for j in range(n):
+        share = rho[j]
+        if share > 0.0:
+            value += weights[j] * math.log1p(share * slopes[j] / bases[j])
+    return rho, value
 
 
 def water_filling(weights: Sequence[float], bases: Sequence[float],
@@ -145,14 +166,13 @@ def water_filling(weights: Sequence[float], bases: Sequence[float],
         value.
     """
     _validate_water_filling(weights, bases, slopes)
-    rho, value = _water_filling_arrays(np.asarray(weights, dtype=float),
-                                       np.asarray(bases, dtype=float),
-                                       np.asarray(slopes, dtype=float))
-    return rho.tolist(), value
+    return _water_filling([float(x) for x in weights],
+                          [float(x) for x in bases],
+                          [float(x) for x in slopes])
 
 
 class CompiledSlotProblem:
-    """A slot's user set packed into arrays with per-group caching.
+    """A slot's user set grouped per station, with per-group caching.
 
     ``solve_given_assignment`` decomposes into independent water-filling
     subproblems, one per base station, and the subproblem for a station
@@ -162,25 +182,23 @@ class CompiledSlotProblem:
     primal recovery, and the greedy allocator's hundreds of per-slot
     ``with_expected_channels`` variants therefore re-solve the same
     (station, member set, ``G_i``) groups over and over; this class
-    extracts the user attribute arrays once per user set and caches each
-    group's exact water-filling result.  In particular the MBS group is
+    groups the users per FBS once per user set and caches each group's
+    exact water-filling result.  In particular the MBS group is
     independent of ``G`` entirely, so it is shared across every channel
     allocation candidate the greedy evaluates in a slot.
+
+    It keeps the users tuple itself and no per-user copies of their
+    fields: a group's inputs are read from the users when the group is
+    first solved.
     """
 
     def __init__(self, users: Sequence[UserDemand]) -> None:
-        users = list(users)
+        # ``tuple`` of a tuple is the tuple itself, so the compile
+        # cache's key and this instance share one users tuple.
+        self._users = users = tuple(users)
         self.user_ids = [user.user_id for user in users]
         self._id_set = frozenset(self.user_ids)
-        self._w_prev = np.array([user.w_prev for user in users], dtype=float)
-        self._success_mbs = np.array([user.success_mbs for user in users], dtype=float)
-        self._success_fbs = np.array([user.success_fbs for user in users], dtype=float)
-        self._r_mbs = np.array([user.r_mbs for user in users], dtype=float)
-        self._r_fbs = np.array([user.r_fbs for user in users], dtype=float)
-        self._fbs_ids = sorted({user.fbs_id for user in users})
-        self._members = {fbs_id: [j for j, user in enumerate(users)
-                                  if user.fbs_id == fbs_id]
-                         for fbs_id in self._fbs_ids}
+        self._members = fbs_groups(users)
         # (station, member index tuple, g) -> (shares list, value);
         # station 0 is the MBS (g None there).  Bounded by the number of
         # distinct groups one slot's solvers actually visit.
@@ -188,18 +206,19 @@ class CompiledSlotProblem:
 
     def _group_solution(self, station: int, members: tuple,
                         g: Optional[float]) -> Tuple[List[float], float]:
-        cached = self._group_cache.get((station, members, g))
+        key = (station, members, g)
+        cached = self._group_cache.get(key)
         if cached is None:
-            sel = list(members)
+            group = [self._users[j] for j in members]
+            bases = [user.w_prev for user in group]
             if station == 0:
-                weights = self._success_mbs[sel]
-                slopes = self._r_mbs[sel]
+                weights = [user.success_mbs for user in group]
+                slopes = [user.r_mbs for user in group]
             else:
-                weights = self._success_fbs[sel]
-                slopes = g * self._r_fbs[sel]
-            rho, value = _water_filling_arrays(weights, self._w_prev[sel], slopes)
-            cached = (rho.tolist(), value)
-            self._group_cache[(station, members, g)] = cached
+                weights = [user.success_fbs for user in group]
+                slopes = [g * user.r_fbs for user in group]
+            cached = self._group_cache[key] = _water_filling(
+                weights, bases, slopes)
         return cached
 
     def solve_assignment(self, mbs_user_ids,
@@ -210,25 +229,26 @@ class CompiledSlotProblem:
         if unknown:
             raise ConfigurationError(
                 f"assignment references unknown users {sorted(unknown)}")
+        user_ids = self.user_ids
         rho_mbs: Dict[int, float] = {}
         rho_fbs: Dict[int, float] = {}
         objective = 0.0
-        on_mbs = tuple(j for j, user_id in enumerate(self.user_ids)
+        on_mbs = tuple(j for j, user_id in enumerate(user_ids)
                        if user_id in mbs_user_ids)
         if on_mbs:
             shares, value = self._group_solution(0, on_mbs, None)
             for j, share in zip(on_mbs, shares):
-                rho_mbs[self.user_ids[j]] = share
+                rho_mbs[user_ids[j]] = share
             objective += value
-        for fbs_id in self._fbs_ids:
-            members = tuple(j for j in self._members[fbs_id]
-                            if self.user_ids[j] not in mbs_user_ids)
+        for fbs_id, cell in self._members.items():
+            members = tuple(j for j in cell
+                            if user_ids[j] not in mbs_user_ids)
             if not members:
                 continue
             shares, value = self._group_solution(
                 fbs_id, members, expected_channels[fbs_id])
             for j, share in zip(members, shares):
-                rho_fbs[self.user_ids[j]] = share
+                rho_fbs[user_ids[j]] = share
             objective += value
         return Allocation(mbs_user_ids=mbs_user_ids, rho_mbs=rho_mbs,
                           rho_fbs=rho_fbs, objective=objective)
@@ -251,7 +271,7 @@ def compile_slot_problem(problem: SlotProblem) -> CompiledSlotProblem:
     key = tuple(problem.users)
     compiled = _COMPILE_CACHE.get(key)
     if compiled is None:
-        compiled = CompiledSlotProblem(problem.users)
+        compiled = CompiledSlotProblem(key)
         _COMPILE_CACHE[key] = compiled
         if len(_COMPILE_CACHE) > _COMPILE_CACHE_SIZE:
             _COMPILE_CACHE.popitem(last=False)

@@ -27,7 +27,7 @@ import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from repro.core.problem import Allocation, SlotProblem
+from repro.core.problem import Allocation, SlotProblem, fbs_groups
 from repro.obs.logging import get_logger
 from repro.obs.trace import active_tracer
 from repro.utils.errors import AllocationFailedError, ConvergenceError, ReproError
@@ -107,8 +107,11 @@ def check_allocation(problem: SlotProblem,
     * every share lies in ``[0, 1]`` and each station's shares sum to at
       most the slot (``"infeasible"``).
 
-    The checks are deliberately cheap -- a handful of float comparisons
-    per user -- so the engine can afford them on every slot.
+    Each cell's load is summed over its users in user order.  The cells
+    come from one :func:`~repro.core.problem.fbs_groups` pass, so the
+    whole check is a handful of float comparisons per user, linear in
+    the users however many FBSs there are, and the engine can afford it
+    on every slot.
     """
     shares = list(allocation.rho_mbs.values()) + list(allocation.rho_fbs.values())
     if not all(map(math.isfinite, shares)):
@@ -122,11 +125,12 @@ def check_allocation(problem: SlotProblem,
                    for uid in allocation.mbs_user_ids)
     if mbs_load > 1.0 + _FEASIBILITY_TOL:
         return "infeasible"
-    for fbs_id in problem.fbs_ids:
+    users = problem.users
+    for members in fbs_groups(users).values():
         cell_load = sum(
-            allocation.rho_fbs.get(user.user_id, 0.0)
-            for user in problem.users_of_fbs(fbs_id)
-            if user.user_id not in allocation.mbs_user_ids)
+            allocation.rho_fbs.get(users[j].user_id, 0.0)
+            for j in members
+            if users[j].user_id not in allocation.mbs_user_ids)
         if cell_load > 1.0 + _FEASIBILITY_TOL:
             return "infeasible"
     return None

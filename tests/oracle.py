@@ -1,7 +1,7 @@
 """The scalar reference implementations: the bit-exact oracle.
 
 Production code (``repro.core``, ``repro.sim.engine``) has one path per
-computation -- vectorised water-filling, compiled per-group solves, the
+computation -- one water-filling scan, compiled per-group solves, the
 hoisted dual iteration, batched sensing/fusion/CSI draws.  Each one was
 engineered to reproduce a straight-from-the-paper scalar implementation
 bit for bit, including RNG stream consumption.  Those scalar versions
@@ -12,6 +12,8 @@ production path to them:
   subgradient iteration with per-iteration closed-form shares;
 * :func:`water_filling_scalar`, :func:`solve_given_assignment_scalar`,
   :func:`flip_polish_scalar` -- the pure-Python exact inner solves;
+* :func:`check_allocation_scalar` -- the per-FBS allocation check,
+  one scan of the users per cell;
 * :func:`sense_fuse_scalar`, :func:`draw_csi`, :func:`decide_scalar`
   -- one :class:`~repro.sensing.detector.SensingResult` per
   observation, one fading draw per link, and one ``P_D`` per channel.
@@ -47,7 +49,7 @@ from repro.sensing.detector import SensingResult
 from repro.sensing.fusion import fuse_posterior
 from repro.sim import lockstep
 from repro.sim.engine import SimulationEngine
-from repro.sim.fallback import DegradationEvent
+from repro.sim.fallback import _FEASIBILITY_TOL, DegradationEvent
 from repro.utils.errors import ConfigurationError
 from repro.utils.validation import check_probability_array
 
@@ -162,6 +164,35 @@ def flip_polish_scalar(problem: SlotProblem, allocation: Allocation, *,
         if not improved:
             break
     return best
+
+
+def check_allocation_scalar(problem: SlotProblem,
+                            allocation: Allocation) -> Optional[str]:
+    """The original :func:`repro.sim.fallback.check_allocation`.
+
+    Each FBS's load is summed over :meth:`SlotProblem.users_of_fbs`, one
+    scan of the users per FBS.
+    """
+    shares = list(allocation.rho_mbs.values()) + list(allocation.rho_fbs.values())
+    if not all(map(math.isfinite, shares)):
+        return "non-finite"
+    if not math.isfinite(allocation.objective):
+        return "non-finite"
+    if any(share < -_FEASIBILITY_TOL or share > 1.0 + _FEASIBILITY_TOL
+           for share in shares):
+        return "infeasible"
+    mbs_load = sum(allocation.rho_mbs.get(uid, 0.0)
+                   for uid in allocation.mbs_user_ids)
+    if mbs_load > 1.0 + _FEASIBILITY_TOL:
+        return "infeasible"
+    for fbs_id in problem.fbs_ids:
+        cell_load = sum(
+            allocation.rho_fbs.get(user.user_id, 0.0)
+            for user in problem.users_of_fbs(fbs_id)
+            if user.user_id not in allocation.mbs_user_ids)
+        if cell_load > 1.0 + _FEASIBILITY_TOL:
+            return "infeasible"
+    return None
 
 
 # -- the dual iteration -----------------------------------------------------

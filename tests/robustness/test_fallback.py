@@ -4,6 +4,9 @@ Acceptance path (a): a forced non-convergent slot completes via the
 heuristic fallback with a recorded ``DegradationEvent``.
 """
 
+from collections import Counter
+
+import numpy as np
 import pytest
 
 from repro.core.heuristics import EqualAllocationHeuristic
@@ -12,7 +15,8 @@ from repro.sim import MonteCarloRunner, SimulationEngine
 from repro.sim.fallback import DegradationEvent, FallbackChain, check_allocation
 from repro.testing.faults import FaultPlan
 from repro.utils.errors import AllocationFailedError, ConvergenceError, ReproError
-from tests.conftest import make_problem
+from tests.conftest import make_problem, random_problem
+from tests.oracle import check_allocation_scalar
 
 
 class _AlwaysRaises:
@@ -56,6 +60,79 @@ class TestCheckAllocation:
             rho_mbs={uid: 0.9 for uid in uids},
             rho_fbs={}, objective=0.0)
         assert check_allocation(problem, allocation) == "infeasible"
+
+
+def random_allocation(rng, problem):
+    """An allocation near the feasibility boundary, often past it.
+
+    Each station's shares sum to about one slot, within a few multiples
+    of the tolerance either way; whole cells sit on the MBS, and shares
+    may be non-finite, negative, above one, stray (on the station the
+    user did not select) or keyed by unknown users.
+    """
+    users = problem.users
+    mbs_ids = {u.user_id for u in users if rng.random() < 0.3}
+    if rng.random() < 0.3:
+        # Every user of one cell on the MBS.
+        cell = int(rng.choice(problem.fbs_ids))
+        mbs_ids |= {u.user_id for u in users if u.fbs_id == cell}
+
+    def fill(served):
+        scale = 1.0 + float(rng.choice([0.0, 5e-7, -5e-7, 2e-6, 1e-3]))
+        return {uid: scale * float(rng.dirichlet(np.ones(len(served)))[k])
+                for k, uid in enumerate(served)} if served else {}
+
+    rho_mbs = fill([u.user_id for u in users if u.user_id in mbs_ids])
+    rho_fbs = {}
+    for fbs_id in problem.fbs_ids:
+        rho_fbs.update(fill([u.user_id for u in users
+                             if u.fbs_id == fbs_id and u.user_id not in mbs_ids]))
+    for _ in range(int(rng.integers(0, 3))):
+        # Stray shares: on the other station, or for unknown users.
+        uid = int(rng.integers(0, len(users) + 3))
+        target = rho_fbs if uid in mbs_ids else rho_mbs
+        target[uid] = float(rng.random())
+    objective = 1.0
+    pick = rng.random()
+    if pick < 0.1:
+        target = rho_mbs if rho_mbs and rng.random() < 0.5 else rho_fbs
+        if target:
+            uid = list(target)[int(rng.integers(0, len(target)))]
+            target[uid] = float(rng.choice([np.nan, np.inf, -np.inf, -0.1, 1.5]))
+    elif pick < 0.15:
+        objective = float(rng.choice([np.nan, np.inf]))
+    return Allocation(mbs_user_ids=mbs_ids, rho_mbs=rho_mbs,
+                      rho_fbs=rho_fbs, objective=objective)
+
+
+class TestCheckAllocationDifferential:
+    """``check_allocation`` vs the explicit per-FBS reference."""
+
+    def test_verdicts_match_on_random_allocations(self):
+        rng = np.random.default_rng(1234)
+        verdicts = Counter()
+        for _ in range(3000):
+            problem = random_problem(rng, max_users=12, max_fbss=5)
+            allocation = random_allocation(rng, problem)
+            verdict = check_allocation(problem, allocation)
+            assert verdict == check_allocation_scalar(problem, allocation)
+            verdicts[verdict] += 1
+        # Every verdict occurs, the cell-load one many times.
+        assert verdicts[None] > 300
+        assert verdicts["non-finite"] > 100
+        assert verdicts["infeasible"] > 300
+
+    def test_overfull_cell_beside_an_all_mbs_cell(self):
+        problem = make_problem(n_users=6, n_fbss=3)
+        # FBS 1 (users 0, 3) is all on the MBS; FBS 2 is over-full.
+        allocation = Allocation(
+            mbs_user_ids={0, 3}, rho_mbs={0: 0.5, 3: 0.5},
+            rho_fbs={1: 0.6, 4: 0.4 + 2e-6, 2: 0.5, 5: 0.5}, objective=0.0)
+        assert check_allocation(problem, allocation) == "infeasible"
+        assert check_allocation_scalar(problem, allocation) == "infeasible"
+        allocation.rho_fbs[4] = 0.4
+        assert check_allocation(problem, allocation) is None
+        assert check_allocation_scalar(problem, allocation) is None
 
 
 class TestFallbackChain:
