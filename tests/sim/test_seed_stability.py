@@ -4,13 +4,18 @@ A fixed seed must keep producing the same simulation trajectory across
 refactors -- any change to how the engine consumes its RNG streams
 (order, count, or batching of draws) silently changes *every* sampled
 result, which no unit test notices.  This suite pins sha256
-fingerprints of canonicalised SlotRecord streams for two reference
-scenarios against goldens committed in ``tests/data/``.
+fingerprints of canonicalised SlotRecord streams for reference
+scenarios -- the paper's deployments plus the A1/A2/A5 ablation modes
+and an injected sensing outage -- against goldens committed in
+``tests/data/``.
 
-Floats are formatted to 12 significant digits before hashing: enough
-precision that any reordered or dropped RNG draw (values differ in the
-leading digits) changes the fingerprint, while platform-level libm
-differences in the last bits do not.
+Each scenario carries two fingerprints.  The rounded one formats floats
+to 12 significant digits: enough precision that any reordered or
+dropped RNG draw (values differ in the leading digits) changes it,
+while platform-level libm differences in the last bits do not.  The
+exact one hashes ``float.hex`` renderings, so it also sees a 1-ulp
+drift -- e.g. a fusion that adds the same log-likelihood steps in a
+different order.
 
 To regenerate after an *intentional* trajectory change::
 
@@ -31,6 +36,7 @@ from repro.experiments.scenarios import (
     single_fbs_scenario,
 )
 from repro.sim.engine import SimulationEngine
+from repro.testing.faults import FaultPlan
 
 GOLDEN_PATH = Path(__file__).resolve().parents[1] / "data" / "seed_stability.json"
 
@@ -44,6 +50,19 @@ SCENARIOS = {
     "city_grid": lambda: city_grid_scenario(
         rows=2, cols=2, users_per_fbs=2, n_channels=4, n_gops=1,
         seed=20260806),
+    "a1_threshold": lambda: interfering_fbs_scenario(
+        n_gops=1, n_channels=4, seed=20260806).replace(
+            access_policy="threshold"),
+    "a2_single_observation": lambda: single_fbs_scenario(
+        n_gops=1, n_channels=6, seed=20260806).replace(
+            single_observation_fusion=True),
+    "a5_belief_tracking": lambda: interfering_fbs_scenario(
+        n_gops=1, n_channels=5, seed=20260806).replace(
+            belief_tracking=True),
+    "sensing_outage": lambda: single_fbs_scenario(
+        n_gops=1, n_channels=4, seed=20260806).replace(
+            fault_plan=FaultPlan(sensing_outage_slots=frozenset({0, 3, 4, 9}),
+                                 sensing_outage_channels=frozenset({1, 3}))),
 }
 
 
@@ -52,12 +71,18 @@ def _f(value):
     return float("%.12g" % float(value))
 
 
-def _canonical_record(record):
+def _x(value):
+    """Exact rendering of a float: every bit of it."""
+    return float(value).hex()
+
+
+def _canonical_record(record, render=_f):
+    """The record as JSON-ready data, floats rendered by ``render``."""
     return {
         "slot": record.slot,
         "occupancy": [int(x) for x in record.occupancy],
-        "posteriors": [_f(x) for x in record.access.posteriors],
-        "access_probabilities": [_f(x) for x in
+        "posteriors": [render(x) for x in record.access.posteriors],
+        "access_probabilities": [render(x) for x in
                                  record.access.access_probabilities],
         "decisions": [int(x) for x in record.access.decisions],
         "channel_allocation": {
@@ -65,41 +90,50 @@ def _canonical_record(record):
             for fbs, channels in sorted(record.channel_allocation.items())
         },
         "expected_channels": {
-            str(fbs): _f(g)
+            str(fbs): render(g)
             for fbs, g in sorted(record.problem.expected_channels.items())
         },
         "users": [
             {
                 "user_id": user.user_id,
                 "fbs_id": user.fbs_id,
-                "w_prev": _f(user.w_prev),
-                "success_mbs": _f(user.success_mbs),
-                "success_fbs": _f(user.success_fbs),
-                "r_mbs": _f(user.r_mbs),
-                "r_fbs": _f(user.r_fbs),
-                "csi_mbs": None if user.csi_mbs is None else _f(user.csi_mbs),
-                "csi_fbs": None if user.csi_fbs is None else _f(user.csi_fbs),
+                "w_prev": render(user.w_prev),
+                "success_mbs": render(user.success_mbs),
+                "success_fbs": render(user.success_fbs),
+                "r_mbs": render(user.r_mbs),
+                "r_fbs": render(user.r_fbs),
+                "csi_mbs": None if user.csi_mbs is None else render(user.csi_mbs),
+                "csi_fbs": None if user.csi_fbs is None else render(user.csi_fbs),
             }
             for user in record.problem.users
         ],
         "mbs_user_ids": sorted(record.allocation.mbs_user_ids),
-        "rho_mbs": {str(j): _f(r)
+        "rho_mbs": {str(j): render(r)
                     for j, r in sorted(record.allocation.rho_mbs.items())},
-        "rho_fbs": {str(j): _f(r)
+        "rho_fbs": {str(j): render(r)
                     for j, r in sorted(record.allocation.rho_fbs.items())},
-        "increments": {str(j): _f(v)
+        "increments": {str(j): render(v)
                        for j, v in sorted(record.increments.items())},
-        "bound_gap": _f(record.bound_gap),
+        "bound_gap": render(record.bound_gap),
     }
 
 
-def compute_fingerprint(config):
+def _digest(records):
+    payload = json.dumps(records, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(payload.encode()).hexdigest()
+
+
+def compute_fingerprint(config, render=_f):
     """sha256 over the canonical JSON of the full SlotRecord stream."""
     engine = SimulationEngine(config)
-    records = [_canonical_record(engine.step())
+    records = [_canonical_record(engine.step(), render)
                for _ in range(config.n_slots)]
-    payload = json.dumps(records, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(payload.encode()).hexdigest(), records
+    return _digest(records), records
+
+
+def compute_exact_fingerprint(config):
+    """:func:`compute_fingerprint` over ``float.hex`` renderings."""
+    return compute_fingerprint(config, _x)[0]
 
 
 def _load_goldens():
@@ -122,6 +156,16 @@ def test_fingerprint_matches_golden(name):
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_exact_fingerprint_matches_golden(name):
+    """Bit-level twin of the rounded fingerprint: sees a 1-ulp drift."""
+    goldens = _load_goldens()
+    assert (compute_exact_fingerprint(SCENARIOS[name]())
+            == goldens["exact_fingerprints"][name]), (
+        f"exact fingerprint changed for scenario {name!r}: some float in "
+        f"the SlotRecord stream moved, possibly only in its last bits")
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_first_slot_matches_golden(name):
     """A readable subset of the golden, so diffs localise the drift."""
     goldens = _load_goldens()
@@ -133,18 +177,21 @@ def test_goldens_cover_exactly_the_scenarios():
     goldens = _load_goldens()
     assert sorted(goldens["fingerprints"]) == sorted(SCENARIOS)
     assert sorted(goldens["first_slots"]) == sorted(SCENARIOS)
+    assert sorted(goldens["exact_fingerprints"]) == sorted(SCENARIOS)
 
 
 def regenerate():
     """Rewrite the golden file from the current implementation."""
-    fingerprints, first_slots = {}, {}
+    fingerprints, first_slots, exact = {}, {}, {}
     for name, build in SCENARIOS.items():
         fingerprint, records = compute_fingerprint(build())
         fingerprints[name] = fingerprint
         first_slots[name] = records[0]
+        exact[name] = compute_exact_fingerprint(build())
     GOLDEN_PATH.parent.mkdir(parents=True, exist_ok=True)
     with GOLDEN_PATH.open("w") as handle:
-        json.dump({"fingerprints": fingerprints, "first_slots": first_slots},
+        json.dump({"fingerprints": fingerprints, "first_slots": first_slots,
+                   "exact_fingerprints": exact},
                   handle, indent=2, sort_keys=True)
         handle.write("\n")
     print(f"wrote {GOLDEN_PATH}")
