@@ -11,15 +11,21 @@ as possible subject to the collision cap (eq. 6):
 The *expected number of available channels* used by the rate model is
 ``G_t = sum_{m in A(t)} P_A^m`` where ``A(t)`` is the set of channels the
 policy decided to access.
+
+With ``M`` = 4-12 channels per slot, every per-channel step here --
+the rule, the decisions, ``A(t)``, the collision counts -- runs over
+Python floats and ints; numpy holds the public :class:`AccessDecision`
+arrays, draws the ``M`` uniforms and sums ``G_t``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
+from repro.utils.errors import ConfigurationError
 from repro.utils.rng import RandomState, as_generator
 from repro.utils.validation import check_probability, check_probability_array
 
@@ -36,11 +42,21 @@ class AccessDecision:
         ``D_m`` per channel: 0 = access (considered idle), 1 = abstain.
     posteriors:
         Fused idle posteriors ``P_A`` per channel.
+    accessed:
+        ``A(t)`` as ascending Python ints -- the list the engine reads;
+        derived from ``decisions`` when not given.
     """
 
     access_probabilities: np.ndarray
     decisions: np.ndarray
     posteriors: np.ndarray
+    accessed: Optional[List[int]] = field(default=None, compare=False,
+                                          repr=False)
+
+    def __post_init__(self) -> None:
+        if self.accessed is None:
+            object.__setattr__(self, "accessed", np.flatnonzero(
+                np.asarray(self.decisions) == 0).tolist())
 
     @property
     def available_channels(self) -> np.ndarray:
@@ -49,11 +65,11 @@ class AccessDecision:
 
     @property
     def expected_available(self) -> float:
-        """``G_t = sum_{m in A(t)} P_A^m`` -- expected available channels."""
-        available = self.available_channels
-        if available.size == 0:
-            return 0.0
-        return float(self.posteriors[available].sum())
+        """``G_t = sum_{m in A(t)} P_A^m`` -- expected available channels.
+
+        See :func:`expected_available`.
+        """
+        return expected_available(self.posteriors.tolist(), self.accessed)
 
     def expected_available_subset(self, channels: Sequence[int]) -> float:
         """``G_t`` restricted to ``channels`` (used for per-FBS allocations).
@@ -62,35 +78,54 @@ class AccessDecision:
         channel listed more than once still counts once -- ``G`` sums over
         a channel *set*, so duplicated indices must not inflate it.
         """
-        available = set(self.available_channels.tolist())
+        available = set(self.accessed)
         return float(sum(self.posteriors[m] for m in dict.fromkeys(channels)
                          if m in available))
+
+
+def expected_available(posteriors: Sequence[float],
+                       accessed: Sequence[int]) -> float:
+    """``G_t = sum_{m in A(t)} P_A^m`` -- expected available channels.
+
+    Summed by numpy: its pairwise order (8 lanes from 8 terms up) is
+    what the seed-stability goldens pin.
+    """
+    if not accessed:
+        return 0.0
+    return float(np.array([posteriors[m] for m in accessed]).sum())
 
 
 class AccessPolicy:
     """The collision-capped probabilistic access policy of eqs. (5)-(7).
 
+    The per-channel rule lives in one place, :meth:`access_rule`;
+    :meth:`decide`, :meth:`access_probability` and
+    :meth:`access_probabilities` all apply it over Python floats.  A
+    variant policy (:class:`HardThresholdAccessPolicy`) overrides only
+    the rule.
+
     Parameters
     ----------
     collision_caps:
-        Per-channel maximum allowable collision probabilities ``gamma_m``.
+        Per-channel maximum allowable collision probabilities ``gamma_m``
+        (validated once, here).
     rng:
         Randomness used to realise the probabilistic decisions ``D_m``.
     """
 
     def __init__(self, collision_caps, *, rng: RandomState = None) -> None:
         self.collision_caps = check_probability_array(collision_caps, "collision_caps")
+        self._caps: List[float] = self.collision_caps.tolist()
         self._rng = as_generator(rng)
 
     @property
     def n_channels(self) -> int:
         """Number of licensed channels the policy covers."""
-        return int(self.collision_caps.size)
+        return len(self._caps)
 
-    def access_probability(self, channel: int, posterior_idle: float) -> float:
-        """``P_D`` for one channel given its fused idle posterior (eq. 7)."""
-        posterior_idle = check_probability(posterior_idle, "posterior_idle")
-        gamma = self.collision_caps[channel]
+    @staticmethod
+    def access_rule(gamma: float, posterior_idle: float) -> float:
+        """``P_D = min{gamma / (1 - P_A), 1}`` (eq. 7)."""
         busy_posterior = 1.0 - posterior_idle
         if busy_posterior <= gamma:
             # Even accessing with certainty keeps expected collisions below
@@ -98,47 +133,61 @@ class AccessPolicy:
             return 1.0
         return gamma / busy_posterior
 
-    def access_probabilities(self, posteriors: np.ndarray) -> np.ndarray:
-        """Vectorized ``P_D`` for every channel at once (eq. 7).
+    def access_probability(self, channel: int, posterior_idle: float) -> float:
+        """``P_D`` for one channel given its fused idle posterior."""
+        posterior_idle = check_probability(posterior_idle, "posterior_idle")
+        return self.access_rule(self._caps[channel], posterior_idle)
 
-        Bit-exact batched counterpart of calling
-        :meth:`access_probability` per channel: the comparisons and the
-        ``gamma / (1 - P_A)`` divisions are the same IEEE-754 double
-        operations element by element, so the returned array matches the
-        scalar loop exactly.  Subclasses overriding
-        :meth:`access_probability` must override this too (see
-        :class:`HardThresholdAccessPolicy`).
-        """
-        busy = 1.0 - posteriors
-        exceeds = busy > self.collision_caps
-        probs = np.ones(posteriors.size)
-        np.divide(self.collision_caps, busy, out=probs, where=exceeds)
-        return probs
+    def access_probabilities(self, posteriors) -> np.ndarray:
+        """``P_D`` for every channel at once, as an array."""
+        return np.array(list(map(self.access_rule, self._caps,
+                                 self._check(posteriors))))
+
+    def _check(self, posteriors) -> List[float]:
+        """This slot's posteriors as validated Python floats."""
+        if isinstance(posteriors, np.ndarray):
+            values = posteriors.tolist() if posteriors.ndim == 1 else []
+        else:
+            values = list(posteriors)
+        try:
+            valid = bool(values) and all(0.0 <= p <= 1.0 for p in values)
+        except TypeError:
+            valid = False
+        if not valid:
+            check_probability_array(posteriors, "posteriors")
+            raise ConfigurationError(
+                f"posteriors must be probabilities, got {posteriors!r}")
+        if len(values) != len(self._caps):
+            raise ValueError(
+                f"expected {len(self._caps)} posteriors, got {len(values)}")
+        return values
 
     def decide(self, posteriors) -> AccessDecision:
         """Draw access decisions ``D_m`` for every channel in one slot.
 
-        Computes every ``P_D`` through :meth:`access_probabilities` and
-        draws ``M`` uniforms in one ``rng.random(M)`` call; the decision
-        and the RNG state afterwards are bit-identical to the
-        per-channel scalar oracle in ``tests/oracle.py``.
+        Applies :meth:`access_rule` per channel over Python floats and
+        draws ``M`` uniforms in one ``rng.random(M)`` call; channel ``m``
+        is accessed iff its uniform is below ``P_D``.  The decision and
+        the RNG state afterwards are bit-identical to the per-channel
+        scalar oracle in ``tests/oracle.py``.
 
         Parameters
         ----------
         posteriors:
-            Fused idle posteriors ``P_A^m`` per channel, length ``M``.
+            Fused idle posteriors ``P_A^m`` per channel, length ``M``
+            (validated every slot).
         """
-        posteriors = check_probability_array(posteriors, "posteriors")
-        if posteriors.size != self.n_channels:
-            raise ValueError(
-                f"expected {self.n_channels} posteriors, got {posteriors.size}")
-        probs = self.access_probabilities(posteriors)
-        draws = self._rng.random(self.n_channels)
-        decisions = np.where(draws < probs, 0, 1).astype(np.int8)
+        values = self._check(posteriors)
+        probs = list(map(self.access_rule, self._caps, values))
+        draws = self._rng.random(len(probs)).tolist()
+        decisions = [0 if draw < prob else 1
+                     for draw, prob in zip(draws, probs)]
         return AccessDecision(
-            access_probabilities=probs,
-            decisions=decisions,
-            posteriors=posteriors.copy(),
+            access_probabilities=np.array(probs),
+            decisions=np.array(decisions, dtype=np.int8),
+            posteriors=np.array(values, dtype=float),
+            accessed=[m for m, decision in enumerate(decisions)
+                      if decision == 0],
         )
 
 
@@ -148,30 +197,50 @@ class CollisionTracker:
 
     A collision happens when the CR network accesses a channel (``D_m = 0``)
     whose *true* state is busy.  :class:`CollisionTracker` accumulates
-    per-channel access and collision counts so tests and experiments can
-    verify the empirical collision probability stays below ``gamma_m``.
+    per-channel access and collision counts (Python ints; the
+    ``accesses``/``collisions`` arrays are built on read) so tests and
+    experiments can verify the empirical collision probability stays
+    below ``gamma_m``.
     """
 
     n_channels: int
-    accesses: np.ndarray = field(init=False)
-    collisions: np.ndarray = field(init=False)
     slots: int = field(init=False, default=0)
+    _accesses: List[int] = field(init=False, repr=False)
+    _collisions: List[int] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        self.accesses = np.zeros(self.n_channels, dtype=np.int64)
-        self.collisions = np.zeros(self.n_channels, dtype=np.int64)
+        self._accesses = [0] * self.n_channels
+        self._collisions = [0] * self.n_channels
 
-    def record(self, decision: AccessDecision, true_occupancy) -> None:
-        """Fold one slot's decision against the true channel occupancy."""
+    @property
+    def accesses(self) -> np.ndarray:
+        """Per-channel access counts (int64)."""
+        return np.array(self._accesses, dtype=np.int64)
+
+    @property
+    def collisions(self) -> np.ndarray:
+        """Per-channel collision counts (int64)."""
+        return np.array(self._collisions, dtype=np.int64)
+
+    def record(self, decision: AccessDecision, true_occupancy) -> int:
+        """Fold one slot's decision against the true channel occupancy.
+
+        Returns the number of collisions in this slot.
+        """
         true_occupancy = np.asarray(true_occupancy)
         if true_occupancy.shape != (self.n_channels,):
             raise ValueError(
                 f"true_occupancy must have shape ({self.n_channels},), "
                 f"got {true_occupancy.shape}")
-        accessed = decision.decisions == 0
-        self.accesses += accessed.astype(np.int64)
-        self.collisions += (accessed & (true_occupancy == 1)).astype(np.int64)
+        states = true_occupancy.tolist()
+        collided = 0
+        for channel in decision.accessed:
+            self._accesses[channel] += 1
+            if states[channel] == 1:
+                self._collisions[channel] += 1
+                collided += 1
         self.slots += 1
+        return collided
 
     def collision_rates(self) -> np.ndarray:
         """Per-channel empirical collision probability, *per slot*.
@@ -200,11 +269,7 @@ class HardThresholdAccessPolicy(AccessPolicy):
     the A1 ablation benchmark to quantify that loss.
     """
 
-    def access_probability(self, channel: int, posterior_idle: float) -> float:
+    @staticmethod
+    def access_rule(gamma: float, posterior_idle: float) -> float:
         """1 if the busy posterior clears the cap, else 0."""
-        posterior_idle = check_probability(posterior_idle, "posterior_idle")
-        return 1.0 if 1.0 - posterior_idle <= self.collision_caps[channel] else 0.0
-
-    def access_probabilities(self, posteriors: np.ndarray) -> np.ndarray:
-        """Vectorized thresholding, element-identical to the scalar rule."""
-        return np.where(1.0 - posteriors <= self.collision_caps, 1.0, 0.0)
+        return 1.0 if 1.0 - posterior_idle <= gamma else 0.0

@@ -26,7 +26,12 @@ from typing import Sequence
 import numpy as np
 
 from repro.sensing.detector import SensingResult
-from repro.sensing.fusion import fuse_posteriors_batched, posterior_idle_probability
+from repro.sensing.fusion import (
+    fuse_log_odds,
+    fuse_posteriors_batched,
+    posterior_idle_probability,
+    prior_log_odds,
+)
 from repro.utils.errors import ConfigurationError
 from repro.utils.validation import check_probability
 
@@ -102,11 +107,11 @@ class ChannelBeliefTracker:
 
     def fuse_batched(self, observations, counts, false_alarm: float,
                      miss_detection: float) -> np.ndarray:
-        """Fuse all channels' observations in one vectorized pass.
+        """Fuse all channels' observations in one pass.
 
-        Bit-exact batched counterpart of calling :meth:`fuse` channel by
-        channel in index order (each scalar ``fuse`` only reads and
-        writes its own channel's belief, so the per-channel updates are
+        Bit-exact counterpart of calling :meth:`fuse` channel by channel
+        in index order (each scalar ``fuse`` only reads and writes its
+        own channel's belief, so the per-channel updates are
         independent).  Returns the idle posteriors and stores the busy
         complements as next slot's beliefs, exactly as the scalar path
         does.
@@ -114,6 +119,22 @@ class ChannelBeliefTracker:
         idle = fuse_posteriors_batched(
             self._busy, observations, counts, false_alarm, miss_detection)
         self._busy = 1.0 - idle
+        return idle
+
+    def fuse_log_odds(self, terms: np.ndarray, tail=(), offset: int = 0,
+                      silenced=()) -> list:
+        """:func:`~repro.sensing.fusion.fuse_log_odds` against the beliefs.
+
+        Writes the tracked priors' log-odds (validated every slot) into
+        row 0 of ``terms``, fuses, and stores the busy complements of the
+        idle posteriors as next slot's beliefs.
+        """
+        terms[0] = prior_log_odds(self._busy.tolist())
+        # A tracked belief can reach 0 or 1, and a decisive observation
+        # may then contradict it (see fuse_log_odds).
+        with np.errstate(invalid="ignore"):
+            idle = fuse_log_odds(terms, tail, offset, silenced)
+        self._busy = 1.0 - np.array(idle)
         return idle
 
     def reset(self) -> None:

@@ -10,18 +10,33 @@ probability that the channel is available (idle) is
 where ``LR_i`` is the likelihood ratio of observation ``i``.  The paper
 also gives an iterative decomposition (eqs. (3)-(4)) that folds one
 observation at a time -- convenient when results arrive sequentially over
-the common channel.  Both forms are implemented and tested for exact
-agreement.
+the common channel.  Both forms are implemented over
+:class:`~repro.sensing.detector.SensingResult` objects, one channel at a
+time, and tested for exact agreement.
+
+The simulation fuses every channel of a slot at once through
+:func:`fuse_log_odds`, the one production implementation: it adds the
+same ``math.log`` likelihood-ratio steps in the same order as
+:func:`posterior_idle_probability`, so the posteriors are bit-identical.
+The prior row and the FBS antenna rows (``M`` wide) are added with numpy
+-- a list accumulation loses at the 400-FBS city grid; the round-robin
+users' single steps and the final sigmoid run over Python floats, where
+numpy's per-call cost would dominate at the 4-12 channels that run
+(DESIGN.md section 11 has the per-call table).
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterable, Sequence
+from typing import Iterable, List, Sequence
 
 import numpy as np
 
-from repro.sensing.detector import SensingResult
+from repro.sensing.detector import (
+    SensingResult,
+    likelihood_ratio_pair,
+    log_step,
+)
 from repro.spectrum.markov import BUSY
 from repro.utils.errors import ConfigurationError
 from repro.utils.validation import check_probability
@@ -110,53 +125,101 @@ def _fold(prior_busy_odds: float, result: SensingResult) -> float:
     return 1.0 / (1.0 + odds)
 
 
-def likelihood_ratio_pair(false_alarm: float, miss_detection: float) -> tuple:
-    """The two possible likelihood ratios under one ``(epsilon, delta)``.
+def prior_log_odds(busy_priors) -> List[float]:
+    """Per-channel prior log-odds ``log(eta / (1 - eta))`` of eq. (2).
 
-    Every observation from a sensor with this error profile has ratio
-    ``(1 - delta) / epsilon`` when it reports busy and
-    ``delta / (1 - epsilon)`` when it reports idle -- computed with the
-    exact arithmetic (including the 0/0 -> 1 convention) of
-    :attr:`SensingResult.likelihood_ratio`, so table lookups against
-    this pair reproduce the scalar per-object property bit for bit.
+    ``eta = 0`` and ``eta = 1`` map to ``-inf`` and ``+inf``: a certain
+    prior is decisive, exactly like the scalar path's short-circuit.
+
+    Raises
+    ------
+    ConfigurationError
+        If any prior is not a probability.
+    """
+    log_odds = []
+    for eta in busy_priors:
+        if not 0.0 <= eta <= 1.0:
+            raise ConfigurationError(
+                f"busy_priors entries must be probabilities, got {eta!r}")
+        if eta == 0.0:
+            log_odds.append(-math.inf)
+        elif eta == 1.0:
+            log_odds.append(math.inf)
+        else:
+            log_odds.append(math.log(eta / (1.0 - eta)))
+    return log_odds
+
+
+def fuse_log_odds(terms: np.ndarray, tail: Sequence[float] = (),
+                  offset: int = 0, silenced: Iterable[int] = ()) -> List[float]:
+    """Eq. (2) for every channel: sum the log-odds, then the sigmoid.
+
+    The one fusion implementation behind the engine, the belief tracker
+    and :func:`fuse_posteriors_batched`.  Each channel's log-odds are
+    accumulated strictly left to right, in the scalar path's order:
+
+    1. ``terms`` is a ``(1 + R, M)`` float array.  Row 0 holds the prior
+       log-odds (:func:`prior_log_odds`), rows ``1..R`` one observation
+       step per channel each -- in the engine, FBS ``0..R-1``'s
+       antennas.  The rows are added in order by one
+       ``np.add.accumulate`` down the columns (an exact sequence of row
+       adds; no pairwise reordering).
+    2. ``tail`` holds single-channel steps, entry ``k`` on channel
+       ``(k + offset) % M`` -- the round-robin CR users in sorted-id
+       order.  They are added over Python floats.
+    3. Channels in ``silenced`` (a sensing outage) keep their prior.
+
+    A step of ``+-inf`` is a decisive observation; the first decisive
+    term fixes the posterior, as in the scalar path.  Opposite decisive
+    terms sum to NaN (numpy warns "invalid value" unless the caller
+    silences it), and the earlier of them is looked up.  With static
+    priors they cannot meet within one engine slot: opposite decisive
+    steps need both likelihood ratios decisive, ``(epsilon, delta)`` =
+    (0, 0) or (1, 1), and then every report is a fixed function of the
+    channel's one true state; a certain prior (eta 0 or 1) belongs to a
+    channel that never leaves that state.  The sigmoid
+    ``1 / (1 + exp(x))`` runs through ``math.exp`` (0 above x = 700).
 
     Returns
     -------
-    tuple
-        ``(lr_busy, lr_idle)``.
+    list of float
+        Idle posteriors ``P_A^m``, bit-identical to
+        :func:`posterior_idle_probability` over the same sequence.
     """
-    false_alarm = check_probability(false_alarm, "false_alarm")
-    miss_detection = check_probability(miss_detection, "miss_detection")
+    totals = np.add.accumulate(terms, axis=0)[-1].tolist()
+    n_channels = len(totals)
+    for start in range(min(n_channels, len(tail))):
+        channel = (start + offset) % n_channels
+        total = totals[channel]
+        for step in tail[start::n_channels]:
+            total += step
+        totals[channel] = total
+    for channel in silenced:
+        totals[channel] = float(terms[0, channel])
+    posteriors = []
+    for channel, total in enumerate(totals):
+        if total != total:
+            total = _first_decisive(terms[:, channel].tolist()
+                                    + list(tail[(channel - offset)
+                                                % n_channels::n_channels]))
+        posteriors.append(0.0 if total > 700.0
+                          else 1.0 / (1.0 + math.exp(total)))
+    return posteriors
 
-    def ratio(numerator: float, denominator: float) -> float:
-        if denominator == 0.0:
-            return math.inf if numerator > 0.0 else 1.0
-        return numerator / denominator
 
-    return (ratio(1.0 - miss_detection, false_alarm),
-            ratio(miss_detection, 1.0 - false_alarm))
+def _first_decisive(terms: List[float]) -> float:
+    """The first infinite term of a channel's log-odds sequence."""
+    return next(term for term in terms if math.isinf(term))
 
 
 def fuse_posteriors_batched(busy_priors, observations, counts,
                             false_alarm: float,
                             miss_detection: float) -> np.ndarray:
-    """Fuse every channel's sensing observations in one vectorized pass.
+    """Fuse every channel's sensing observations in one pass.
 
-    Bit-exact batched counterpart of calling
-    :func:`posterior_idle_probability` per channel with the same
-    observations in the same order.  Exactness is engineered, not
-    incidental:
-
-    * the per-observation log likelihood ratios take only two values
-      under a shared ``(epsilon, delta)`` profile; both are computed
-      with ``math.log`` (numpy's SIMD ``np.log`` differs from libm by
-      1 ulp on a few percent of inputs) and selected into the matrix;
-    * the log-odds accumulation walks the observation axis column by
-      column, reproducing the scalar path's strictly sequential
-      left-to-right additions (padding columns add ``0.0``, which is
-      exact on finite floats);
-    * the final sigmoid runs through ``math.exp`` per channel -- an
-      ``O(M)`` loop, cheap next to the ``O(M L)`` work above.
+    Bit-exact counterpart of calling :func:`posterior_idle_probability`
+    per channel with the same observations in the same order; a matrix
+    front end to :func:`fuse_log_odds`.
 
     Parameters
     ----------
@@ -174,8 +237,7 @@ def fuse_posteriors_batched(busy_priors, observations, counts,
     Returns
     -------
     numpy.ndarray
-        Idle posteriors ``P_A^m`` per channel, each identical to the
-        scalar fusion of the same observation sequence.
+        Idle posteriors ``P_A^m`` per channel.
     """
     priors = np.asarray(busy_priors, dtype=float)
     observations = np.atleast_2d(np.asarray(observations))
@@ -185,62 +247,18 @@ def fuse_posteriors_batched(busy_priors, observations, counts,
         raise ConfigurationError(
             f"shape mismatch: {n_channels} priors, observation matrix "
             f"{observations.shape}, counts {counts.shape}")
-    if np.any(priors < 0.0) or np.any(priors > 1.0):
-        raise ConfigurationError("busy_priors entries must be probabilities")
     if np.any(counts < 0) or np.any(counts > observations.shape[1]):
         raise ConfigurationError(
             f"counts must lie in [0, {observations.shape[1]}], got {counts}")
-
     lr_busy, lr_idle = likelihood_ratio_pair(false_alarm, miss_detection)
+    steps = np.where(observations == BUSY, log_step(lr_busy),
+                     log_step(lr_idle))
+    # Padding past counts[m] adds 0.0: exact on every accumulator value.
     mask = np.arange(observations.shape[1]) < counts[:, None]
-    is_busy_obs = observations == BUSY
-
-    special_lr = {lr for lr in (lr_busy, lr_idle)
-                  if lr == 0.0 or math.isinf(lr)}
-    first_special = np.full(n_channels, -1, dtype=np.int64)
-    special_value = np.zeros(n_channels)
-    if special_lr and observations.shape[1]:
-        # Degenerate profiles (epsilon or delta at 0/1): the scalar path
-        # short-circuits at the first zero/infinite likelihood ratio, so
-        # locate that observation per channel and honour its verdict.
-        is_special = mask & np.where(is_busy_obs, lr_busy in special_lr,
-                                     lr_idle in special_lr)
-        has_special = is_special.any(axis=1)
-        idx = np.argmax(is_special, axis=1)
-        first_special = np.where(has_special, idx, -1)
-        first_obs_busy = is_busy_obs[np.arange(n_channels), np.maximum(idx, 0)]
-        lr_first = np.where(first_obs_busy, lr_busy, lr_idle)
-        special_value = np.where(lr_first == 0.0, 1.0, 0.0)
-
-    log_busy = math.log(lr_busy) if lr_busy not in special_lr else 0.0
-    log_idle = math.log(lr_idle) if lr_idle not in special_lr else 0.0
-    log_lr = np.where(mask, np.where(is_busy_obs, log_busy, log_idle), 0.0)
-
-    posteriors = np.empty(n_channels)
-    log_ratio = np.zeros(n_channels)
-    regular = np.ones(n_channels, dtype=bool)
-    for m in range(n_channels):
-        eta = float(priors[m])
-        if eta == 0.0 or eta == 1.0 or first_special[m] >= 0:
-            regular[m] = False
-        else:
-            log_ratio[m] = math.log(eta / (1.0 - eta))
-    # Sequential left-to-right accumulation, vectorized across channels.
-    for column in range(observations.shape[1]):
-        log_ratio += log_lr[:, column]
-    for m in range(n_channels):
-        eta = float(priors[m])
-        if eta == 0.0:
-            posteriors[m] = 1.0
-        elif eta == 1.0:
-            posteriors[m] = 0.0
-        elif first_special[m] >= 0:
-            posteriors[m] = special_value[m]
-        elif log_ratio[m] > 700.0:
-            posteriors[m] = 0.0
-        else:
-            posteriors[m] = 1.0 / (1.0 + math.exp(log_ratio[m]))
-    return posteriors
+    terms = np.vstack([prior_log_odds(priors.tolist()),
+                       np.where(mask, steps, 0.0).T])
+    with np.errstate(invalid="ignore"):
+        return np.array(fuse_log_odds(terms))
 
 
 def _check_single_channel(results: Sequence[SensingResult]) -> None:

@@ -2,13 +2,16 @@
 
 Every quantity the simulation engine derives from the *physical*
 scenario alone -- per-link Rayleigh margin scales, stationary channel
-utilisations, the round-robin sensing scatter layouts, the per-user R-D
-demand constants, the FBS id grid -- is independent of scheme, seed,
-replication index, and simulation horizon.
+utilisations, the per-user R-D demand constants, the FBS id grid -- is
+independent of scheme, seed, replication index, and simulation horizon.
 
-:func:`build_scenario` performs that derivation and packages it as a
-:class:`BuiltScenario`; every :class:`~repro.sim.engine.SimulationEngine`
-builds its own from its config and treats it as read-only.  A build
+:func:`build_scenario` performs that derivation, validates the margin
+scales once (the per-slot fading draw does not re-check them), and
+packages the result as a :class:`BuiltScenario`; every
+:class:`~repro.sim.engine.SimulationEngine` builds its own from its
+config and treats it as read-only.  The round-robin sensing layout is
+not built: user ``k`` (sorted-id order) senses channel
+``(k + slot) % M``, a rule the engine applies per slot.  A build
 costs about a millisecond even on the 20x20 city grid -- under 1% of one
 replication -- so it is not cached (DESIGN.md §14 has the measurement).
 """
@@ -16,11 +19,12 @@ replication -- so it is not cached (DESIGN.md §14 has the measurement).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
 import numpy as np
 
 from repro.sim.config import ScenarioConfig
+from repro.utils.errors import ConfigurationError
 from repro.video.sequences import rd_slot_increment
 
 
@@ -34,11 +38,11 @@ class BuiltScenario:
         User ids in topology order; the fading stream is consumed in
         this interleaved ``(mbs_0, fbs_0, mbs_1, fbs_1, ...)`` order.
     csi_scales:
-        Interleaved mean decoding margins matching ``csi_user_ids``.
+        Interleaved mean decoding margins matching ``csi_user_ids``,
+        all positive.
     etas:
-        Per-channel stationary utilisations ``eta_m``.
-    sorted_user_ids:
-        User ids sorted ascending (the scalar sensing loop order).
+        Per-channel stationary utilisations ``eta_m`` -- the fusion
+        priors of eq. (2).
     fbs_ids:
         Sorted FBS ids present in the demand grid.
     interfering:
@@ -48,41 +52,14 @@ class BuiltScenario:
         ``{user_id: static demand fields}`` in topology user order --
         association, link success probabilities, and the per-slot R-D
         increment constants ``R = beta * B / T`` for both tiers.
-    sensing_layouts:
-        ``{offset: (user_channels, user_counts, order, sorted_channels,
-        positions)}`` -- the batched sensing scatter for every
-        round-robin offset ``0..M-1`` (the layout repeats with period
-        ``M``).
     """
 
     csi_user_ids: List[int] = field(default_factory=list)
     csi_scales: np.ndarray = field(default_factory=lambda: np.empty(0))
     etas: np.ndarray = field(default_factory=lambda: np.empty(0))
-    sorted_user_ids: List[int] = field(default_factory=list)
     fbs_ids: List[int] = field(default_factory=list)
     interfering: bool = False
     demands_static: Dict[int, dict] = field(default_factory=dict)
-    sensing_layouts: Dict[int, Tuple[np.ndarray, ...]] = field(
-        default_factory=dict)
-
-
-def sensing_layout(n_users: int, n_fbs: int, n_channels: int,
-                   offset: int) -> Tuple[np.ndarray, ...]:
-    """The batched sensing scatter for one round-robin offset.
-
-    Users (in sorted-id order) observe channel ``(index + offset) % M``;
-    the layout groups their observations by channel while preserving
-    user order within each channel (stable sort = the scalar loop's
-    append order), and places them after the ``n_fbs`` FBS antenna
-    observations of every channel.
-    """
-    user_channels = (np.arange(n_users) + offset) % n_channels
-    user_counts = np.bincount(user_channels, minlength=n_channels)
-    order = np.argsort(user_channels, kind="stable")
-    sorted_channels = user_channels[order]
-    starts = np.cumsum(user_counts) - user_counts
-    positions = n_fbs + np.arange(n_users) - starts[sorted_channels]
-    return (user_channels, user_counts, order, sorted_channels, positions)
 
 
 def build_scenario(config: ScenarioConfig) -> BuiltScenario:
@@ -98,6 +75,9 @@ def build_scenario(config: ScenarioConfig) -> BuiltScenario:
     csi_scales = np.empty(2 * len(csi_user_ids))
     csi_scales[0::2] = [topology.mbs_margin[u] for u in csi_user_ids]
     csi_scales[1::2] = [topology.fbs_margin[u] for u in csi_user_ids]
+    if csi_scales.size and not np.all(csi_scales > 0.0):
+        raise ConfigurationError(
+            f"mean margins must be positive, got min {csi_scales.min()!r}")
 
     # Per-channel stationary utilisation; identical channels in the
     # paper's evaluation, but kept as an array to match the batched
@@ -124,21 +104,12 @@ def build_scenario(config: ScenarioConfig) -> BuiltScenario:
                 config.deadline_slots),
         }
 
-    n_users = len(topology.users)
-    n_fbs = len(topology.fbss)
-    layouts = {
-        offset: sensing_layout(n_users, n_fbs, config.n_channels, offset)
-        for offset in range(config.n_channels)
-    }
-
     return BuiltScenario(
         csi_user_ids=csi_user_ids,
         csi_scales=csi_scales,
         etas=etas,
-        sorted_user_ids=sorted(csi_user_ids),
         fbs_ids=sorted({static["fbs_id"]
                         for static in demands_static.values()}),
         interfering=topology.interference_graph.number_of_edges() > 0,
         demands_static=demands_static,
-        sensing_layouts=layouts,
     )

@@ -7,7 +7,8 @@ slot executes the paper's four phases:
    ``M`` antennas, Section III-A); each CR user senses one channel,
    assigned round-robin and rotated every slot so all channels keep
    getting user observations.  All results are fused per channel with the
-   Bayesian update of eqs. (2)-(4).
+   Bayesian update of eqs. (2)-(4)
+   (:func:`~repro.sensing.fusion.fuse_log_odds`).
 2. **Access decision** -- the collision-capped probabilistic policy of
    eqs. (5)-(7) yields the access set ``A(t)`` and the posteriors behind
    ``G_t``.
@@ -41,11 +42,11 @@ from repro.sensing.access import (
     AccessPolicy,
     CollisionTracker,
     HardThresholdAccessPolicy,
+    expected_available,
 )
-from repro.phy.fading import draw_rayleigh_margins
 from repro.sensing.belief import ChannelBeliefTracker
-from repro.sensing.detector import SpectrumSensor, sense_observations_batched
-from repro.sensing.fusion import fuse_posteriors_batched
+from repro.sensing.detector import SensingProfile, check_states
+from repro.sensing.fusion import fuse_log_odds, prior_log_odds
 from repro.sim.build import build_scenario
 from repro.sim.channel_assignment import (
     color_partition_allocation,
@@ -120,39 +121,41 @@ class SimulationEngine:
             if config.belief_tracking else None)
 
         topology = config.topology
-        sensing_rng = streams["sensing"]
-        self._user_sensors = {
-            user.user_id: SpectrumSensor(
-                config.false_alarm, config.miss_detection,
-                sensor_id=user.user_id, rng=sensing_rng)
-            for user in topology.users
-        }
-        # FBS sensor ids live above the user id space to stay unique.
-        id_base = 1 + max(user.user_id for user in topology.users)
-        self._fbs_sensors = {
-            fbs.fbs_id: SpectrumSensor(
-                config.false_alarm, config.miss_detection,
-                sensor_id=id_base + fbs.fbs_id, rng=sensing_rng)
-            for fbs in topology.fbss
-        }
-        # Every sensor shares this one stream; the batched backend draws
-        # a whole slot's observations from it in one call.
-        self._sensing_rng = sensing_rng
+        # Every sensor -- M antennas per FBS, one per CR user -- shares
+        # one error profile (validated here, once) and one stream, from
+        # which a slot's observations are drawn in one call: FBS-major
+        # over channels 0..M-1 in topology order, then the users in
+        # sorted-id order, user k on channel (k + slot) % M.
+        self._sensing_rng = streams["sensing"]
+        self._profile = SensingProfile(config.false_alarm,
+                                       config.miss_detection)
+        n_channels = config.n_channels
+        n_fbs = len(topology.fbss)
+        self._n_users = len(topology.users)
+        self._n_fbs_obs = n_fbs * n_channels
+        # Each observation's channel; the user part is rewritten every
+        # slot from the slice [slot % M:] of user_columns[k] = k % M.
+        self._obs_channels = np.empty(self._n_fbs_obs + self._n_users,
+                                      dtype=np.intp)
+        self._obs_channels[:self._n_fbs_obs] = np.tile(
+            np.arange(n_channels), n_fbs)
+        self._user_columns = np.arange(self._n_users + n_channels) % n_channels
+        # Fusion terms: row 0 the prior log-odds, then one step per
+        # observation in draw order (DESIGN.md section 11).  The A2
+        # ablation fuses only the first FBS's antennas.
+        self._terms = np.empty(n_channels + self._obs_channels.size)
+        self._terms[:n_channels] = prior_log_odds(built.etas.tolist())
+        self._fused_rows = (min(1, n_fbs) if config.single_observation_fusion
+                            else n_fbs)
 
         # Per-scenario invariants come from the BuiltScenario: the
-        # topology is static, so link margins, sensing layouts, demand
-        # constants, and the FBS grid never change across slots (see
-        # repro.sim.build).  The interleaved csi scale vector -- (mbs_0,
-        # fbs_0, mbs_1, fbs_1, ...) in topology user order -- lets one
-        # exponential array draw walk the fading stream exactly like the
-        # scalar per-user loop.
-        self._sorted_user_ids = built.sorted_user_ids
+        # topology is static, so link margins, demand constants, and the
+        # FBS grid never change across slots (see repro.sim.build).  The
+        # interleaved csi scale vector -- (mbs_0, fbs_0, mbs_1, fbs_1,
+        # ...) in topology user order -- lets one exponential array draw
+        # walk the fading stream exactly like the scalar per-user loop.
         self._csi_user_ids = built.csi_user_ids
         self._csi_scales = built.csi_scales
-        self._etas = built.etas
-        # The round-robin sensing layout repeats with period M; the
-        # build precomputes the scatter of every offset 0..M-1.
-        self._sensing_layouts = built.sensing_layouts
 
         scheme_info = scheme_registry().get(config.scheme)
         self._greedy_channels = scheme_info.greedy_channels
@@ -281,74 +284,60 @@ class SimulationEngine:
         with the link's mean margin; a link decodes iff its draw exceeds 1,
         which happens with exactly the ``bar P^F`` probability the
         allocation problem uses.  One exponential array draw over the
-        hoisted interleaved scale vector consumes the fading stream
-        exactly like a per-user scalar loop (see
-        :func:`repro.utils.rng.batched_exponential`; the scalar oracle
-        lives in ``tests/oracle.py``).
+        hoisted interleaved scale vector (validated by the build)
+        consumes the fading stream exactly like a per-user scalar loop
+        (see :func:`repro.utils.rng.batched_exponential`; the scalar
+        oracle lives in ``tests/oracle.py``).
         """
-        draws = draw_rayleigh_margins(self._fading_rng, self._csi_scales)
-        mbs_draws = draws[0::2]
-        fbs_draws = draws[1::2]
-        return {
-            user_id: (float(mbs_draws[k]), float(fbs_draws[k]))
-            for k, user_id in enumerate(self._csi_user_ids)
-        }
+        draws = self._fading_rng.exponential(self._csi_scales).tolist()
+        return dict(zip(self._csi_user_ids, zip(draws[0::2], draws[1::2])))
 
-    def _sense_fuse_batched(self, occupancy: np.ndarray) -> np.ndarray:
-        """Sensing + fusion phase (eqs. (2)-(4)).
+    def _sense_fuse_batched(self, occupancy: np.ndarray) -> List[float]:
+        """Sensing + fusion phase (eqs. (2)-(4)): idle posteriors per channel.
 
-        One uniform array draw realises every observation (FBS antennas
-        in insertion order over channels 0..M-1, then users in sorted-id
-        round-robin order), and one vectorized fusion pass folds them per
-        channel in the same observation order.  Draw-for-draw identical
+        One uniform array draw realises every observation and one
+        compare turns the draws into log-likelihood steps
+        (:class:`~repro.sensing.detector.SensingProfile`), written after
+        the prior row of the fusion terms.  :func:`fuse_log_odds` then
+        adds the FBS rows in order, the users' steps over Python floats,
+        and applies the sigmoid.  Draw-for-draw and bit-for-bit identical
         to the per-observation scalar oracle in ``tests/oracle.py``, as
         asserted by ``tests/sensing/test_batched_equivalence.py`` and the
         engine differential suite.
         """
         config = self.config
-        fault_plan = config.fault_plan
         n_channels = config.n_channels
-        n_fbs = len(self._fbs_sensors)
-        n_users = len(self._sorted_user_ids)
-        user_channels, user_counts, order, sorted_channels, positions = \
-            self._sensing_layouts[self._slot % n_channels]
-        states = np.concatenate([
-            np.tile(occupancy, n_fbs), occupancy[user_channels]])
-        observations = sense_observations_batched(
-            states, config.false_alarm, config.miss_detection,
-            rng=self._sensing_rng)
-        fbs_obs = observations[:n_fbs * n_channels].reshape(n_fbs, n_channels)
-        user_obs = observations[n_fbs * n_channels:]
-        if config.single_observation_fusion:
-            # A2 ablation: only the first FBS's own antenna reaches the
-            # fusion centre (user draws were still consumed above, as in
-            # the scalar path).
-            obs_matrix = np.ascontiguousarray(fbs_obs[:1].T)
-            counts = np.full(n_channels, min(1, n_fbs), dtype=np.int64)
-        else:
-            width = n_fbs + (int(user_counts.max()) if n_users else 0)
-            obs_matrix = np.zeros((n_channels, width), dtype=np.int8)
-            obs_matrix[:, :n_fbs] = fbs_obs.T
-            if n_users:
-                obs_matrix[sorted_channels, positions] = user_obs[order]
-            counts = n_fbs + user_counts
+        check_states(np.asarray(occupancy).tolist())
+        occupancy = np.asarray(occupancy, dtype=np.int8)
+        offset = self._slot % n_channels
+        n_fbs_obs = self._n_fbs_obs
+        channels = self._obs_channels
+        channels[n_fbs_obs:] = self._user_columns[offset:offset + self._n_users]
+        draws = self._sensing_rng.random(channels.size)
+        terms = self._terms
+        self._profile.log_likelihood_steps(
+            draws, occupancy.take(channels), out=terms[n_channels:])
+        # A2 ablation: only the first FBS's own antennas reach the
+        # fusion centre (the other draws were still consumed above).
+        tail = (() if config.single_observation_fusion
+                else terms[n_channels + n_fbs_obs:].tolist())
+        silenced = ()
+        fault_plan = config.fault_plan
         if fault_plan is not None:
-            outage = fault_plan.sensing_outage(self._slot, n_channels)
-            if outage:
-                counts = counts.copy()
-                counts[list(outage)] = 0
+            silenced = fault_plan.sensing_outage(self._slot, n_channels)
+            if silenced:
                 self.degradations.append(DegradationEvent(
                     slot=self._slot, cause="sensing-outage",
                     allocator="sensing", fallback="prior-only",
                     detail=("observations missing on channels "
-                            f"{sorted(outage)}; fused from priors")))
+                            f"{sorted(silenced)}; fused from priors")))
+        block = terms[:n_channels * (1 + self._fused_rows)].reshape(
+            1 + self._fused_rows, n_channels)
         if self.belief_tracker is not None:
             self.belief_tracker.predict()
-            return self.belief_tracker.fuse_batched(
-                obs_matrix, counts, config.false_alarm, config.miss_detection)
-        return fuse_posteriors_batched(
-            self._etas, obs_matrix, counts,
-            config.false_alarm, config.miss_detection)
+            return self.belief_tracker.fuse_log_odds(
+                block, tail, offset, silenced)
+        return fuse_log_odds(block, tail, offset, silenced)
 
     def step(self) -> SlotRecord:
         """Simulate one complete time slot and return its record.
@@ -409,20 +398,18 @@ class SimulationEngine:
 
         # --- Access decision ------------------------------------------------
         access = self.access_policy.decide(posteriors)
-        self.collisions.record(access, state.occupancy)
-        available = access.available_channels.tolist()
-        posterior_map = {m: float(posteriors[m]) for m in range(config.n_channels)}
+        collided = self.collisions.record(access, state.occupancy)
+        available = access.accessed
+        posterior_map = dict(enumerate(posteriors))
         if observing:
             registry = global_registry()
-            accessed = access.decisions == 0
-            n_accessed = int(accessed.sum())
+            n_accessed = len(available)
             registry.counter("repro_access_decisions_total",
                              decision="access").inc(n_accessed)
             registry.counter("repro_access_decisions_total",
                              decision="deny").inc(
-                                 access.decisions.size - n_accessed)
-            registry.counter("repro_access_collisions_total").inc(
-                int((accessed & (state.occupancy == 1)).sum()))
+                                 config.n_channels - n_accessed)
+            registry.counter("repro_access_collisions_total").inc(collided)
         tick = self._mark_phase("access", tick, tracer)
 
         # --- Channel + time-share allocation --------------------------------
@@ -442,7 +429,7 @@ class SimulationEngine:
         bound_gap = 0.0
         if not self._interfering:
             # Full spatial reuse: every FBS may access all of A(t).
-            g_all = access.expected_available
+            g_all = expected_available(posteriors, available)
             channel_map = {i: set(available) for i in fbs_ids}
             expected = {i: g_all for i in fbs_ids}
             problem = self.build_slot_problem(expected, csi)
@@ -462,8 +449,9 @@ class SimulationEngine:
             # (Q is nondecreasing in every G_i, so granting all FBSs the
             # whole access set cannot be worse than any conflict-free
             # allocation).  Take the tighter of the two.
+            g_all = expected_available(posteriors, available)
             relaxed_problem = problem.with_expected_channels(
-                {i: access.expected_available for i in fbs_ids})
+                {i: g_all for i in fbs_ids})
             if config.warm_start:
                 relaxed = yield from fast_solve_warm_iter(
                     relaxed_problem, self._relaxed_warm)
@@ -486,7 +474,9 @@ class SimulationEngine:
         # --- Transmission + ACK phase ---------------------------------------
         # Block fading: the margin drawn at slot start decides every packet
         # of this slot on that link (xi = 1 iff margin > 1).
-        idle_truth = set(np.flatnonzero(state.occupancy == 0).tolist())
+        if config.realized_throughput:
+            idle_truth = {m for m, busy in enumerate(state.occupancy.tolist())
+                          if not busy}
         increments: Dict[int, float] = {}
         for user in problem.users:
             margin_mbs, margin_fbs = csi[user.user_id]

@@ -45,9 +45,10 @@ from repro.core.reference import _validate_water_filling
 from repro.obs.metrics import ITERATION_BUCKETS
 from repro.sensing.access import AccessDecision, AccessPolicy
 from repro.sensing.assignment import assign_sensors_round_robin
-from repro.sensing.detector import SensingResult
+from repro.sensing.detector import SensingResult, SpectrumSensor
 from repro.sensing.fusion import fuse_posterior
 from repro.sim import lockstep
+from repro.sim.build import build_scenario
 from repro.sim.engine import SimulationEngine
 from repro.sim.fallback import _FEASIBILITY_TOL, DegradationEvent
 from repro.utils.errors import ConfigurationError
@@ -345,21 +346,35 @@ def draw_csi(engine: SimulationEngine) -> Dict[int, tuple]:
     return csi
 
 
-def sense_fuse_scalar(engine: SimulationEngine, occupancy: np.ndarray) -> np.ndarray:
+def sense_fuse_scalar(engine: SimulationEngine,
+                      occupancy: np.ndarray) -> List[float]:
     """Sensing + fusion with one :class:`SensingResult` per observation,
-    fused channel by channel with eqs. (2)-(4)."""
+    fused channel by channel with eqs. (2)-(4).
+
+    One :class:`SpectrumSensor` per FBS (``M`` antennas, topology order)
+    and per CR user (sorted ids, round-robin channels), all on the
+    engine's sensing stream; priors are the ``eta_m`` of the engine's
+    build (:func:`~repro.sim.build.build_scenario`).
+    """
     config = engine.config
+    topology = config.topology
     fault_plan = config.fault_plan
+    rng = engine._sensing_rng
     results_by_channel: Dict[int, List[SensingResult]] = {
         m: [] for m in range(config.n_channels)}
-    for fbs_id, sensor in engine._fbs_sensors.items():
+    # FBS sensor ids live above the user id space to stay unique.
+    id_base = 1 + max(user.user_id for user in topology.users)
+    for fbs in topology.fbss:
+        sensor = SpectrumSensor(config.false_alarm, config.miss_detection,
+                                sensor_id=id_base + fbs.fbs_id, rng=rng)
         for m in range(config.n_channels):
             results_by_channel[m].append(sensor.sense(m, int(occupancy[m])))
-    user_ids = sorted(engine._user_sensors)
+    user_ids = sorted(user.user_id for user in topology.users)
     user_assignment = assign_sensors_round_robin(
         user_ids, config.n_channels, offset=engine._slot)
     for user_id, channel in user_assignment.items():
-        sensor = engine._user_sensors[user_id]
+        sensor = SpectrumSensor(config.false_alarm, config.miss_detection,
+                                sensor_id=user_id, rng=rng)
         results_by_channel[channel].append(
             sensor.sense(channel, int(occupancy[channel])))
     if config.single_observation_fusion:
@@ -382,17 +397,11 @@ def sense_fuse_scalar(engine: SimulationEngine, occupancy: np.ndarray) -> np.nda
                         f"{sorted(outage)}; fused from priors")))
     if engine.belief_tracker is not None:
         engine.belief_tracker.predict()
-        posteriors = np.array([
-            engine.belief_tracker.fuse(m, results_by_channel[m])
-            for m in range(config.n_channels)
-        ])
-    else:
-        etas = engine.spectrum.utilizations
-        posteriors = np.array([
-            fuse_posterior(etas[m], results_by_channel[m])
-            for m in range(config.n_channels)
-        ])
-    return posteriors
+        return [engine.belief_tracker.fuse(m, results_by_channel[m])
+                for m in range(config.n_channels)]
+    etas = build_scenario(config).etas
+    return [fuse_posterior(float(etas[m]), results_by_channel[m])
+            for m in range(config.n_channels)]
 
 
 def decide_scalar(policy: AccessPolicy, posteriors) -> AccessDecision:

@@ -88,12 +88,38 @@ class TestDecide:
         assert decision.available_channels.size == 0
         assert decision.expected_available_subset([0, 1]) == 0.0
 
+    def test_accessed_list_matches_decisions(self):
+        policy = AccessPolicy([0.3] * 6, rng=4)
+        for _ in range(30):
+            decision = policy.decide([0.9, 0.2, 0.5, 1.0, 0.0, 0.75])
+            assert decision.accessed == \
+                decision.available_channels.tolist()
+            assert all(type(m) is int for m in decision.accessed)
+        built = AccessDecision(
+            access_probabilities=np.ones(3),
+            decisions=np.array([1, 0, 0], dtype=np.int8),
+            posteriors=np.array([0.1, 0.2, 0.3]))
+        assert built.accessed == [1, 2]
+
     def test_sure_channels_always_accessed(self):
         policy = AccessPolicy([0.2] * 2, rng=2)
         for _ in range(50):
             decision = policy.decide([1.0, 0.85])
             assert decision.decisions[0] == 0
             assert decision.decisions[1] == 0
+
+
+class TestExpectedAvailable:
+    """G_t from the A(t) list equals numpy's sum over the old index array."""
+
+    def test_expected_available_matches_numpy(self):
+        rng = np.random.default_rng(61)
+        for n_channels in range(1, 17):
+            policy = AccessPolicy([1.0] * n_channels, rng=0)
+            decision = policy.decide(rng.random(n_channels))
+            expected = float(decision.posteriors[
+                decision.available_channels].sum())
+            assert decision.expected_available.hex() == expected.hex()
 
 
 class TestEndToEndCollisionCap:
@@ -130,7 +156,9 @@ class TestCollisionTracker:
             decisions=np.array([0, 1], dtype=np.int8),
             posteriors=np.array([0.9, 0.1]),
         )
-        tracker.record(decision, np.array([1, 1]))  # ch0 accessed & busy
+        # ch0 accessed & busy
+        assert tracker.record(decision, np.array([1, 1])) == 1
+        assert tracker.accesses.dtype == tracker.collisions.dtype == np.int64
         assert tracker.accesses.tolist() == [1, 0]
         assert tracker.collisions.tolist() == [1, 0]
         assert tracker.collision_rates().tolist() == [1.0, 0.0]

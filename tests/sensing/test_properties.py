@@ -7,9 +7,15 @@ Hypothesis fuzzes priors, sensor error profiles (including the exact
   the batched fusion alike;
 * the access rule must keep the per-channel expected collision
   probability ``(1 - P_A) * P_D`` under the cap ``gamma_m`` (eq. 6),
-  for the probabilistic and the hard-threshold policy, scalar and
-  batched alike.
+  for the probabilistic and the hard-threshold policy.  Each policy
+  defines its rule once (``access_rule``); the properties are checked
+  on the probabilities ``decide`` actually draws against, and on the
+  per-channel and array helpers, which must agree with them bit for
+  bit.
 """
+
+import struct
+
 
 import numpy as np
 from hypothesis import given, settings
@@ -81,6 +87,21 @@ def _cap_with_slack(gamma):
     return gamma + np.spacing(max(gamma, np.finfo(float).tiny))
 
 
+def _rule_outputs(policy, posteriors):
+    """``P_D`` per channel from ``decide``, checked against every other
+    entry point to the policy's one rule."""
+    probs = policy.decide(posteriors).access_probabilities
+    per_channel = [policy.access_probability(m, float(posteriors[m]))
+                   for m in range(len(posteriors))]
+    rule = [policy.access_rule(float(gamma), float(posterior))
+            for gamma, posterior in zip(policy.collision_caps, posteriors)]
+    packed = struct.pack(f"<{len(probs)}d", *probs.tolist())
+    for other in (per_channel, rule,
+                  policy.access_probabilities(posteriors).tolist()):
+        assert struct.pack(f"<{len(other)}d", *other) == packed
+    return probs
+
+
 @settings(max_examples=300)
 @given(caps=st.lists(st.floats(min_value=1e-9, max_value=1.0,
                                allow_nan=False), min_size=1, max_size=8),
@@ -91,14 +112,12 @@ def test_probabilistic_policy_respects_collision_cap(caps, data):
         data.draw(probabilities, label=f"posterior[{m}]")
         for m in range(len(caps))
     ])
-    for probs in (policy.access_probabilities(posteriors),
-                  np.array([policy.access_probability(m, float(posteriors[m]))
-                            for m in range(len(caps))])):
-        assert np.all(probs >= 0.0)
-        assert np.all(probs <= 1.0)
-        for m, gamma in enumerate(caps):
-            collision = (1.0 - posteriors[m]) * probs[m]
-            assert collision <= _cap_with_slack(gamma)
+    probs = _rule_outputs(policy, posteriors)
+    assert np.all(probs >= 0.0)
+    assert np.all(probs <= 1.0)
+    for m, gamma in enumerate(caps):
+        collision = (1.0 - posteriors[m]) * probs[m]
+        assert collision <= _cap_with_slack(gamma)
 
 
 @settings(max_examples=300)
@@ -111,13 +130,11 @@ def test_threshold_policy_respects_collision_cap(caps, data):
         data.draw(probabilities, label=f"posterior[{m}]")
         for m in range(len(caps))
     ])
-    for probs in (policy.access_probabilities(posteriors),
-                  np.array([policy.access_probability(m, float(posteriors[m]))
-                            for m in range(len(caps))])):
-        assert set(np.unique(probs)) <= {0.0, 1.0}
-        for m, gamma in enumerate(caps):
-            collision = (1.0 - posteriors[m]) * probs[m]
-            assert collision <= _cap_with_slack(gamma)
+    probs = _rule_outputs(policy, posteriors)
+    assert set(np.unique(probs)) <= {0.0, 1.0}
+    for m, gamma in enumerate(caps):
+        collision = (1.0 - posteriors[m]) * probs[m]
+        assert collision <= _cap_with_slack(gamma)
 
 
 @settings(max_examples=100)
@@ -126,7 +143,7 @@ def test_threshold_policy_respects_collision_cap(caps, data):
 def test_probabilistic_policy_is_maximal_under_the_cap(gamma, posterior):
     """Eq. (7): P_D is the *largest* probability satisfying the cap."""
     policy = AccessPolicy([gamma])
-    prob = policy.access_probability(0, posterior)
+    prob = float(_rule_outputs(policy, np.array([posterior]))[0])
     busy = 1.0 - posterior
     if busy <= gamma:
         assert prob == 1.0
