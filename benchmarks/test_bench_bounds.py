@@ -14,10 +14,10 @@ from repro.core.bounds import (
     theorem2_factor,
     tighter_upper_bound,
 )
-from repro.core.dual import fast_solve
 from repro.core.greedy import GreedyChannelAllocator, exhaustive_channel_optimum
 from repro.experiments.scenarios import interfering_fbs_scenario
 from repro.sim.engine import SimulationEngine
+from tests.oracle import drive_exact
 
 
 def measure_bounds(n_slots=6):
@@ -25,7 +25,7 @@ def measure_bounds(n_slots=6):
     config = interfering_fbs_scenario(n_channels=4, n_gops=1, seed=BENCH_SEED)
     engine = SimulationEngine(config, record_slots=True)
     graph = config.topology.interference_graph
-    allocator = GreedyChannelAllocator(graph, solver=fast_solve)
+    allocator = GreedyChannelAllocator(graph)
     rows = []
     for _ in range(n_slots):
         record = engine.step()
@@ -36,10 +36,10 @@ def measure_bounds(n_slots=6):
             {i: 0.0 for i in record.problem.fbs_ids})
         posteriors = {m: float(record.access.posteriors[m])
                       for m in range(config.n_channels)}
-        greedy = allocator.allocate(problem, available, posteriors)
+        greedy = drive_exact(allocator.allocate_iter(problem, available,
+                                                     posteriors))
         _best, q_opt = exhaustive_channel_optimum(
-            problem, available, posteriors, graph,
-            solver=fast_solve, max_pairs=12)
+            problem, available, posteriors, graph, max_pairs=12)
         rows.append({
             "slot": record.slot,
             "channels": len(available),

@@ -14,10 +14,11 @@ import time
 import numpy as np
 
 from benchmarks.conftest import report
-from repro.core.dual import DualDecompositionSolver, fast_solve
+from repro.core.dual import DualDecompositionSolver
 from repro.core.greedy import GreedyChannelAllocator
 from repro.core.problem import SlotProblem, UserDemand
 from repro.net.interference import interference_graph_from_edges
+from tests.oracle import drive_exact
 
 
 def make_problem(n_users, n_fbss=1, seed=0):
@@ -66,8 +67,9 @@ def greedy_scaling():
             [(i, i + 1) for i in range(1, n_fbss)])
         problem = make_problem(2 * n_fbss, n_fbss=n_fbss, seed=n_fbss)
         posteriors = {m: 0.5 + 0.4 * (m % 3) / 3 for m in range(n_channels)}
-        allocator = GreedyChannelAllocator(chain, solver=fast_solve)
-        result = allocator.allocate(problem, list(range(n_channels)), posteriors)
+        allocator = GreedyChannelAllocator(chain)
+        result = drive_exact(allocator.allocate_iter(
+            problem, list(range(n_channels)), posteriors))
         worst_case = (n_fbss * n_channels) ** 2
         rows.append((n_fbss, n_channels, result.evaluations, worst_case))
     return rows

@@ -2,40 +2,33 @@
 
 Runs the interfering-FBS (fig6-style) scenario twice through the
 Monte-Carlo runner -- once on the scalar oracle of ``tests/oracle.py``
-(``scalar_path()`` + ``memoize_q=False``, i.e. the literal
-pre-optimisation code path) and once with the defaults -- verifies the
-two produce bit-identical per-run metrics, and records the speedup into
-``BENCH_solver.json`` so the acceleration work keeps a measured
-trajectory.
+(``scalar_path()``, the literal pre-optimisation code path) and once on
+the production path -- verifies the two produce bit-identical per-run
+metrics, and records the speedup into ``BENCH_solver.json`` so the
+acceleration work keeps a measured trajectory.  Both legs run the same
+config: the greedy has no ``Q(c)`` memo to switch off, and there is no
+warm-start leg because cross-slot warm starts no longer exist.
 
-A second leg checks the warm-start mode (``warm_start=True``), which is
-deliberately *not* bit-identical: seeding each slot's dual solve with the
-previous slot's multipliers changes the iterate path, so the contract is
-equal-or-better per-slot objectives, asserted here on a drifting sequence
-of slot problems.
-
-A third leg records what one iteration of the stacked dual loop costs
+A second leg records what one iteration of the stacked dual loop costs
 at the lockstep widths the simulator runs (``kernel-width``), and a
-fourth what continuous batching saves over one stack per round
+third what continuous batching saves over one stack per round
 (``kernel-continuous``).
 """
 
 import json
 import time
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from benchmarks.conftest import BENCH_GOPS, BENCH_RUNS, BENCH_SEED, report
-from repro.core.allocator import ProposedAllocator
 from repro.core.batch import (
     RunningStack,
     SolveRequest,
     answer_request,
     solve_requests,
 )
-from repro.core.dual import fast_solve
+from repro.core.greedy import EVAL_ITERATIONS
 from repro.core.problem import SlotProblem, UserDemand
 from repro.experiments.scenarios import interfering_fbs_scenario
 from repro.sim.checkpoint import run_metrics_to_dict
@@ -54,8 +47,6 @@ KERNEL_WIDTHS = (1, 2, 3, 10)
 #: Same-shape groups timed per width, and timed passes over them.
 KERNEL_GROUPS = 20
 KERNEL_REPEATS = 5
-#: The greedy channel allocation's per-Q(c) iteration budget.
-EVAL_ITERATIONS = 150
 #: Members of the kernel-continuous leg (a fig6 formation), and the
 #: range of requests each makes (the greedy's count varies by member).
 STREAM_MEMBERS = 10
@@ -100,32 +91,6 @@ def _fig6_requests(rng, width):
     return requests
 
 
-def _drifting_problems(n_slots=40, n_users=6, n_fbss=2, seed=BENCH_SEED):
-    """Slot problems whose expected-channel counts drift slowly over time.
-
-    Mimics consecutive engine slots (same users, sensing-driven G drift),
-    the regime the warm-start contract is written for.
-    """
-    rng = np.random.default_rng(seed)
-    users = [
-        UserDemand(
-            user_id=j, fbs_id=1 + j % n_fbss,
-            w_prev=26.0 + 8.0 * rng.random(),
-            success_mbs=0.5 + 0.5 * rng.random(),
-            success_fbs=0.5 + 0.5 * rng.random(),
-            r_mbs=float(rng.random() * 2.0),
-            r_fbs=float(rng.random() * 1.5))
-        for j in range(n_users)
-    ]
-    g = {i: 2.0 + float(rng.random()) for i in range(1, n_fbss + 1)}
-    problems = []
-    for _ in range(n_slots):
-        g = {i: min(4.0, max(0.1, v + float(rng.normal(0.0, 0.2))))
-             for i, v in g.items()}
-        problems.append(SlotProblem(users=users, expected_channels=dict(g)))
-    return problems
-
-
 def _record_trajectory(entry):
     history = []
     if BENCH_JSON.exists():
@@ -145,7 +110,7 @@ def test_bench_solver_acceleration(benchmark):
 
     def ab_comparison():
         with scalar_path():
-            base_runs, base_s = _timed_runs(replace(config, memoize_q=False))
+            base_runs, base_s = _timed_runs(config)
         accel_runs, accel_s = _timed_runs(config)
         return base_runs, base_s, accel_runs, accel_s
 
@@ -178,37 +143,10 @@ def test_bench_solver_acceleration(benchmark):
 
     assert identical, (
         "accelerated path diverged from the scalar oracle -- the "
-        "vectorized solver must be bit-identical with warm starts off")
+        "vectorized solver must be bit-identical")
     assert speedup >= MIN_SPEEDUP, (
         f"expected >= {MIN_SPEEDUP}x speedup from the vectorized path, "
         f"measured {speedup:.2f}x")
-
-
-def test_bench_solver_warm_start(benchmark):
-    problems = _drifting_problems()
-
-    def warm_vs_cold():
-        warm_allocator = ProposedAllocator(fast=True, warm_start=True)
-        pairs = []
-        for problem in problems:
-            cold = fast_solve(problem)
-            warm = warm_allocator.allocate(problem)
-            pairs.append((cold.objective, warm.objective))
-        return pairs
-
-    pairs = benchmark.pedantic(warm_vs_cold, rounds=1, iterations=1)
-    worse = [(cold, warm) for cold, warm in pairs if warm < cold - 1e-9]
-    best_gain = max(warm - cold for cold, warm in pairs)
-
-    report("Warm starts: per-slot objective vs cold solves", "\n".join([
-        f"slots            : {len(pairs)} (drifting G, fixed users)",
-        f"equal-or-better  : {len(pairs) - len(worse)}/{len(pairs)}",
-        f"largest gain     : {best_gain:+.3e} (log-objective)",
-    ]))
-
-    assert not worse, (
-        f"warm-started solves fell below the cold objective on "
-        f"{len(worse)} slot(s); first: cold={worse[0][0]!r} warm={worse[0][1]!r}")
 
 
 def _solution_key(solution):

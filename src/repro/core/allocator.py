@@ -19,9 +19,7 @@ built-in set.
 
 from __future__ import annotations
 
-from typing import Dict
-
-from repro.core.batch import SolveRequest, drive, fast_solve_iter, fast_solve_warm_iter
+from repro.core.batch import SolveRequest, drive, fast_solve_iter
 from repro.core.dual import DualDecompositionSolver
 from repro.core.heuristics import EqualAllocationHeuristic, MultiuserDiversityHeuristic
 from repro.core.problem import Allocation, SlotProblem
@@ -38,20 +36,12 @@ class ProposedAllocator:
         iteration.  Both solve the same convex program; the subgradient
         version is the faithful distributed protocol, the fast version is
         preferable inside parameter sweeps.
-    warm_start:
-        Seed each solve with the previous call's final multipliers
-        (consecutive slot problems drift slowly, so the warm dual point
-        is near-optimal).  Changes the iterate path -- solutions are
-        equal-or-better in objective, not bit-identical to cold solves.
     solver_kwargs:
         Forwarded to :class:`DualDecompositionSolver` when ``fast=False``.
     """
 
-    def __init__(self, *, fast: bool = False, warm_start: bool = False,
-                 **solver_kwargs) -> None:
+    def __init__(self, *, fast: bool = False, **solver_kwargs) -> None:
         self.fast = bool(fast)
-        self.warm_start = bool(warm_start)
-        self._warm: Dict[int, float] = {}
         self._solver = None if self.fast else DualDecompositionSolver(**solver_kwargs)
 
     @property
@@ -74,26 +64,17 @@ class ProposedAllocator:
         traces), which an answered request does not carry.
         """
         if self.fast:
-            if self.warm_start:
-                result = yield from fast_solve_warm_iter(problem, self._warm)
-            else:
-                result = yield from fast_solve_iter(problem)
-            return result
+            return (yield from fast_solve_iter(problem))
         solver = self._solver
-        initial = dict(self._warm) or None if self.warm_start else None
         if solver.strict or solver.record_trace:
-            solution = solver.solve(problem, initial_multipliers=initial)
+            solution = solver.solve(problem)
         else:
             solution = yield SolveRequest(
                 problem=problem,
                 max_iterations=solver.max_iterations,
                 step_size=solver.step_size,
                 threshold=solver.threshold,
-                decay_after=solver.decay_after,
-                initial_multipliers=initial)
-        if self.warm_start:
-            self._warm.clear()
-            self._warm.update(solution.multipliers)
+                decay_after=solver.decay_after)
         return solution.allocation
 
 
@@ -109,7 +90,6 @@ register_scheme(SchemeInfo(
     name="proposed",
     factory=_proposed_factory,
     batchable=True,
-    warm_startable=True,
     greedy_channels=True,
     accepts_options=True,
     description="Dual-decomposition optimum (Tables I/II) with greedy "
@@ -119,7 +99,6 @@ register_scheme(SchemeInfo(
     name="proposed-fast",
     factory=_proposed_fast_factory,
     batchable=True,
-    warm_startable=True,
     greedy_channels=True,
     accepts_options=True,
     description="Same convex program via the fast exact-inner solver; "

@@ -33,8 +33,8 @@ The module provides two layers:
   iteration 37 returns the same iterate whether its batch mates run 37
   or 5000 iterations, or joined the stack before or after it.
 
-* Solve *generators* -- :func:`fast_solve_iter` and friends mirror the
-  entry points of :mod:`repro.core.dual` but ``yield`` each
+* Solve *generators* -- :func:`fast_solve_iter` mirrors
+  :func:`repro.core.dual.fast_solve` but yields each
   :class:`SolveRequest` instead of solving inline, so a driver can
   interleave many call sites.  :func:`drive` runs such a generator
   sequentially, answering each request with :func:`answer_request`;
@@ -128,13 +128,11 @@ def drive(gen: SolveGenerator):
         return stop.value
 
 
-# -- solve generators mirroring repro.core.dual entry points -------------
+# -- the solve generator mirroring repro.core.dual.fast_solve -------------
 
 
 def fast_solve_iter(problem: SlotProblem, *, max_iterations: int = 400,
-                    polish: bool = True,
-                    initial_multipliers: Optional[Dict[int, float]] = None
-                    ) -> SolveGenerator:
+                    polish: bool = True) -> SolveGenerator:
     """Generator form of :func:`repro.core.dual.fast_solve`.
 
     The subgradient stage is yielded as a request (batchable); the
@@ -143,28 +141,7 @@ def fast_solve_iter(problem: SlotProblem, *, max_iterations: int = 400,
     few percent of the solve cost.
     """
     solution = yield SolveRequest(problem=problem,
-                                  max_iterations=max_iterations,
-                                  initial_multipliers=initial_multipliers)
-    if not polish:
-        return solution.allocation
-    return flip_polish(problem, solution.allocation)
-
-
-def fast_solve_warm_iter(problem: SlotProblem,
-                         warm_multipliers: Dict[int, float], *,
-                         max_iterations: int = 400,
-                         polish: bool = True) -> SolveGenerator:
-    """Generator form of :func:`repro.core.dual.fast_solve_warm`.
-
-    The warm store is read when the request is *created* and written
-    when the answer arrives; the owning generator is suspended in
-    between, so the store cannot be observed half-updated.
-    """
-    solution = yield SolveRequest(
-        problem=problem, max_iterations=max_iterations,
-        initial_multipliers=dict(warm_multipliers) or None)
-    warm_multipliers.clear()
-    warm_multipliers.update(solution.multipliers)
+                                  max_iterations=max_iterations)
     if not polish:
         return solution.allocation
     return flip_polish(problem, solution.allocation)

@@ -575,8 +575,7 @@ def _iterate(members: List[_DualState],
 
 
 def fast_solve(problem: SlotProblem, *, max_iterations: int = 400,
-               polish: bool = True,
-               initial_multipliers: Optional[Dict[int, float]] = None) -> Allocation:
+               polish: bool = True) -> Allocation:
     """Fast solver: capped subgradient run plus single-flip local search.
 
     Runs the Table I/II iteration with a reduced budget, then polishes the
@@ -595,35 +594,11 @@ def fast_solve(problem: SlotProblem, *, max_iterations: int = 400,
         Subgradient budget before the polish stage.
     polish:
         Disable to get the raw capped-subgradient solution.
-    initial_multipliers:
-        Warm start, useful across consecutive ``Q`` evaluations.
     """
     from repro.core.batch import drive, fast_solve_iter
 
     return drive(fast_solve_iter(problem, max_iterations=max_iterations,
-                                 polish=polish,
-                                 initial_multipliers=initial_multipliers))
-
-
-def fast_solve_warm(problem: SlotProblem, warm_multipliers: Dict[int, float], *,
-                    max_iterations: int = 400, polish: bool = True) -> Allocation:
-    """:func:`fast_solve` with a persistent warm-start multiplier store.
-
-    ``warm_multipliers`` is read as the initial dual point (when
-    non-empty) and replaced in place with the final multipliers, so a
-    caller holding one dict across consecutive slots chains each solve
-    off the previous slot's dual optimum.  Per-slot problems drift slowly
-    (the PSNR states ``W_j`` move by one slot's increment), so the warm
-    dual point is near-optimal and the subgradient loop converges in far
-    fewer iterations.  Note the warm-started iterate path differs from a
-    cold solve, so allocations are not bit-identical to cold ones -- the
-    benchmark asserts they are equal-or-better in objective instead.
-    """
-    from repro.core.batch import drive, fast_solve_warm_iter
-
-    return drive(fast_solve_warm_iter(problem, warm_multipliers,
-                                      max_iterations=max_iterations,
-                                      polish=polish))
+                                 polish=polish))
 
 
 def flip_polish(problem: SlotProblem, allocation: Allocation, *,

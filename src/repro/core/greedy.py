@@ -10,8 +10,10 @@ largest marginal objective gain:
 
 then removes the chosen pair and its conflicting neighbour pairs
 ``R(i') x {m'}`` from the candidate set.  ``Q(c)`` is the optimal value of
-problem (17) given the channel allocation ``c`` (computed by the Table II
-algorithm; we use the fast exact-inner solver by default).
+problem (17) given the channel allocation ``c``, evaluated by the Table II
+dual algorithm: a solve capped at :data:`EVAL_ITERATIONS` iterations and
+warm-started from the slot's previous evaluation, then one full
+:func:`~repro.core.dual.fast_solve` at the final ``c``.
 
 Implementation note: ``Q`` is nondecreasing in every ``G_i`` (raising
 ``G_i`` enlarges the FBS-branch utilities pointwise over an unchanged
@@ -20,14 +22,15 @@ posteriors.  Hence, among candidate pairs sharing the same FBS, the best
 is always the remaining channel with the largest posterior ``P^A_m`` -- so
 each greedy step needs only ``N`` evaluations of ``Q`` instead of
 ``N * M``, preserving the exact argmax of Table III at a fraction of the
-cost.  Set ``exhaustive_scan=True`` to force the literal full scan (used
-by the test suite to confirm equivalence).
+cost.  The test suite confirms the equivalence by patching
+:func:`_best_channel_per_fbs` to return every candidate (the literal full
+scan).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import networkx as nx
 
@@ -38,8 +41,8 @@ from repro.core.problem import Allocation, SlotProblem
 from repro.obs.metrics import global_registry, metrics_enabled
 from repro.utils.errors import ConfigurationError
 
-#: Signature of the inner solver used to evaluate Q(c).
-SolverFn = Callable[[SlotProblem], Allocation]
+#: Subgradient budget of one ``Q(c)`` evaluation.
+EVAL_ITERATIONS = 150
 
 
 @dataclass
@@ -60,10 +63,7 @@ class GreedyResult:
     trace:
         Execution trace feeding the bounds of Section IV-C3.
     evaluations:
-        Number of ``Q`` evaluations actually solved (complexity
-        accounting; memo hits are excluded).
-    cache_hits:
-        ``Q`` evaluations answered from the memo instead of a solve.
+        Number of ``Q`` evaluations solved (complexity accounting).
     """
 
     channel_allocation: Dict[int, Set[int]]
@@ -71,56 +71,23 @@ class GreedyResult:
     allocation: Optional[Allocation]
     trace: GreedyTrace
     evaluations: int = 0
-    cache_hits: int = 0
 
 
 class GreedyChannelAllocator:
     """Table III's greedy algorithm.
 
+    ``Q(c)`` is evaluated as the module docstring describes.  There is
+    no ``Q(c)`` memo: its key would have to include the warm multipliers,
+    which change after every solve, so it would never hit.
+
     Parameters
     ----------
     interference_graph:
         Graph over FBS ids (Definition 1).
-    solver:
-        Inner solver evaluating ``Q(c)``; ``None`` (default) uses a
-        warm-started, iteration-capped dual solve for the evaluations and
-        the full :func:`~repro.core.dual.fast_solve` for the final
-        allocation.
-    eval_iterations:
-        Subgradient budget per ``Q`` evaluation on the default path.
-    exhaustive_scan:
-        Evaluate every candidate pair each step (the literal Table III
-        loop) instead of only each FBS's best remaining channel.
-    memoize:
-        Cache ``Q`` evaluations within a slot.  ``Q`` depends on the
-        allocation matrix ``c`` only through the per-FBS sums ``G_i =
-        sum_m c_{i,m} P^A_m`` (problem (17) never sees individual
-        channels), so candidates with equal ``G`` vectors are literally
-        the same problem.  On the default (warm-started) evaluation path
-        the memo key additionally includes the current warm multipliers,
-        so a hit is by construction the same solver input -- memoized
-        runs are bit-identical to unmemoized ones.
-    warm_start:
-        Persist the evaluation warm-start multipliers *across*
-        ``allocate`` calls (consecutive slots) instead of starting each
-        slot cold.  Changes the dual iterate path, so results are no
-        longer bit-identical to cold runs (they are equal-or-better in
-        objective; see the solver benchmark).  Off by default.
     """
 
-    def __init__(self, interference_graph: nx.Graph, *,
-                 solver: Optional[SolverFn] = None,
-                 eval_iterations: int = 150,
-                 exhaustive_scan: bool = False,
-                 memoize: bool = True,
-                 warm_start: bool = False) -> None:
+    def __init__(self, interference_graph: nx.Graph) -> None:
         self.graph = interference_graph
-        self.solver = solver
-        self.eval_iterations = int(eval_iterations)
-        self.exhaustive_scan = bool(exhaustive_scan)
-        self.memoize = bool(memoize)
-        self.warm_start = bool(warm_start)
-        self._persistent_warm: Dict[int, float] = {}
 
     def allocate(self, problem: SlotProblem, available_channels: Sequence[int],
                  posteriors: Dict[int, float], *,
@@ -161,9 +128,9 @@ class GreedyChannelAllocator:
         ``Q(c)`` solve (and the final solve), returning the
         :class:`GreedyResult`.  The evaluations within one slot are
         inherently sequential -- each solve warm-starts from the
-        previous one's multipliers, and the memo key includes that warm
-        state -- so batching happens *across* engines driving this
-        generator in lockstep, never across candidates.
+        previous one's multipliers -- so batching happens *across*
+        engines driving this generator in lockstep, never across
+        candidates.
         """
         fbs_ids = problem.fbs_ids
         missing_nodes = [i for i in fbs_ids if i not in self.graph]
@@ -179,67 +146,27 @@ class GreedyChannelAllocator:
         candidates: Set[Tuple[int, int]] = {
             (i, m) for i in fbs_ids for m in available_channels}
         evaluations = 0
-        cache_hits = 0
         steps: List[GreedyStep] = []
 
         def g_of(alloc: Dict[int, Set[int]]) -> Dict[int, float]:
             return {i: sum(posteriors[m] for m in channels)
                     for i, channels in alloc.items()}
 
-        # Q(c) memo (see class docstring): the key is the G vector the
-        # allocation induces -- plus, on the warm-started default path,
-        # the warm multipliers the solve would start from, which makes a
-        # hit the exact same solver input as the original evaluation.
-        memo: Dict[tuple, object] = {}
+        # A capped subgradient run per Q(c), warm-started from the
+        # previous evaluation's multipliers -- consecutive candidate
+        # allocations differ by one channel, so the dual variables barely
+        # move between evaluations.
+        warm: Dict[int, float] = {}
 
-        if self.solver is not None:
-            def q_of(alloc: Dict[int, Set[int]]) -> float:
-                nonlocal evaluations, cache_hits
-                g = g_of(alloc)
-                key = tuple(g[i] for i in fbs_ids)
-                if self.memoize:
-                    hit = memo.get(key)
-                    if hit is not None:
-                        cache_hits += 1
-                        return hit
-                evaluations += 1
-                objective = self.solver(
-                    problem.with_expected_channels(g)).objective
-                if self.memoize:
-                    memo[key] = objective
-                return objective
-                yield  # unreachable: gives q_of the generator protocol
-        else:
-            # Default evaluation path: a capped subgradient run per Q(c),
-            # warm-started from the previous evaluation's multipliers --
-            # consecutive candidate allocations differ by one channel, so
-            # the dual variables barely move between evaluations.
-            warm = self._persistent_warm if self.warm_start else {}
-
-            def q_of(alloc: Dict[int, Set[int]]) -> float:
-                nonlocal evaluations, cache_hits
-                g = g_of(alloc)
-                if self.memoize:
-                    key = (tuple(g[i] for i in fbs_ids),
-                           tuple(sorted(warm.items())))
-                    hit = memo.get(key)
-                    if hit is not None:
-                        cache_hits += 1
-                        objective, multipliers = hit
-                        # Replay the original evaluation's effect on the
-                        # warm state so subsequent solves are unchanged.
-                        warm.update(multipliers)
-                        return objective
-                solution = yield SolveRequest(
-                    problem=problem.with_expected_channels(g),
-                    max_iterations=self.eval_iterations,
-                    initial_multipliers=dict(warm) or None)
-                evaluations += 1
-                if self.memoize:
-                    memo[key] = (solution.allocation.objective,
-                                 dict(solution.multipliers))
-                warm.update(solution.multipliers)
-                return solution.allocation.objective
+        def q_of(alloc: Dict[int, Set[int]]):
+            nonlocal evaluations
+            solution = yield SolveRequest(
+                problem=problem.with_expected_channels(g_of(alloc)),
+                max_iterations=EVAL_ITERATIONS,
+                initial_multipliers=dict(warm) or None)
+            evaluations += 1
+            warm.update(solution.multipliers)
+            return solution.allocation.objective
 
         q_empty = yield from q_of(allocation_map)
         q_current = q_empty
@@ -250,12 +177,10 @@ class GreedyChannelAllocator:
             return (yield from q_of(trial))
 
         while candidates:
-            scan = (candidates if self.exhaustive_scan
-                    else _best_channel_per_fbs(candidates, posteriors))
             step_evals: Dict[Tuple[int, int], float] = {}
             best_pair = None
             best_q = None
-            for pair in sorted(scan):
+            for pair in _best_channel_per_fbs(candidates, posteriors):
                 q_trial = yield from q_with(pair)
                 step_evals[pair] = q_trial
                 if best_q is None or q_trial > best_q:
@@ -296,24 +221,18 @@ class GreedyChannelAllocator:
         expected = g_of(allocation_map)
         final_allocation = None
         if final_solve:
-            if self.solver is not None:
-                final_allocation = self.solver(
-                    problem.with_expected_channels(expected))
-            else:
-                final_allocation = yield from fast_solve_iter(
-                    problem.with_expected_channels(expected))
+            final_allocation = yield from fast_solve_iter(
+                problem.with_expected_channels(expected))
         trace = GreedyTrace(steps=tuple(steps), q_empty=q_empty, q_final=q_current)
         if metrics_enabled():
             registry = global_registry()
             registry.counter("repro_greedy_q_evaluations_total").inc(evaluations)
-            registry.counter("repro_greedy_q_cache_hits_total").inc(cache_hits)
         return GreedyResult(
             channel_allocation=allocation_map,
             expected_channels=expected,
             allocation=final_allocation,
             trace=trace,
             evaluations=evaluations,
-            cache_hits=cache_hits,
         )
 
 
@@ -333,7 +252,6 @@ def _best_channel_per_fbs(candidates: Set[Tuple[int, int]],
 
 def exhaustive_channel_optimum(problem: SlotProblem, available_channels: Sequence[int],
                                posteriors: Dict[int, float], graph: nx.Graph, *,
-                               solver: Optional[SolverFn] = None,
                                max_pairs: int = 16) -> Tuple[Dict[int, Set[int]], float]:
     """Globally optimal channel allocation by exhaustive enumeration.
 
@@ -341,9 +259,9 @@ def exhaustive_channel_optimum(problem: SlotProblem, available_channels: Sequenc
     FBS subsets (each channel independently goes to any *independent set*
     of the interference graph).  Exponential; used in tests to verify the
     Theorem 2 / eq. (23) bounds.  ``Q(Omega)`` is returned alongside the
-    argmax allocation.
+    argmax allocation; each ``Q`` is a full
+    :func:`~repro.core.dual.fast_solve`.
     """
-    solver = solver if solver is not None else fast_solve
     fbs_ids = problem.fbs_ids
     channels = list(available_channels)
     if len(fbs_ids) * len(channels) > max_pairs:
@@ -360,7 +278,7 @@ def exhaustive_channel_optimum(problem: SlotProblem, available_channels: Sequenc
         if index == len(channels):
             expected = {i: sum(posteriors[m] for m in chans)
                         for i, chans in current.items()}
-            q_value = solver(problem.with_expected_channels(expected)).objective
+            q_value = fast_solve(problem.with_expected_channels(expected)).objective
             if best_q is None or q_value > best_q:
                 best_q = q_value
                 best_alloc = {i: set(chans) for i, chans in current.items()}

@@ -17,7 +17,6 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.obs.export import (
-    config_fingerprint,
     prometheus_text,
     read_manifest,
     read_metrics_snapshot,
@@ -68,7 +67,6 @@ __all__ = [
     "accumulate_phase_seconds",
     "activate",
     "active_tracer",
-    "config_fingerprint",
     "configure",
     "configure_logging",
     "deactivate",

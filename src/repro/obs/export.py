@@ -12,7 +12,7 @@ Three export surfaces, split by determinism:
   alone.  Only values identical across identical runs may go here:
   anything else would break the byte-identity guarantee on results.
 * :func:`run_manifest` / :func:`write_manifest` -- the full provenance
-  record (config fingerprint, package version, interpreter, wall clock)
+  record (config hashes, package version, interpreter, wall clock)
   written as a *sidecar* file next to results and traces.  The wall
   clock makes it inherently nondeterministic, which is exactly why it
   lives outside the results payload.
@@ -20,52 +20,15 @@ Three export surfaces, split by determinism:
 
 from __future__ import annotations
 
-import hashlib
 import json
 import platform
 import sys
 import time
-from dataclasses import fields, is_dataclass
 from pathlib import Path
 from typing import IO, Mapping, Optional, Union
 
 from repro.obs.metrics import MetricsRegistry, split_sample_name
 from repro.utils.fsio import atomic_write_text
-
-_PRIMITIVES = (bool, int, float, str, type(None))
-
-
-def _describe_field(value: object) -> object:
-    """A JSON-stable description of one config field for fingerprinting."""
-    if isinstance(value, _PRIMITIVES):
-        return value
-    n_users = getattr(value, "n_users", None)
-    n_fbss = getattr(value, "n_fbss", None)
-    if n_users is not None and n_fbss is not None:
-        graph = getattr(value, "interference_graph", None)
-        edges = (sorted(tuple(sorted(edge)) for edge in graph.edges)
-                 if graph is not None else [])
-        return {"n_users": int(n_users), "n_fbss": int(n_fbss),
-                "interference_edges": edges}
-    return type(value).__name__
-
-
-def config_fingerprint(config: object) -> str:
-    """Deterministic sha256 over a scenario config's field values.
-
-    Primitive fields are hashed as-is; the topology is summarized by
-    its size and interference edges; anything else (e.g. a fault plan)
-    contributes only its type name.  Two configs that would drive the
-    engine identically therefore hash identically across processes and
-    sessions.
-    """
-    if is_dataclass(config):
-        described = {f.name: _describe_field(getattr(config, f.name))
-                     for f in fields(config)}
-    else:
-        described = {"repr": repr(config)}
-    payload = json.dumps(described, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
 def result_provenance(*, seed: Optional[int] = None,
@@ -108,8 +71,6 @@ def run_manifest(*, command: str, config: Optional[object] = None,
         "python": sys.version.split()[0],
         "platform": platform.platform(),
         "wall_clock": time.time(),
-        "config_fingerprint": (config_fingerprint(config)
-                               if config is not None else None),
     }
     manifest.update(result_provenance(seed=seed, config=config))
     if extra:

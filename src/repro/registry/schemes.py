@@ -8,9 +8,6 @@ the execution layers consult instead of hard-coded name lists:
   advance in lockstep (:mod:`repro.sim.lockstep`).  The lockstep driver
   verifies the claim at group-formation time and refuses (with a
   counter) allocators that cannot actually yield.
-* ``warm_startable`` -- the factory accepts ``warm_start=True``; the
-  engine forwards the config's ``warm_start`` switch only to schemes
-  carrying this flag.
 * ``fallback_eligible`` -- the scheme is closed-form and cannot fail to
   converge, so it may terminate every engine's degradation chain
   (:func:`repro.sim.fallback.fallback_chain_for`).
@@ -51,8 +48,7 @@ class SchemeInfo:
     factory:
         Zero-or-keyword-argument callable returning a fresh allocator
         (an object with ``allocate(problem) -> Allocation``).
-    batchable / warm_startable / fallback_eligible / greedy_channels /
-    accepts_options:
+    batchable / fallback_eligible / greedy_channels / accepts_options:
         Capability flags; see the module docstring.
     description:
         One-line human description for ``repro schemes``.
@@ -61,7 +57,6 @@ class SchemeInfo:
     name: str
     factory: Callable[..., object]
     batchable: bool = False
-    warm_startable: bool = False
     fallback_eligible: bool = False
     greedy_channels: bool = False
     accepts_options: bool = False
@@ -80,7 +75,6 @@ class SchemeInfo:
         return tuple(
             label for label, value in (
                 ("batchable", self.batchable),
-                ("warm-startable", self.warm_startable),
                 ("fallback-eligible", self.fallback_eligible),
                 ("greedy-channels", self.greedy_channels),
             ) if value)

@@ -87,20 +87,6 @@ class ScenarioConfig:
         rate model.
     nal_packet_bits:
         Nominal NAL-unit payload when ``nal_quantized`` is on.
-    memoize_q:
-        Cache the greedy channel allocation's ``Q(c)`` evaluations within
-        each slot (see :class:`repro.core.greedy.GreedyChannelAllocator`).
-        Results are bit-identical either way; off only for benchmarking
-        the unmemoized path.
-    warm_start:
-        Carry the dual solvers' multipliers across consecutive slots
-        (greedy ``Q`` evaluations, the proposed allocator, and the
-        eq. (23) relaxation bound solve).  Per-slot problems drift
-        slowly, so warm dual points cut subgradient iterations
-        substantially -- but the iterate path changes, so results are
-        near-identical rather than bit-identical to cold runs (the
-        solver benchmark asserts equal-or-better per-slot objectives).
-        Off by default to preserve reproducibility guarantees.
     seed:
         Root RNG seed; ``None`` for fresh entropy.
     fault_plan:
@@ -140,8 +126,6 @@ class ScenarioConfig:
     rd_trace_phi: float = 0.8
     nal_quantized: bool = False
     nal_packet_bits: int = 8000
-    memoize_q: bool = True
-    warm_start: bool = False
     seed: Optional[int] = 7
     fault_plan: Optional[object] = None
     channel_utilizations: Optional[Tuple[float, ...]] = None

@@ -30,7 +30,7 @@ from typing import Dict, List, Optional, Set
 
 import numpy as np
 
-from repro.core.batch import drive, fast_solve_iter, fast_solve_warm_iter
+from repro.core.batch import drive, fast_solve_iter
 from repro.core.bounds import GreedyTrace, tighter_upper_bound
 from repro.core.greedy import GreedyChannelAllocator
 from repro.core.problem import Allocation, SlotProblem, UserDemand
@@ -159,10 +159,7 @@ class SimulationEngine:
 
         scheme_info = scheme_registry().get(config.scheme)
         self._greedy_channels = scheme_info.greedy_channels
-        allocator_kwargs = (
-            {"warm_start": True}
-            if scheme_info.warm_startable and config.warm_start else {})
-        self.allocator = scheme_info.create(**allocator_kwargs)
+        self.allocator = scheme_info.create()
         # Solver fallback chain: the configured scheme first, degrading to
         # the fallback-eligible registered schemes (closed-form, cannot
         # fail to converge) when the primary solver misbehaves -- see
@@ -172,12 +169,8 @@ class SimulationEngine:
         self.degradations: List[DegradationEvent] = []
         self._interfering = built.interfering
         self._fbs_ids = built.fbs_ids
-        self._greedy = (GreedyChannelAllocator(topology.interference_graph,
-                                               memoize=config.memoize_q,
-                                               warm_start=config.warm_start)
+        self._greedy = (GreedyChannelAllocator(topology.interference_graph)
                         if self._interfering else None)
-        # Warm-start store for the per-slot eq. (23) relaxation bound solve.
-        self._relaxed_warm: Dict[int, float] = {}
         #: Cumulative wall-clock seconds per engine phase (profiling;
         #: excluded from serialized results -- timings are not
         #: deterministic, unlike everything else the engine emits).
@@ -452,11 +445,7 @@ class SimulationEngine:
             g_all = expected_available(posteriors, available)
             relaxed_problem = problem.with_expected_channels(
                 {i: g_all for i in fbs_ids})
-            if config.warm_start:
-                relaxed = yield from fast_solve_warm_iter(
-                    relaxed_problem, self._relaxed_warm)
-            else:
-                relaxed = yield from fast_solve_iter(relaxed_problem)
+            relaxed = yield from fast_solve_iter(relaxed_problem)
             bound_q = min(tighter_upper_bound(greedy_trace), relaxed.objective)
             bound_gap = max(0.0, bound_q - greedy_trace.q_final)
         else:

@@ -26,9 +26,10 @@ Two hashes are derived from the canonical form:
 
 * :func:`config_hash` covers every :class:`ScenarioConfig` field except
   ``fault_plan`` (an arbitrary stateful test object with no stable
-  content identity; only its presence is recorded).  Any physical,
-  scheme, or seed change changes this hash -- it is the provenance
-  identity embedded in saved results.
+  content identity; only its presence is recorded), plus the retired
+  fields of :data:`RETIRED_CONFIG_FIELDS` at their one value.  Any
+  physical, scheme, or seed change changes this hash -- it is the
+  provenance identity embedded in saved results.
 * :func:`scenario_hash` covers only the fields that feed
   :func:`repro.sim.build.build_scenario` (:data:`SCENARIO_BUILD_FIELDS`
   plus the topology), so replications, schemes, and seeds of one
@@ -40,7 +41,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import fields, is_dataclass
-from typing import Iterable, Tuple
+from typing import Dict, Iterable, Tuple
 
 import numpy as np
 
@@ -66,6 +67,12 @@ SCENARIO_BUILD_FIELDS: Tuple[str, ...] = (
 #: ScenarioConfig fields excluded from :func:`config_hash` because they
 #: have no stable content identity (arbitrary duck-typed objects).
 EXCLUDED_CONFIG_FIELDS: Tuple[str, ...] = ("fault_plan",)
+
+#: Removed ScenarioConfig switches, hashed as the constant every config
+#: carried, so ``config_hash`` -- in results files, checkpoint headers
+#: and the benchmark goldens -- is unchanged by their removal.
+RETIRED_CONFIG_FIELDS: Dict[str, object] = {"memoize_q": True,
+                                            "warm_start": False}
 
 
 def canonical_value(value: object) -> object:
@@ -191,7 +198,8 @@ def config_hash(config: object) -> str:
     """Full-identity sha256 of a :class:`ScenarioConfig`.
 
     Covers every field except :data:`EXCLUDED_CONFIG_FIELDS`
-    (``fault_plan`` contributes only whether it is set).  Changing any
+    (``fault_plan`` contributes only whether it is set) plus
+    :data:`RETIRED_CONFIG_FIELDS`.  Changing any
     physical parameter, scheme, seed, or ablation switch changes this
     hash; two equal configs hash identically in any process.
     """
@@ -201,6 +209,8 @@ def config_hash(config: object) -> str:
     described = _described_fields(config, exclude=EXCLUDED_CONFIG_FIELDS)
     for name in EXCLUDED_CONFIG_FIELDS:
         described[f"has_{name}"] = getattr(config, name, None) is not None
+    for name, value in RETIRED_CONFIG_FIELDS.items():
+        described[name] = canonical_value(value)
     digest = _digest(json.dumps(described, sort_keys=True,
                                 separators=(",", ":")))
     _memoize(config, _CONFIG_HASH_ATTR, digest)

@@ -25,10 +25,9 @@ from repro.core.batch import (
     answer_request,
     drive,
     fast_solve_iter,
-    fast_solve_warm_iter,
     solve_requests,
 )
-from repro.core.dual import _masked_row_sums, fast_solve, fast_solve_warm
+from repro.core.dual import _masked_row_sums, fast_solve
 from repro.core.problem import SlotProblem
 from repro.exec.plan import plan_campaign
 from repro.experiments.scenarios import (
@@ -390,15 +389,6 @@ class TestSolveGenerators:
         expected = fast_solve(problem, polish=False)
         got = drive(fast_solve_iter(problem, polish=False))
         assert got == expected
-
-    def test_warm_iter_round_trips_the_store(self):
-        problem = make_problem(3, seed=4)
-        store_gen, store_inline = {}, {}
-        got = drive(fast_solve_warm_iter(problem, store_gen))
-        expected = fast_solve_warm(problem, store_inline)
-        assert got == expected
-        assert store_gen == store_inline
-        assert store_gen  # the answered multipliers were written back
 
 
 class TestPlanBatchGroups:

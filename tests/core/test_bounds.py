@@ -12,11 +12,11 @@ from repro.core.bounds import (
     tighter_upper_bound,
     verify_bound_holds,
 )
-from repro.core.dual import fast_solve
 from repro.core.greedy import GreedyChannelAllocator, exhaustive_channel_optimum
 from repro.net.interference import interference_graph_from_edges
 from repro.utils.errors import ConfigurationError
 from tests.core.test_greedy import chain_graph, chain_problem
+from tests.oracle import drive_exact
 
 
 class TestTheorem2Factor:
@@ -81,10 +81,10 @@ class TestBoundsAgainstTrueOptimum:
         problem = chain_problem(seed=seed, n_users_per_fbs=1)
         channels = [0, 1]
         posteriors = {m: float(0.4 + 0.6 * rng.random()) for m in channels}
-        greedy = GreedyChannelAllocator(graph, solver=fast_solve).allocate(
-            problem, channels, posteriors)
+        greedy = drive_exact(GreedyChannelAllocator(graph).allocate_iter(
+            problem, channels, posteriors))
         _alloc, q_opt = exhaustive_channel_optimum(
-            problem, channels, posteriors, graph, solver=fast_solve)
+            problem, channels, posteriors, graph)
         assert verify_bound_holds(greedy.trace, q_opt, graph)
         # The closed-form (23) is also an upper bound on the optimum.
         assert q_opt <= closed_form_upper_bound(greedy.trace) + 1e-7
@@ -93,11 +93,11 @@ class TestBoundsAgainstTrueOptimum:
         graph = interference_graph_from_edges([1, 2, 3], [])
         problem = chain_problem(seed=42, n_users_per_fbs=1)
         posteriors = {0: 0.9, 1: 0.7}
-        greedy = GreedyChannelAllocator(graph, solver=fast_solve).allocate(
-            problem, [0, 1], posteriors)
+        greedy = drive_exact(GreedyChannelAllocator(graph).allocate_iter(
+            problem, [0, 1], posteriors))
         # D_max = 0: every step's bound term vanishes and greedy is optimal.
         assert tighter_upper_bound(greedy.trace) == pytest.approx(
             greedy.trace.q_final)
         _alloc, q_opt = exhaustive_channel_optimum(
-            problem, [0, 1], posteriors, graph, solver=fast_solve)
+            problem, [0, 1], posteriors, graph)
         assert greedy.trace.q_final == pytest.approx(q_opt, abs=1e-7)

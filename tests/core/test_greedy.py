@@ -3,12 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.core.dual import fast_solve
 from repro.core.greedy import GreedyChannelAllocator, exhaustive_channel_optimum
 from repro.core.problem import SlotProblem
 from repro.net.interference import interference_graph_from_edges, is_valid_allocation
 from repro.utils.errors import ConfigurationError
 from tests.conftest import make_problem, make_user
+from tests.oracle import drive_exact, literal_scan
 
 
 def chain_graph():
@@ -110,11 +110,12 @@ class TestScanReduction:
         """The best-channel-per-FBS shortcut must match the literal scan."""
         problem = chain_problem(seed=7)
         posteriors = {0: 0.95, 1: 0.8, 2: 0.65, 3: 0.5}
-        fast = GreedyChannelAllocator(chain_graph(), solver=fast_solve)
-        literal = GreedyChannelAllocator(chain_graph(), solver=fast_solve,
-                                         exhaustive_scan=True)
-        a = fast.allocate(problem, [0, 1, 2, 3], posteriors)
-        b = literal.allocate(problem, [0, 1, 2, 3], posteriors)
+        allocator = GreedyChannelAllocator(chain_graph())
+        a = drive_exact(allocator.allocate_iter(problem, [0, 1, 2, 3],
+                                                posteriors))
+        with literal_scan():
+            b = drive_exact(allocator.allocate_iter(problem, [0, 1, 2, 3],
+                                                    posteriors))
         assert a.channel_allocation == b.channel_allocation
         assert a.trace.q_final == pytest.approx(b.trace.q_final, abs=1e-9)
         assert a.evaluations <= b.evaluations
@@ -128,10 +129,10 @@ class TestNearOptimality:
             problem = chain_problem(seed=seed, n_users_per_fbs=1)
             channels = [0, 1]
             posteriors = {m: float(0.4 + 0.6 * rng.random()) for m in channels}
-            greedy = GreedyChannelAllocator(graph, solver=fast_solve).allocate(
-                problem, channels, posteriors)
+            greedy = drive_exact(GreedyChannelAllocator(graph).allocate_iter(
+                problem, channels, posteriors))
             _best, q_opt = exhaustive_channel_optimum(
-                problem, channels, posteriors, graph, solver=fast_solve)
+                problem, channels, posteriors, graph)
             factor = 1.0 / (1.0 + 2)  # D_max = 2 in the chain
             incremental_greedy = greedy.trace.q_final - greedy.trace.q_empty
             incremental_opt = q_opt - greedy.trace.q_empty

@@ -13,10 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.bounds import closed_form_upper_bound, tighter_upper_bound
-from repro.core.dual import fast_solve
 from repro.core.greedy import GreedyChannelAllocator
 from repro.core.problem import SlotProblem, UserDemand
 from repro.net.interference import is_valid_allocation
+from tests.oracle import drive_exact
 
 
 @st.composite
@@ -57,16 +57,18 @@ class TestGreedyProperties:
     @settings(max_examples=40, deadline=None)
     def test_interference_constraint_always_holds(self, instance):
         graph, problem, channels, posteriors = instance
-        allocator = GreedyChannelAllocator(graph, solver=fast_solve)
-        result = allocator.allocate(problem, channels, posteriors)
+        allocator = GreedyChannelAllocator(graph)
+        result = drive_exact(allocator.allocate_iter(
+            problem, channels, posteriors))
         assert is_valid_allocation(graph, result.channel_allocation)
 
     @given(instance=greedy_instances())
     @settings(max_examples=40, deadline=None)
     def test_gains_non_negative_and_telescoping(self, instance):
         graph, problem, channels, posteriors = instance
-        allocator = GreedyChannelAllocator(graph, solver=fast_solve)
-        result = allocator.allocate(problem, channels, posteriors)
+        allocator = GreedyChannelAllocator(graph)
+        result = drive_exact(allocator.allocate_iter(
+            problem, channels, posteriors))
         trace = result.trace
         assert all(step.gain >= 0.0 for step in trace.steps)
         assert trace.q_final >= trace.q_empty - 1e-12
@@ -77,8 +79,9 @@ class TestGreedyProperties:
     @settings(max_examples=40, deadline=None)
     def test_bound_ordering(self, instance):
         graph, problem, channels, posteriors = instance
-        allocator = GreedyChannelAllocator(graph, solver=fast_solve)
-        trace = allocator.allocate(problem, channels, posteriors).trace
+        allocator = GreedyChannelAllocator(graph)
+        trace = drive_exact(allocator.allocate_iter(
+            problem, channels, posteriors)).trace
         assert tighter_upper_bound(trace) >= trace.q_final - 1e-12
         assert closed_form_upper_bound(trace) >= tighter_upper_bound(trace) - 1e-9
 
@@ -88,8 +91,9 @@ class TestGreedyProperties:
         """Table III runs until C is empty: a channel is left unused by an
         FBS only if a neighbour claimed it."""
         graph, problem, channels, posteriors = instance
-        allocator = GreedyChannelAllocator(graph, solver=fast_solve)
-        result = allocator.allocate(problem, channels, posteriors)
+        allocator = GreedyChannelAllocator(graph)
+        result = drive_exact(allocator.allocate_iter(
+            problem, channels, posteriors))
         alloc = result.channel_allocation
         for fbs_id in problem.fbs_ids:
             for m in channels:

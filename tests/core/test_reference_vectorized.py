@@ -1,8 +1,8 @@
 """Bit-identity of the solver hot path vs the scalar oracle.
 
 The solver's hot-path layers (the production water-filling scan, the
-compiled per-assignment solver, the memoized greedy ``Q(c)``
-evaluations) all promise *bit-identical* results to the scalar
+compiled per-assignment solver, the greedy's reduced candidate scan)
+all promise *bit-identical* results to the scalar
 implementations kept in ``tests/oracle.py``.
 These tests enforce that promise on randomized instances, deliberately
 including the degenerate corners -- zero weights, zero slopes, subnormal
@@ -17,7 +17,6 @@ import struct
 import numpy as np
 import pytest
 
-from repro.core.dual import fast_solve
 from repro.core.greedy import GreedyChannelAllocator
 from repro.core.problem import SlotProblem
 from repro.core.reference import (
@@ -29,7 +28,12 @@ from repro.core.reference import (
 from repro.net.interference import interference_graph_from_edges
 from tests.conftest import make_problem, make_user, random_problem
 from tests.core.test_greedy import chain_graph, chain_problem
-from tests.oracle import solve_given_assignment_scalar, water_filling_scalar
+from tests.oracle import (
+    drive_exact,
+    literal_scan,
+    solve_given_assignment_scalar,
+    water_filling_scalar,
+)
 
 
 def bits(*values):
@@ -230,29 +234,16 @@ class TestCompiledProductionShapes:
 
 class TestGreedyMemoBitIdentity:
     def test_memoized_matches_exhaustive_scan(self):
-        """Memoized greedy == literal exhaustive scan, allocations included."""
+        """Reduced scan == literal Table III scan, allocations included."""
         posteriors = {0: 0.95, 1: 0.8, 2: 0.65, 3: 0.5}
+        allocator = GreedyChannelAllocator(chain_graph())
         for seed in range(5):
             problem = chain_problem(seed=seed)
-            memoized = GreedyChannelAllocator(
-                chain_graph(), solver=fast_solve, memoize=True)
-            literal = GreedyChannelAllocator(
-                chain_graph(), solver=fast_solve, memoize=False,
-                exhaustive_scan=True)
-            a = memoized.allocate(problem, [0, 1, 2, 3], posteriors)
-            b = literal.allocate(problem, [0, 1, 2, 3], posteriors)
+            a = drive_exact(allocator.allocate_iter(problem, [0, 1, 2, 3],
+                                                    posteriors))
+            with literal_scan():
+                b = drive_exact(allocator.allocate_iter(
+                    problem, [0, 1, 2, 3], posteriors))
             assert a.channel_allocation == b.channel_allocation
             assert a.trace.q_final == pytest.approx(b.trace.q_final, abs=1e-9)
             assert a.allocation.objective == b.allocation.objective
-
-    def test_memo_reduces_default_path_solves(self):
-        """With the dual solver, memo hits replace full dual solves."""
-        problem = chain_problem(seed=11)
-        posteriors = {0: 0.9, 1: 0.7}
-        plain = GreedyChannelAllocator(chain_graph(), memoize=False)
-        memoized = GreedyChannelAllocator(chain_graph(), memoize=True)
-        a = plain.allocate(problem, [0, 1], posteriors)
-        b = memoized.allocate(problem, [0, 1], posteriors)
-        assert b.channel_allocation == a.channel_allocation
-        assert b.evaluations + b.cache_hits >= a.evaluations
-        assert b.evaluations <= a.evaluations

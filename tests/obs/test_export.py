@@ -1,4 +1,4 @@
-"""Exporters: Prometheus text, manifests, fingerprints, provenance."""
+"""Exporters: Prometheus text, manifests, provenance."""
 
 import io
 
@@ -11,7 +11,6 @@ from repro.experiments.scenarios import (
     single_fbs_scenario,
 )
 from repro.obs.export import (
-    config_fingerprint,
     prometheus_text,
     read_manifest,
     result_provenance,
@@ -22,6 +21,7 @@ from repro.obs.export import (
     write_metrics_snapshot,
 )
 from repro.obs.metrics import MetricsRegistry
+from repro.store.confighash import config_hash, scenario_hash
 
 
 class TestPrometheusText:
@@ -72,19 +72,23 @@ class TestPrometheusText:
 
 
 class TestConfigFingerprint:
+    """A manifest identifies its config by ``config_hash``."""
+
+    @staticmethod
+    def _identity(config):
+        return run_manifest(command="simulate", config=config)["config_hash"]
+
     def test_stable_across_equal_configs(self):
         a = single_fbs_scenario(seed=7)
         b = single_fbs_scenario(seed=7)
-        assert config_fingerprint(a) == config_fingerprint(b)
+        assert self._identity(a) == self._identity(b) == config_hash(a)
 
     def test_sensitive_to_seed_and_scenario(self):
         base = single_fbs_scenario(seed=7)
-        assert config_fingerprint(base) != config_fingerprint(
-            single_fbs_scenario(seed=8))
-        assert config_fingerprint(base) != config_fingerprint(
-            base.replace(n_channels=base.n_channels + 2))
-        assert config_fingerprint(base) != config_fingerprint(
-            interfering_fbs_scenario(seed=7))
+        for other in (single_fbs_scenario(seed=8),
+                      base.replace(n_channels=base.n_channels + 2),
+                      interfering_fbs_scenario(seed=7)):
+            assert self._identity(other) != self._identity(base)
 
 
 class TestManifest:
@@ -99,13 +103,15 @@ class TestManifest:
         assert loaded["command"] == "fig4b"
         assert loaded["seed"] == 7
         assert loaded["jobs"] == 2
-        assert loaded["config_fingerprint"] == config_fingerprint(config)
+        assert loaded["config_hash"] == config_hash(config)
+        assert loaded["scenario_hash"] == scenario_hash(config)
         assert loaded["backend"] in ("batched", "scalar")
         assert isinstance(loaded["wall_clock"], float)
 
     def test_config_optional(self):
         manifest = run_manifest(command="simulate")
-        assert manifest["config_fingerprint"] is None
+        assert "config_hash" not in manifest
+        assert "scenario_hash" not in manifest
         assert manifest["seed"] is None
 
 

@@ -21,7 +21,10 @@ production path to them:
 :func:`scalar_path` routes a whole simulation through them (patching
 the production seams for the duration of a ``with`` block), and
 :func:`unbatched` runs campaigns replication by replication instead of
-in lockstep.  Both exist for tests and benchmarks only.
+in lockstep.  For the Table III greedy, :func:`drive_exact` answers
+every ``Q(c)`` evaluation with a cold full solve and
+:func:`literal_scan` makes each step evaluate every candidate pair.
+All of these exist for tests and benchmarks only.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core import batch, coloring, dual
+from repro.core import batch, coloring, dual, greedy
 from repro.core.dual import (
     _LAMBDA_EPS,
     _STALL_CHECK_EVERY,
@@ -472,4 +475,42 @@ def scalar_path():
         (coloring, "solve_given_assignment", solve_given_assignment_scalar),
         (lockstep, "lockstep_eligible", _never),
     ]):
+        yield
+
+
+# -- the Table III greedy ---------------------------------------------------
+
+
+def drive_exact(gen: batch.SolveGenerator, solver=dual.fast_solve):
+    """Run a solve generator, answering each request with a cold full solve.
+
+    Every yielded :class:`~repro.core.batch.SolveRequest` is answered by
+    ``solver(request.problem)``, ignoring its iteration cap and warm
+    start, and carries no multipliers back -- so the greedy's
+    warm-started ``Q(c)`` chain becomes one exact, independent solve per
+    evaluation, the reference its bounds and scan tests need.
+    """
+    try:
+        request = gen.send(None)
+        while True:
+            answer = DualSolution(allocation=solver(request.problem),
+                                  multipliers={}, iterations=0,
+                                  converged=True)
+            request = gen.send(answer)
+    except StopIteration as stop:
+        return stop.value
+
+
+def _every_candidate(candidates, posteriors) -> List[Tuple[int, int]]:
+    return sorted(candidates)
+
+
+@contextmanager
+def literal_scan():
+    """Make each greedy step evaluate every candidate pair (Table III).
+
+    Production evaluates only each FBS's best remaining channel, an
+    exact reduction of the argmax (see :mod:`repro.core.greedy`).
+    """
+    with _patched([(greedy, "_best_channel_per_fbs", _every_candidate)]):
         yield

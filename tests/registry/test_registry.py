@@ -54,7 +54,7 @@ class TestSchemeRegistryErrors:
         for scheme in ("heuristic1", "heuristic2", "graph-coloring"):
             with pytest.raises(ConfigurationError,
                                match="accepts no options"):
-                get_allocator(scheme, warm_start=True)
+                get_allocator(scheme, max_iterations=100)
 
     def test_temporary_registration_is_scoped(self):
         registry = scheme_registry()

@@ -122,7 +122,7 @@ class TestSweepJob:
         manifest = client.manifest(job.id)
         assert manifest["command"] == "fig4b"
         assert manifest["runs"] == 1
-        assert manifest["config_fingerprint"]
+        assert manifest["config_hash"]
 
     def test_events_replay_the_sweep_and_paginate(self, service):
         client, _ = service

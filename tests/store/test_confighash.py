@@ -13,7 +13,9 @@ import textwrap
 import numpy as np
 import pytest
 
-from repro.experiments.scenarios import single_fbs_scenario
+from repro.experiments.scenarios import _place_users, single_fbs_scenario
+from repro.net.nodes import FemtoBaseStation, MacroBaseStation
+from repro.net.topology import build_topology
 from repro.store.confighash import (
     SCENARIO_BUILD_FIELDS,
     canonical_json,
@@ -106,6 +108,21 @@ class TestConfigHashes:
                 == scenario_hash(base.replace(n_channels=10)))
         assert (scenario_hash(base.replace(p01=np.float64(0.35)))
                 == scenario_hash(base.replace(p01=0.35)))
+
+    def test_moving_an_fbs_changes_both_hashes(self):
+        # Same user and FBS counts, same (empty) interference graph: only
+        # the geometry -- hence every link margin -- differs.
+        base = single_fbs_scenario(n_gops=1, seed=7)
+        mbs = MacroBaseStation(position=(0.0, 0.0))
+        fbs = FemtoBaseStation(fbs_id=1, position=(400.0, 0.0))
+        moved = base.replace(topology=build_topology(
+            mbs, [fbs], _place_users([(400.0, 0.0)], users_per_fbs=3)))
+        assert moved.topology.n_users == base.topology.n_users
+        assert moved.topology.n_fbss == base.topology.n_fbss
+        assert (sorted(moved.topology.interference_graph.edges)
+                == sorted(base.topology.interference_graph.edges))
+        assert config_hash(moved) != config_hash(base)
+        assert scenario_hash(moved) != scenario_hash(base)
 
     def test_fault_plan_presence_only_affects_config_hash(self):
         base = single_fbs_scenario(n_gops=1, seed=7)
