@@ -5,9 +5,10 @@ refactors -- any change to how the engine consumes its RNG streams
 (order, count, or batching of draws) silently changes *every* sampled
 result, which no unit test notices.  This suite pins sha256
 fingerprints of canonicalised SlotRecord streams for reference
-scenarios -- the paper's deployments plus the A1/A2/A5 ablation modes
-and an injected sensing outage -- against goldens committed in
-``tests/data/``.
+scenarios -- the paper's deployments, both heuristics and the
+graph-coloring scheme on the interfering chain and on a 4x4 city grid,
+the A1/A2/A5 ablation modes and an injected sensing outage -- against
+goldens committed in ``tests/data/``.
 
 Each scenario carries two fingerprints.  The rounded one formats floats
 to 12 significant digits: enough precision that any reordered or
@@ -50,6 +51,13 @@ SCENARIOS = {
     "city_grid": lambda: city_grid_scenario(
         rows=2, cols=2, users_per_fbs=2, n_channels=4, n_gops=1,
         seed=20260806),
+    "city_grid_4x4_coloring": lambda: city_grid_scenario(
+        rows=4, cols=4, users_per_fbs=3, n_channels=4, n_gops=1,
+        seed=20260806, scheme="graph-coloring"),
+    "heuristic1_interfering": lambda: interfering_fbs_scenario(
+        n_gops=1, n_channels=4, seed=20260806, scheme="heuristic1"),
+    "heuristic2_interfering": lambda: interfering_fbs_scenario(
+        n_gops=1, n_channels=4, seed=20260806, scheme="heuristic2"),
     "a1_threshold": lambda: interfering_fbs_scenario(
         n_gops=1, n_channels=4, seed=20260806).replace(
             access_policy="threshold"),
