@@ -24,6 +24,7 @@ from repro.core.dual import DualDecompositionSolver
 from repro.core.heuristics import EqualAllocationHeuristic, MultiuserDiversityHeuristic
 from repro.core.problem import Allocation, SlotProblem
 from repro.registry.schemes import SchemeInfo, register_scheme, scheme_registry
+from repro.utils.errors import ConfigurationError
 
 
 class ProposedAllocator:
@@ -37,11 +38,15 @@ class ProposedAllocator:
         version is the faithful distributed protocol, the fast version is
         preferable inside parameter sweeps.
     solver_kwargs:
-        Forwarded to :class:`DualDecompositionSolver` when ``fast=False``.
+        Forwarded to :class:`DualDecompositionSolver`; the fast solver
+        takes none.
     """
 
     def __init__(self, *, fast: bool = False, **solver_kwargs) -> None:
         self.fast = bool(fast)
+        if self.fast and solver_kwargs:
+            raise ConfigurationError(
+                f"the fast solver accepts no options, got {solver_kwargs}")
         self._solver = None if self.fast else DualDecompositionSolver(**solver_kwargs)
 
     @property
@@ -82,8 +87,8 @@ def _proposed_factory(**kwargs):
     return ProposedAllocator(fast=False, **kwargs)
 
 
-def _proposed_fast_factory(**kwargs):
-    return ProposedAllocator(fast=True, **kwargs)
+def _proposed_fast_factory():
+    return ProposedAllocator(fast=True)
 
 
 register_scheme(SchemeInfo(
@@ -100,7 +105,6 @@ register_scheme(SchemeInfo(
     factory=_proposed_fast_factory,
     batchable=True,
     greedy_channels=True,
-    accepts_options=True,
     description="Same convex program via the fast exact-inner solver; "
                 "identical results, preferred for large sweeps.",
 ))

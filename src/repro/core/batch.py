@@ -152,8 +152,8 @@ def fast_solve_iter(problem: SlotProblem, *, max_iterations: int = 400,
 
 def request_shape(request: SolveRequest) -> tuple:
     """``(n_users, n_stations)``: requests of one shape share a stack."""
-    problem = request.problem
-    return len(problem.users), 1 + len(problem.fbs_ids)
+    static = request.problem.columns.static
+    return len(static), 1 + len(static.fbs_ids)
 
 
 class RunningStack:

@@ -1,10 +1,9 @@
 """Scoping of process-global solver caches to the scenario in flight.
 
-Several hot-path caches are process-global by design -- the compiled
-slot-problem LRU (:mod:`repro.core.reference`), the solve-request
-solver instances (:mod:`repro.core.batch`), and the video R-D
-slot-increment table (:mod:`repro.video.sequences`).  All of them are keyed by *value*
-(problem contents, solver parameters, sequence name), so stale entries
+Two hot-path caches are process-global by design -- the solve-request
+solver instances (:mod:`repro.core.batch`) and the video R-D
+slot-increment table (:mod:`repro.video.sequences`).  Both are keyed by
+*value* (solver parameters, sequence name), so stale entries
 can never corrupt results -- but a long-lived worker (the
 :class:`~repro.exec.executor.ParallelExecutor` keeps one process per
 job slot for the whole campaign) walking a multi-scenario sweep
@@ -16,7 +15,9 @@ cell's scenario identity (its ``scenario_ref`` content hash, or a
 config-instance token when the store is off); when the identity changes,
 every solver cache is dropped.  Within one scenario -- the common case,
 including every replication of a campaign -- the caches persist exactly
-as before.
+as before.  The compiled slot problem is not among them: it lives on its
+slot's columns (:func:`repro.core.reference.compile_slot_problem`) and
+goes with the slot.
 """
 
 from __future__ import annotations
@@ -29,10 +30,9 @@ _SCOPE: Optional[object] = None
 
 def clear_solver_caches() -> None:
     """Drop every process-global solver/table cache unconditionally."""
-    from repro.core import batch, reference
+    from repro.core import batch
     from repro.video import sequences
 
-    reference._COMPILE_CACHE.clear()
     batch._solver_for.cache_clear()
     sequences.reset_rd_table()
 

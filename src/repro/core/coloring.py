@@ -9,8 +9,10 @@ follows that decomposition within this codebase's slot model:
    colouring the interference graph (:func:`interference_coloring`);
    FBSs of one colour class are mutually non-adjacent and may share
    channels freely.  In interfering deployments the engine runs this
-   phase for every scheme without the ``greedy_channels`` capability,
-   so the allocator itself stays slot-local.
+   phase for every scheme without the ``greedy_channels`` capability:
+   it colours the static graph once per run and deals each slot's
+   access set across the colour classes, so the allocator itself stays
+   slot-local.
 2. **Per-cluster level** -- users are assigned to MBS or FBS by the
    local channel-condition rule (the same rule heuristic1 uses), then
    the slot's airtime is split by *exact water-filling* over that fixed
@@ -29,7 +31,7 @@ from typing import Dict, Iterable, Optional
 
 import networkx as nx
 
-from repro.core.heuristics import fbs_condition, mbs_condition
+from repro.core.heuristics import local_mbs_choice
 from repro.core.problem import Allocation, SlotProblem
 from repro.core.reference import solve_given_assignment
 from repro.registry.schemes import SchemeInfo, register_scheme
@@ -77,11 +79,7 @@ class GraphColoringAllocator:
 
     def allocate(self, problem: SlotProblem) -> Allocation:
         """Assign users by the local rule, then water-fill exactly."""
-        mbs_users = {
-            user.user_id for user in problem.users
-            if mbs_condition(user) > fbs_condition(
-                user, problem.g_for_user(user))}
-        return solve_given_assignment(problem, mbs_users)
+        return solve_given_assignment(problem, local_mbs_choice(problem))
 
 
 register_scheme(SchemeInfo(

@@ -219,7 +219,7 @@ class _DualState:
     """
 
     __slots__ = (
-        "problem", "users", "stations", "station_pos", "n",
+        "problem", "user_ids", "stations", "station_pos", "n",
         "s", "cost", "r", "w2", "dead", "flat2", "lam", "step", "stop_sq",
         "max_iterations", "decay_after", "iterations", "converged",
         "movement", "choose_mbs", "best_recovered", "stagnant_checks",
@@ -230,25 +230,29 @@ class _DualState:
                  step_size: float, threshold: float, max_iterations: int,
                  decay_after: int) -> None:
         self.problem = problem
-        stations = [0] + problem.fbs_ids
+        columns = problem.columns
+        static = columns.static
+        stations = [0] + static.fbs_ids
         self.stations = stations
-        self.station_pos = {station: pos for pos, station in enumerate(stations)}
+        station_pos = {station: pos for pos, station in enumerate(stations)}
+        self.station_pos = station_pos
 
-        # Vectorise the user data once, both branches side by side:
+        # Vectorise the slot's columns once, both branches side by side:
         # success probability, rate slope (G_i R1_j on the FBS side),
         # and the PSNR state repeated per branch.
-        users = list(problem.users)
-        self.users = users
-        self.n = len(users)
-        self.s = np.array([u.success_mbs for u in users]
-                          + [u.success_fbs for u in users])
-        self.r = np.array([u.r_mbs for u in users]
-                          + [problem.g_for_user(u) * u.r_fbs for u in users])
-        w = np.array([u.w_prev for u in users])
+        self.user_ids = static.user_ids
+        self.n = len(static)
+        fbs_of = static.fbs_id
+        g = problem.expected_channels
+        self.s = np.array(static.success_mbs + static.success_fbs)
+        self.r = np.array(columns.r_mbs
+                          + [g[fbs_id] * r for fbs_id, r
+                             in zip(fbs_of, columns.r_fbs)])
+        w = np.array(columns.w_prev)
         self.w2 = np.concatenate([w, w])
         # Multiplier index of each branch: the MBS, then the user's FBS.
         self.flat2 = np.array([0] * self.n
-                              + [self.station_pos[u.fbs_id] for u in users])
+                              + [station_pos[fbs_id] for fbs_id in fbs_of])
 
         # Natural multiplier scale: marginal utility of the first unit of
         # share, averaged over users/branches.  Problem (12) is invariant
@@ -292,7 +296,7 @@ class _DualState:
         the best assignment seen and report a stall once it has not
         improved for ``_STALL_PATIENCE`` consecutive checks.
         """
-        assignment = {self.users[j].user_id for j in range(self.n)
+        assignment = {self.user_ids[j] for j in range(self.n)
                       if choose_mbs[j]}
         candidate = solve_given_assignment(self.problem, assignment)
         if self.best_recovered is None or (
@@ -317,7 +321,7 @@ class _DualState:
         # complementary; re-solving the (convex) problem for the final
         # binary assignment yields an exactly feasible, exactly optimal
         # allocation for that assignment.
-        mbs_set = {self.users[j].user_id for j in range(self.n)
+        mbs_set = {self.user_ids[j] for j in range(self.n)
                    if self.choose_mbs[j]}
         allocation = solve_given_assignment(self.problem, mbs_set)
         if self.best_recovered is not None and (
@@ -611,17 +615,17 @@ def flip_polish(problem: SlotProblem, allocation: Allocation, *,
     reliably removes the rare residual assignment error of a capped
     subgradient run.
     """
-    # Compile once: the K solves per sweep then skip the per-call
-    # compile-cache lookup and share one water-filling group cache.
+    # Compile once: the K solves per sweep then share the slot's
+    # water-filling group cache without a lookup per call.
     compiled = compile_slot_problem(problem)
     expected = problem.expected_channels
     best = (allocation if not np.isnan(allocation.objective)
             else compiled.solve_assignment(allocation.mbs_user_ids, expected))
     for _sweep in range(max_sweeps):
         improved = False
-        for user in problem.users:
+        for user_id in problem.columns.static.user_ids:
             trial = set(best.mbs_user_ids)
-            trial.symmetric_difference_update({user.user_id})
+            trial.symmetric_difference_update({user_id})
             candidate = compiled.solve_assignment(trial, expected)
             if candidate.objective > best.objective + 1e-15:
                 best = candidate

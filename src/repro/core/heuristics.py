@@ -23,14 +23,13 @@ algorithms.
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Dict, Set
 
 from repro.core.problem import (
     Allocation,
     SlotProblem,
     UserDemand,
     evaluate_objective,
-    fbs_groups,
 )
 
 
@@ -44,6 +43,27 @@ def fbs_condition(user: UserDemand, g_i: float) -> float:
     return user.success_fbs * g_i * user.r_fbs
 
 
+def local_mbs_choice(problem: SlotProblem) -> Set[int]:
+    """Users whose MBS link is the better one, by the local rule.
+
+    A user picks the MBS when :func:`mbs_condition` exceeds
+    :func:`fbs_condition` at its FBS's ``G_i``; ties go to the FBS (the
+    femtocell is the designated server when neither link is better).
+    Read from the problem's columns, in user order.
+    """
+    columns = problem.columns
+    static = columns.static
+    expected = problem.expected_channels
+    success_mbs = static.success_mbs
+    success_fbs = static.success_fbs
+    fbs_of = static.fbs_id
+    r_mbs = columns.r_mbs
+    r_fbs = columns.r_fbs
+    return {user_id for j, user_id in enumerate(static.user_ids)
+            if success_mbs[j] * r_mbs[j]
+            > success_fbs[j] * expected[fbs_of[j]] * r_fbs[j]}
+
+
 class EqualAllocationHeuristic:
     """Heuristic 1: local channel choice + equal time shares."""
 
@@ -52,28 +72,27 @@ class EqualAllocationHeuristic:
     def allocate(self, problem: SlotProblem) -> Allocation:
         """Allocate one slot.
 
-        Each user independently compares its two links; ties go to the
-        FBS (the femtocell is the designated server when neither link is
-        better).  Stations then split their slot equally.
+        Each user independently compares its two links
+        (:func:`local_mbs_choice`).  Stations then split their slot
+        equally.
         """
-        mbs_users = set()
-        for user in problem.users:
-            if mbs_condition(user) > fbs_condition(user, problem.g_for_user(user)):
-                mbs_users.add(user.user_id)
+        mbs_users = local_mbs_choice(problem)
         rho_mbs: Dict[int, float] = {}
         rho_fbs: Dict[int, float] = {}
         if mbs_users:
             share = 1.0 / len(mbs_users)
             for user_id in mbs_users:
                 rho_mbs[user_id] = share
-        users = problem.users
-        for members in fbs_groups(users).values():
-            cell = [users[j] for j in members if users[j].user_id not in mbs_users]
+        static = problem.columns.static
+        user_ids = static.user_ids
+        for members in static.groups.values():
+            cell = [user_ids[j] for j in members
+                    if user_ids[j] not in mbs_users]
             if not cell:
                 continue
             share = 1.0 / len(cell)
-            for user in cell:
-                rho_fbs[user.user_id] = share
+            for user_id in cell:
+                rho_fbs[user_id] = share
         allocation = Allocation(mbs_user_ids=mbs_users, rho_mbs=rho_mbs, rho_fbs=rho_fbs)
         allocation.objective = evaluate_objective(problem, allocation)
         return allocation
@@ -92,41 +111,39 @@ class MultiuserDiversityHeuristic:
 
     name = "heuristic2"
 
-    @staticmethod
-    def _mbs_quality(user: UserDemand) -> float:
-        return user.success_mbs
-
-    @staticmethod
-    def _fbs_quality(user: UserDemand, g_i: float) -> float:
-        return user.success_fbs if g_i > 0 else 0.0
-
     def allocate(self, problem: SlotProblem) -> Allocation:
         """Allocate one slot.
 
         The MBS picks the user with the best common-channel quality among
-        *all* users; each FBS picks the best-quality user in its cell.
-        The MBS winner is served by the MBS even if it also wins its
-        femtocell (single transceiver -- it cannot use both), in which
-        case the FBS falls back to its next-best user.
+        *all* users; each FBS with channels (``G_i > 0``) picks the
+        best-quality user in its cell.  Ties go to the earlier user, and
+        a station whose best quality is zero serves nobody.  The MBS
+        winner is served by the MBS even if it also wins its femtocell
+        (single transceiver -- it cannot use both), in which case the
+        FBS falls back to its next-best user.
         """
         rho_mbs: Dict[int, float] = {}
         rho_fbs: Dict[int, float] = {}
         mbs_users = set()
+        static = problem.columns.static
+        user_ids = static.user_ids
+        success_mbs = static.success_mbs
+        success_fbs = static.success_fbs
 
-        mbs_winner = max(problem.users, key=self._mbs_quality, default=None)
-        if mbs_winner is not None and self._mbs_quality(mbs_winner) > 0.0:
-            mbs_users.add(mbs_winner.user_id)
-            rho_mbs[mbs_winner.user_id] = 1.0
+        winner = max(range(len(static)), key=success_mbs.__getitem__)
+        if success_mbs[winner] > 0.0:
+            mbs_users.add(user_ids[winner])
+            rho_mbs[user_ids[winner]] = 1.0
 
-        users = problem.users
-        for fbs_id, members in fbs_groups(users).items():
-            g_i = problem.expected_channels[fbs_id]
-            candidates = [users[j] for j in members
-                          if users[j].user_id not in mbs_users]
-            winner = max(candidates, key=lambda u: self._fbs_quality(u, g_i),
-                         default=None)
-            if winner is not None and self._fbs_quality(winner, g_i) > 0.0:
-                rho_fbs[winner.user_id] = 1.0
+        for fbs_id, members in static.groups.items():
+            if not problem.expected_channels[fbs_id] > 0:
+                continue
+            candidates = [j for j in members if user_ids[j] not in mbs_users]
+            if not candidates:
+                continue
+            winner = max(candidates, key=success_fbs.__getitem__)
+            if success_fbs[winner] > 0.0:
+                rho_fbs[user_ids[winner]] = 1.0
 
         allocation = Allocation(mbs_user_ids=mbs_users, rho_mbs=rho_mbs, rho_fbs=rho_fbs)
         allocation.objective = evaluate_objective(problem, allocation)

@@ -38,7 +38,8 @@ log-PSNR gain** of the slot.  The per-branch objective is then
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -53,6 +54,10 @@ FEASIBILITY_TOL = 1e-9
 @dataclass(frozen=True)
 class UserDemand:
     """One CR user's view of the slot's allocation problem.
+
+    The public row type of a :class:`SlotProblem`: tests and API callers
+    build problems from rows, and :attr:`SlotProblem.users` hands rows
+    back.  Solvers read the problem's columns instead.
 
     Attributes
     ----------
@@ -93,9 +98,7 @@ class UserDemand:
     csi_fbs: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if self.fbs_id < 1:
-            raise ConfigurationError(
-                f"fbs_id must be >= 1 (0 is the MBS), got {self.fbs_id}")
+        _check_fbs_id(self.fbs_id)
         check_positive(self.w_prev, "w_prev")
         check_probability(self.success_mbs, "success_mbs")
         check_probability(self.success_fbs, "success_fbs")
@@ -107,14 +110,190 @@ class UserDemand:
                 check_positive(value, name, allow_zero=True)
 
 
-@dataclass(frozen=True)
-class SlotProblem:
-    """A complete per-slot allocation problem instance.
+def _check_fbs_id(fbs_id: int) -> None:
+    if fbs_id < 1:
+        raise ConfigurationError(
+            f"fbs_id must be >= 1 (0 is the MBS), got {fbs_id}")
+
+
+def _group_positions(fbs_of: Sequence[int]) -> Dict[int, List[int]]:
+    """Positions per FBS id, ids ascending, positions in order."""
+    groups: Dict[int, List[int]] = {}
+    for j, fbs_id in enumerate(fbs_of):
+        members = groups.get(fbs_id)
+        if members is None:
+            groups[fbs_id] = [j]
+        else:
+            members.append(j)
+    return {fbs_id: groups[fbs_id] for fbs_id in sorted(groups)}
+
+
+class StaticColumns:
+    """The part of a slot problem that the scenario fixes, by column.
+
+    One list per :class:`UserDemand` field that no slot changes, in user
+    order: the ids, each user's FBS, both link success probabilities and
+    the base rate slopes ``R = beta B / T`` (before the per-GOP
+    complexity scale).  The topology is static, so the engine builds one
+    instance per scenario (:func:`repro.sim.build.build_scenario`) and
+    every slot shares it.  Validated once, here, with the row type's
+    messages.
 
     Attributes
     ----------
-    users:
-        The ``K`` user demands.
+    groups:
+        :func:`fbs_groups` of the users: ``{fbs_id: positions}``, ids
+        ascending.
+    fbs_ids:
+        The FBS ids with at least one user, ascending.
+    id_set:
+        The user ids as a frozenset.
+    """
+
+    __slots__ = ("user_ids", "fbs_id", "success_mbs", "success_fbs",
+                 "r_mbs", "r_fbs", "groups", "fbs_ids", "id_set")
+
+    def __init__(self, user_ids: List[int], fbs_id: List[int],
+                 success_mbs: List[float], success_fbs: List[float],
+                 r_mbs: List[float], r_fbs: List[float]) -> None:
+        if not user_ids:
+            raise ConfigurationError("a SlotProblem needs at least one user")
+        for j in range(len(user_ids)):
+            _check_fbs_id(fbs_id[j])
+            check_probability(success_mbs[j], "success_mbs")
+            check_probability(success_fbs[j], "success_fbs")
+            check_positive(r_mbs[j], "r_mbs", allow_zero=True)
+            check_positive(r_fbs[j], "r_fbs", allow_zero=True)
+        self.id_set = frozenset(user_ids)
+        if len(self.id_set) != len(user_ids):
+            raise ConfigurationError(f"duplicate user_id values in {user_ids}")
+        self.user_ids = user_ids
+        self.fbs_id = fbs_id
+        self.success_mbs = success_mbs
+        self.success_fbs = success_fbs
+        self.r_mbs = r_mbs
+        self.r_fbs = r_fbs
+        self.groups = _group_positions(fbs_id)
+        self.fbs_ids = list(self.groups)
+
+    def __len__(self) -> int:
+        return len(self.user_ids)
+
+
+def _screen(column: Sequence[float], strict: bool) -> bool:
+    """Whether every entry is finite and positive (``strict``) or
+    non-negative: a ``min`` and a ``sum`` over the list.
+
+    ``False`` only sends the caller to the per-entry scan, which raises
+    the exact error: a NaN or an infinity makes the sum non-finite,
+    ``None`` (no margin) makes ``min`` raise ``TypeError``, and a sum
+    that overflows scans clean.
+    """
+    try:
+        low = min(column)
+        total = sum(column)
+    except TypeError:
+        return False
+    return (low > 0.0 if strict else low >= 0.0) and math.isfinite(total)
+
+
+class SlotColumns:
+    """One slot's problem data by column, over a shared :class:`StaticColumns`.
+
+    The per-slot columns are Python float lists in user order:
+    ``w_prev``, the effective ``r_mbs``/``r_fbs`` (the slot's rate
+    slopes, after the GOP complexity scale and the zero slope of a
+    delivered GOP) and the CSI margins ``csi_mbs``/``csi_fbs`` (entries
+    may be ``None``: no margin).  Every :class:`SlotProblem` of one slot
+    -- the ``with_expected_channels`` copies the greedy evaluates --
+    shares one instance, and with it the compiled form the exact inner
+    solve caches on it (:func:`repro.core.reference.compile_slot_problem`).
+    """
+
+    __slots__ = ("static", "w_prev", "r_mbs", "r_fbs", "csi_mbs", "csi_fbs",
+                 "compiled", "_rows")
+
+    def __init__(self, static: StaticColumns, w_prev: List[float],
+                 r_mbs: List[float], r_fbs: List[float],
+                 csi_mbs: List[Optional[float]],
+                 csi_fbs: List[Optional[float]], *,
+                 rows: Optional[tuple] = None) -> None:
+        self.static = static
+        self.w_prev = w_prev
+        self.r_mbs = r_mbs
+        self.r_fbs = r_fbs
+        self.csi_mbs = csi_mbs
+        self.csi_fbs = csi_fbs
+        #: The :class:`~repro.core.reference.CompiledSlotProblem`, once built.
+        self.compiled = None
+        self._rows = rows
+
+    @classmethod
+    def validated(cls, static: StaticColumns, w_prev: List[float],
+                  r_mbs: List[float], r_fbs: List[float],
+                  csi_mbs: List[Optional[float]],
+                  csi_fbs: List[Optional[float]]) -> "SlotColumns":
+        """Columns checked as :class:`UserDemand` checks a row.
+
+        One screening pass per column; only when a column fails it are
+        the entries checked one by one, user by user and field by field
+        in the row type's order, so the first bad entry raises the error
+        its row would have raised.
+        """
+        if not (_screen(w_prev, True) and _screen(r_mbs, False)
+                and _screen(r_fbs, False) and _screen(csi_mbs, False)
+                and _screen(csi_fbs, False)):
+            for j in range(len(static)):
+                check_positive(w_prev[j], "w_prev")
+                check_positive(r_mbs[j], "r_mbs", allow_zero=True)
+                check_positive(r_fbs[j], "r_fbs", allow_zero=True)
+                if csi_mbs[j] is not None:
+                    check_positive(csi_mbs[j], "csi_mbs", allow_zero=True)
+                if csi_fbs[j] is not None:
+                    check_positive(csi_fbs[j], "csi_fbs", allow_zero=True)
+        return cls(static, w_prev, r_mbs, r_fbs, csi_mbs, csi_fbs)
+
+    @classmethod
+    def from_users(cls, users: Sequence[UserDemand]) -> "SlotColumns":
+        """The columns of validated rows; the rows are kept as given."""
+        users = tuple(users)
+        static = StaticColumns(
+            [user.user_id for user in users], [user.fbs_id for user in users],
+            [user.success_mbs for user in users],
+            [user.success_fbs for user in users],
+            [user.r_mbs for user in users], [user.r_fbs for user in users])
+        return cls(static, [user.w_prev for user in users],
+                   [user.r_mbs for user in users],
+                   [user.r_fbs for user in users],
+                   [user.csi_mbs for user in users],
+                   [user.csi_fbs for user in users], rows=users)
+
+    def rows(self) -> tuple:
+        """The users as :class:`UserDemand` rows, built on first use."""
+        if self._rows is None:
+            static = self.static
+            self._rows = tuple(
+                UserDemand(user_id=static.user_ids[j],
+                           fbs_id=static.fbs_id[j], w_prev=self.w_prev[j],
+                           success_mbs=static.success_mbs[j],
+                           success_fbs=static.success_fbs[j],
+                           r_mbs=self.r_mbs[j], r_fbs=self.r_fbs[j],
+                           csi_mbs=self.csi_mbs[j], csi_fbs=self.csi_fbs[j])
+                for j in range(len(static)))
+        return self._rows
+
+
+class SlotProblem:
+    """A complete per-slot allocation problem instance.
+
+    ``SlotProblem(users, expected_channels)`` builds the problem from
+    :class:`UserDemand` rows; the engine builds it from columns with
+    :meth:`from_columns`.  Solvers read :attr:`columns`.
+
+    Attributes
+    ----------
+    columns:
+        The slot's :class:`SlotColumns`.
     expected_channels:
         ``{fbs_id: G_i}`` -- expected available licensed channels per FBS
         for this slot.  In the single-FBS and non-interfering cases every
@@ -122,52 +301,67 @@ class SlotProblem:
         channel allocation determines each ``G_i``.
     """
 
-    users: Sequence[UserDemand]
-    expected_channels: Dict[int, float]
+    __slots__ = ("columns", "expected_channels")
 
-    def __post_init__(self) -> None:
-        if not self.users:
-            raise ConfigurationError("a SlotProblem needs at least one user")
-        ids = [user.user_id for user in self.users]
-        if len(set(ids)) != len(ids):
-            raise ConfigurationError(f"duplicate user_id values in {ids}")
-        for fbs_id, value in self.expected_channels.items():
+    def __init__(self, users: Sequence[UserDemand],
+                 expected_channels: Dict[int, float]) -> None:
+        self._bind(SlotColumns.from_users(users), expected_channels)
+
+    @classmethod
+    def from_columns(cls, columns: SlotColumns,
+                     expected_channels: Dict[int, float]) -> "SlotProblem":
+        """The problem over ``columns`` (shared, not copied)."""
+        problem = cls.__new__(cls)
+        problem._bind(columns, expected_channels)
+        return problem
+
+    def _bind(self, columns: SlotColumns,
+              expected_channels: Dict[int, float]) -> None:
+        for fbs_id, value in expected_channels.items():
             if fbs_id < 1:
                 raise ConfigurationError(
                     f"expected_channels key must be an FBS id >= 1, got {fbs_id}")
             if value < 0:
                 raise ConfigurationError(
                     f"G for FBS {fbs_id} must be non-negative, got {value}")
-        missing = {user.fbs_id for user in self.users} - set(self.expected_channels)
+        missing = [fbs_id for fbs_id in columns.static.fbs_ids
+                   if fbs_id not in expected_channels]
         if missing:
             raise ConfigurationError(
-                f"expected_channels missing entries for FBS ids {sorted(missing)}")
+                f"expected_channels missing entries for FBS ids {missing}")
+        self.columns = columns
+        self.expected_channels = expected_channels
+
+    @property
+    def users(self) -> tuple:
+        """The ``K`` user demands as rows (built on first use)."""
+        return self.columns.rows()
 
     @property
     def n_users(self) -> int:
         """Number of CR users ``K``."""
-        return len(self.users)
+        return len(self.columns.static)
 
     @property
     def fbs_ids(self) -> List[int]:
         """Sorted FBS ids that have at least one associated user."""
-        return sorted({user.fbs_id for user in self.users})
+        return list(self.columns.static.fbs_ids)
 
     def users_of_fbs(self, fbs_id: int) -> List[UserDemand]:
-        """The user set ``U_i`` of FBS ``fbs_id``.
-
-        One scan of the users; to visit every cell, use
-        :func:`fbs_groups`, which scans them once for all cells.
-        """
-        return [user for user in self.users if user.fbs_id == fbs_id]
+        """The user set ``U_i`` of FBS ``fbs_id``."""
+        rows = self.users
+        return [rows[j] for j in self.columns.static.groups.get(fbs_id, ())]
 
     def g_for_user(self, user: UserDemand) -> float:
         """``G_i`` of the user's associated FBS."""
         return self.expected_channels[user.fbs_id]
 
     def with_expected_channels(self, expected_channels: Dict[int, float]) -> "SlotProblem":
-        """Copy of this problem with a different channel allocation outcome."""
-        return replace(self, expected_channels=dict(expected_channels))
+        """Copy of this problem with a different channel allocation outcome.
+
+        The copy shares this problem's columns.
+        """
+        return SlotProblem.from_columns(self.columns, dict(expected_channels))
 
 
 def fbs_groups(users: Sequence[UserDemand]) -> Dict[int, List[int]]:
@@ -178,17 +372,10 @@ def fbs_groups(users: Sequence[UserDemand]) -> Dict[int, List[int]]:
     so ``[users[j] for j in fbs_groups(users)[i]]`` is
     ``users_of_fbs(i)``.  Each user's ``fbs_id`` is read once, which
     keeps a visit to every cell linear in the users rather than
-    ``O(users x FBSs)``.
+    ``O(users x FBSs)``.  A problem's grouping is built once, as
+    :attr:`StaticColumns.groups`.
     """
-    groups: Dict[int, List[int]] = {}
-    for j, user in enumerate(users):
-        fbs_id = user.fbs_id
-        members = groups.get(fbs_id)
-        if members is None:
-            groups[fbs_id] = [j]
-        else:
-            members.append(j)
-    return {fbs_id: groups[fbs_id] for fbs_id in sorted(groups)}
+    return _group_positions([user.fbs_id for user in users])
 
 
 @dataclass
@@ -232,17 +419,23 @@ def evaluate_objective(problem: SlotProblem, allocation: Allocation) -> float:
     base station is treated as zero.  See the module docstring for why the
     per-user term is ``sP * (log(W + rho * slope) - log W)``.
     """
+    columns = problem.columns
+    static = columns.static
+    w_prev = columns.w_prev
+    mbs_user_ids = allocation.mbs_user_ids
+    expected = problem.expected_channels
     total = 0.0
-    for user in problem.users:
-        if allocation.uses_mbs(user.user_id):
-            rho = allocation.rho_mbs.get(user.user_id, 0.0)
-            total += user.success_mbs * (
-                np.log(user.w_prev + rho * user.r_mbs) - np.log(user.w_prev))
+    for j, user_id in enumerate(static.user_ids):
+        w = w_prev[j]
+        if user_id in mbs_user_ids:
+            rho = allocation.rho_mbs.get(user_id, 0.0)
+            total += static.success_mbs[j] * (
+                np.log(w + rho * columns.r_mbs[j]) - np.log(w))
         else:
-            rho = allocation.rho_fbs.get(user.user_id, 0.0)
-            g_i = problem.g_for_user(user)
-            total += user.success_fbs * (
-                np.log(user.w_prev + rho * g_i * user.r_fbs) - np.log(user.w_prev))
+            rho = allocation.rho_fbs.get(user_id, 0.0)
+            g_i = expected[static.fbs_id[j]]
+            total += static.success_fbs[j] * (
+                np.log(w + rho * g_i * columns.r_fbs[j]) - np.log(w))
     return float(total)
 
 
@@ -257,24 +450,25 @@ def check_feasible(problem: SlotProblem, allocation: Allocation, *,
         for user_id, rho in mapping.items():
             if rho < -tol:
                 raise ConfigurationError(f"{label}[{user_id}] = {rho} is negative")
-    mbs_total = sum(allocation.rho_mbs.get(u.user_id, 0.0)
-                    for u in problem.users if allocation.uses_mbs(u.user_id))
+    static = problem.columns.static
+    user_ids = static.user_ids
+    mbs_user_ids = allocation.mbs_user_ids
+    mbs_total = sum(allocation.rho_mbs.get(user_id, 0.0)
+                    for user_id in user_ids if user_id in mbs_user_ids)
     if mbs_total > 1.0 + tol:
         raise ConfigurationError(f"common-channel shares sum to {mbs_total} > 1")
-    users = problem.users
-    for fbs_id, members in fbs_groups(users).items():
-        fbs_total = sum(allocation.rho_fbs.get(users[j].user_id, 0.0)
-                        for j in members
-                        if not allocation.uses_mbs(users[j].user_id))
+    for fbs_id, members in static.groups.items():
+        fbs_total = sum(allocation.rho_fbs.get(user_ids[j], 0.0)
+                        for j in members if user_ids[j] not in mbs_user_ids)
         if fbs_total > 1.0 + tol:
             raise ConfigurationError(
                 f"FBS {fbs_id} shares sum to {fbs_total} > 1")
-    for user in problem.users:
-        if allocation.uses_mbs(user.user_id):
-            stray = allocation.rho_fbs.get(user.user_id, 0.0)
+    for user_id in user_ids:
+        if user_id in mbs_user_ids:
+            stray = allocation.rho_fbs.get(user_id, 0.0)
         else:
-            stray = allocation.rho_mbs.get(user.user_id, 0.0)
+            stray = allocation.rho_mbs.get(user_id, 0.0)
         if stray > tol:
             raise ConfigurationError(
-                f"user {user.user_id} holds time share {stray} on its "
+                f"user {user_id} holds time share {stray} on its "
                 f"non-selected base station (Theorem 1 violated)")

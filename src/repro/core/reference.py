@@ -25,22 +25,23 @@ groups it solves hold one to a few users (one per FBS cell, plus the
 MBS group), where numpy's per-call fixed cost outweighs any
 vectorisation; DESIGN §10 has the measurements.
 
-:func:`compile_slot_problem` builds a :class:`CompiledSlotProblem` -- the
-problem's users grouped per FBS in one pass, with per-(station, member
-set) water-filling results cached -- so the thousands of
+:func:`compile_slot_problem` returns the slot's :class:`CompiledSlotProblem`
+-- the group cache over the problem's columns, per (station, member
+set) -- built on first use and kept on the slot's
+:class:`~repro.core.problem.SlotColumns`, which every
+``with_expected_channels`` copy of the slot shares.  So the thousands of
 ``solve_given_assignment`` calls issued per slot by ``flip_polish`` and
-the dual solver's primal recovery stop regrouping the users and
-re-solving identical subgroups.
+the dual solver's primal recovery, across all the greedy's ``Q(c)``
+variants of the slot, stop re-solving identical subgroups.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from collections import OrderedDict
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.problem import Allocation, SlotProblem, UserDemand, fbs_groups
+from repro.core.problem import Allocation, SlotColumns, SlotProblem
 from repro.utils.errors import ConfigurationError
 
 
@@ -172,7 +173,7 @@ def water_filling(weights: Sequence[float], bases: Sequence[float],
 
 
 class CompiledSlotProblem:
-    """A slot's user set grouped per station, with per-group caching.
+    """A slot's per-station water-filling results, cached per group.
 
     ``solve_given_assignment`` decomposes into independent water-filling
     subproblems, one per base station, and the subproblem for a station
@@ -182,23 +183,22 @@ class CompiledSlotProblem:
     primal recovery, and the greedy allocator's hundreds of per-slot
     ``with_expected_channels`` variants therefore re-solve the same
     (station, member set, ``G_i``) groups over and over; this class
-    groups the users per FBS once per user set and caches each group's
-    exact water-filling result.  In particular the MBS group is
-    independent of ``G`` entirely, so it is shared across every channel
-    allocation candidate the greedy evaluates in a slot.
+    caches each group's exact water-filling result.  In particular the
+    MBS group is independent of ``G`` entirely, so it is shared across
+    every channel allocation candidate the greedy evaluates in a slot.
 
-    It keeps the users tuple itself and no per-user copies of their
-    fields: a group's inputs are read from the users when the group is
-    first solved.
+    It reads the slot's columns and the scenario's per-FBS grouping
+    (:class:`~repro.core.problem.StaticColumns`), and copies nothing:
+    a group's inputs are read from the columns when the group is first
+    solved.
     """
 
-    def __init__(self, users: Sequence[UserDemand]) -> None:
-        # ``tuple`` of a tuple is the tuple itself, so the compile
-        # cache's key and this instance share one users tuple.
-        self._users = users = tuple(users)
-        self.user_ids = [user.user_id for user in users]
-        self._id_set = frozenset(self.user_ids)
-        self._members = fbs_groups(users)
+    def __init__(self, columns: SlotColumns) -> None:
+        self._columns = columns
+        static = columns.static
+        self.user_ids = static.user_ids
+        self._id_set = static.id_set
+        self._members = static.groups
         # (station, member index tuple, g) -> (shares list, value);
         # station 0 is the MBS (g None there).  Bounded by the number of
         # distinct groups one slot's solvers actually visit.
@@ -209,14 +209,16 @@ class CompiledSlotProblem:
         key = (station, members, g)
         cached = self._group_cache.get(key)
         if cached is None:
-            group = [self._users[j] for j in members]
-            bases = [user.w_prev for user in group]
+            columns = self._columns
+            w_prev = columns.w_prev
+            bases = [w_prev[j] for j in members]
             if station == 0:
-                weights = [user.success_mbs for user in group]
-                slopes = [user.r_mbs for user in group]
+                weights = [columns.static.success_mbs[j] for j in members]
+                slopes = [columns.r_mbs[j] for j in members]
             else:
-                weights = [user.success_fbs for user in group]
-                slopes = [g * user.r_fbs for user in group]
+                weights = [columns.static.success_fbs[j] for j in members]
+                r_fbs = columns.r_fbs
+                slopes = [g * r_fbs[j] for j in members]
             cached = self._group_cache[key] = _water_filling(
                 weights, bases, slopes)
         return cached
@@ -254,29 +256,19 @@ class CompiledSlotProblem:
                           rho_fbs=rho_fbs, objective=objective)
 
 
-#: Recently compiled user sets, keyed on the user tuple.
-_COMPILE_CACHE: "OrderedDict[tuple, CompiledSlotProblem]" = OrderedDict()
-_COMPILE_CACHE_SIZE = 64
-
-
 def compile_slot_problem(problem: SlotProblem) -> CompiledSlotProblem:
-    """The compiled form of ``problem``'s user set, cached across calls.
+    """The compiled form of ``problem``'s slot, built once per slot.
 
-    Keyed on the user tuple only (``UserDemand`` is frozen/hashable) --
-    ``G`` enters at :meth:`CompiledSlotProblem.solve_assignment` time --
-    so the repeated ``with_expected_channels`` copies the greedy
+    It lives on the problem's :class:`~repro.core.problem.SlotColumns`
+    -- ``G`` enters at :meth:`CompiledSlotProblem.solve_assignment` time
+    -- so the repeated ``with_expected_channels`` copies the greedy
     allocator creates for one slot all share a single compiled instance
-    and its water-filling group cache.
+    and its water-filling group cache, and it goes when the slot goes.
     """
-    key = tuple(problem.users)
-    compiled = _COMPILE_CACHE.get(key)
+    columns = problem.columns
+    compiled = columns.compiled
     if compiled is None:
-        compiled = CompiledSlotProblem(key)
-        _COMPILE_CACHE[key] = compiled
-        if len(_COMPILE_CACHE) > _COMPILE_CACHE_SIZE:
-            _COMPILE_CACHE.popitem(last=False)
-    else:
-        _COMPILE_CACHE.move_to_end(key)
+        compiled = columns.compiled = CompiledSlotProblem(columns)
     return compiled
 
 
@@ -312,7 +304,7 @@ def exhaustive_reference_solution(problem: SlotProblem, *,
     if problem.n_users > max_users:
         raise ConfigurationError(
             f"exhaustive search limited to {max_users} users, got {problem.n_users}")
-    user_ids = [user.user_id for user in problem.users]
+    user_ids = problem.columns.static.user_ids
     best: Allocation = None
     for pattern in itertools.product((False, True), repeat=len(user_ids)):
         assignment = {uid for uid, on_mbs in zip(user_ids, pattern) if on_mbs}

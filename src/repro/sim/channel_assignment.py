@@ -13,6 +13,11 @@ conflict-free assignment that does not use the proposed objective:
 
 Every FBS in the class receiving channel ``m`` gets ``m`` -- maximal
 spatial reuse without conflicts, and no dependence on the video state.
+
+The interference graph never changes during a run, so step 1 is
+:func:`colour_classes`, computed once per engine, and step 2 is
+:func:`deal_channels`, run every slot; :func:`color_partition_allocation`
+composes the two.
 """
 
 from __future__ import annotations
@@ -25,15 +30,43 @@ from repro.core.coloring import interference_coloring
 from repro.utils.errors import ConfigurationError
 
 
-def color_partition_allocation(graph: nx.Graph, fbs_ids: Sequence[int],
-                               available_channels: Sequence[int],
-                               posteriors: Dict[int, float]) -> Dict[int, Set[int]]:
-    """Conflict-free channel assignment by interference-graph colouring.
+def colour_classes(graph: nx.Graph,
+                   fbs_ids: Sequence[int]) -> List[List[int]]:
+    """The colour classes of ``fbs_ids`` in the interference graph.
+
+    ``classes[c]`` lists the FBSs of colour ``c`` in the colouring's
+    order (:func:`~repro.core.coloring.interference_coloring`,
+    ``largest_first``); FBSs of one class are mutually non-adjacent.
+    Empty when ``fbs_ids`` is.
+
+    Raises
+    ------
+    ConfigurationError
+        If an FBS id is not a vertex of ``graph``.
+    """
+    missing = [i for i in fbs_ids if i not in graph]
+    if missing:
+        raise ConfigurationError(
+            f"FBS ids {missing} are not vertices of the interference graph")
+    if not fbs_ids:
+        return []
+    coloring = interference_coloring(graph, fbs_ids,
+                                     strategy="largest_first")
+    classes: List[List[int]] = [[] for _ in range(max(coloring.values()) + 1)]
+    for fbs_id, color in coloring.items():
+        classes[color].append(fbs_id)
+    return classes
+
+
+def deal_channels(classes: Sequence[Sequence[int]], fbs_ids: Sequence[int],
+                  available_channels: Sequence[int],
+                  posteriors: Dict[int, float]) -> Dict[int, Set[int]]:
+    """Deal the ranked access set cyclically across colour classes.
 
     Parameters
     ----------
-    graph:
-        Interference graph over (at least) ``fbs_ids``.
+    classes:
+        :func:`colour_classes` of ``fbs_ids``.
     fbs_ids:
         FBSs requiring channels.
     available_channels:
@@ -47,26 +80,28 @@ def color_partition_allocation(graph: nx.Graph, fbs_ids: Sequence[int],
     dict
         ``{fbs_id: set of channels}``; adjacent FBSs never share one.
     """
-    missing = [i for i in fbs_ids if i not in graph]
-    if missing:
-        raise ConfigurationError(
-            f"FBS ids {missing} are not vertices of the interference graph")
-    if not fbs_ids:
-        return {}
-    coloring = interference_coloring(graph, fbs_ids,
-                                     strategy="largest_first")
-    n_colors = max(coloring.values()) + 1 if coloring else 1
-    classes: List[List[int]] = [[] for _ in range(n_colors)]
-    for fbs_id, color in coloring.items():
-        classes[color].append(fbs_id)
-
     allocation: Dict[int, Set[int]] = {i: set() for i in fbs_ids}
+    if not classes:
+        return allocation
+    n_colors = len(classes)
     ordered = sorted(available_channels,
                      key=lambda m: (-posteriors.get(m, 0.0), m))
     for position, channel in enumerate(ordered):
         for fbs_id in classes[position % n_colors]:
             allocation[fbs_id].add(channel)
     return allocation
+
+
+def color_partition_allocation(graph: nx.Graph, fbs_ids: Sequence[int],
+                               available_channels: Sequence[int],
+                               posteriors: Dict[int, float]) -> Dict[int, Set[int]]:
+    """Conflict-free channel assignment by interference-graph colouring.
+
+    :func:`deal_channels` over :func:`colour_classes`; see those for
+    the parameters.  ``graph`` must hold (at least) ``fbs_ids``.
+    """
+    return deal_channels(colour_classes(graph, fbs_ids), fbs_ids,
+                         available_channels, posteriors)
 
 
 def expected_channels_of(allocation: Dict[int, Set[int]],

@@ -33,7 +33,7 @@ import numpy as np
 from repro.core.batch import drive, fast_solve_iter
 from repro.core.bounds import GreedyTrace, tighter_upper_bound
 from repro.core.greedy import GreedyChannelAllocator
-from repro.core.problem import Allocation, SlotProblem, UserDemand
+from repro.core.problem import Allocation, SlotColumns, SlotProblem
 from repro.registry.schemes import scheme_registry
 from repro.obs.metrics import PSNR_BUCKETS, global_registry, metrics_enabled
 from repro.obs.trace import active_tracer
@@ -49,7 +49,8 @@ from repro.sensing.detector import SensingProfile, check_states
 from repro.sensing.fusion import fuse_log_odds, prior_log_odds
 from repro.sim.build import build_scenario
 from repro.sim.channel_assignment import (
-    color_partition_allocation,
+    colour_classes,
+    deal_channels,
     expected_channels_of,
 )
 from repro.sim.config import ScenarioConfig
@@ -171,6 +172,11 @@ class SimulationEngine:
         self._fbs_ids = built.fbs_ids
         self._greedy = (GreedyChannelAllocator(topology.interference_graph)
                         if self._interfering else None)
+        # The colour-partition schemes' colour classes: the graph is
+        # static, so colour it once and deal each slot's A(t) over them.
+        self._colour_classes = (
+            colour_classes(topology.interference_graph, self._fbs_ids)
+            if self._interfering and not self._greedy_channels else None)
         #: Cumulative wall-clock seconds per engine phase (profiling;
         #: excluded from serialized results -- timings are not
         #: deterministic, unlike everything else the engine emits).
@@ -178,28 +184,28 @@ class SimulationEngine:
             "sensing": 0.0, "access": 0.0, "allocation": 0.0,
             "transmission": 0.0}
 
-        # Demand constants come from the build; GOP clocks are per-run
-        # mutable state and stay here.
+        # The slot problems' static columns come from the build; GOP
+        # clocks are per-run mutable state and stay here.  Both are in
+        # topology user order, as are the per-user lists below.
+        self._columns = built.columns
         self.clocks: Dict[int, GopClock] = {}
-        self._demands_static = built.demands_static
         for user in topology.users:
             sequence = get_sequence(user.sequence_name)
             self.clocks[user.user_id] = GopClock(
                 sequence, config.deadline_slots,
                 quantum_db=self._nal_quantum(sequence, 1.0))
+        self._clock_list = list(self.clocks.values())
         # Per-GOP encoding-complexity traces (extension; constant 1.0
         # when rd_variability is 0, reproducing the paper's model).
         trace_rng = streams["traces"]
-        self._rd_traces = {
-            user.user_id: GopComplexityTrace(
+        self._rd_traces = [
+            GopComplexityTrace(
                 sigma=config.rd_variability, phi=config.rd_trace_phi,
                 rng=trace_rng)
-            for user in topology.users
-        }
-        self._rd_scale = {
-            user_id: 1.0 / trace.complexity
-            for user_id, trace in self._rd_traces.items()
-        }
+            for _ in topology.users
+        ]
+        self._rd_scale = [1.0 / trace.complexity
+                          for trace in self._rd_traces]
         self._slot = 0
         self._gop_bound_gap = 0.0
         self._bound_gaps_per_gop: List[float] = []
@@ -236,39 +242,44 @@ class SimulationEngine:
                            csi: Optional[Dict[int, tuple]] = None) -> SlotProblem:
         """Assemble the slot problem from the current PSNR states.
 
+        Only the per-slot columns are built here, over the scenario's
+        static columns: the PSNR states, the effective rate slopes and
+        the CSI margins, validated in one pass.
+
         Parameters
         ----------
         expected_channels:
             ``{fbs_id: G_i}`` for this slot.
         csi:
             Optional ``{user_id: (margin_mbs, margin_fbs)}`` realised
-            block-fading margins; attached to the demands so heuristic
+            block-fading margins; attached to the problem so heuristic
             schedulers can exploit instantaneous channel conditions.
         """
-        users = []
-        for user_id, static in self._demands_static.items():
-            margins = csi.get(user_id) if csi else None
-            clock = self.clocks[user_id]
-            fields = dict(static)
-            # A complexity-c GOP needs c times the rate per dB: scale the
-            # effective slopes (the quality ceiling is invariant).
-            scale = self._rd_scale[user_id]
-            fields["r_mbs"] = fields["r_mbs"] * scale
-            fields["r_fbs"] = fields["r_fbs"] * scale
+        static = self._columns
+        clocks = self._clock_list
+        w_prev = [clock.psnr_db for clock in clocks]
+        r_mbs = []
+        r_fbs = []
+        for clock, base_mbs, base_fbs, scale in zip(
+                clocks, static.r_mbs, static.r_fbs, self._rd_scale):
             if clock.headroom_db <= 0.0:
                 # The GOP is fully delivered: the base station has no more
                 # enhancement bits to send this window, so the stream's
                 # effective rate slope is zero for every scheduler.
-                fields["r_mbs"] = 0.0
-                fields["r_fbs"] = 0.0
-            users.append(UserDemand(
-                user_id=user_id,
-                w_prev=clock.psnr_db,
-                csi_mbs=margins[0] if margins else None,
-                csi_fbs=margins[1] if margins else None,
-                **fields,
-            ))
-        return SlotProblem(users=users, expected_channels=expected_channels)
+                r_mbs.append(0.0)
+                r_fbs.append(0.0)
+            else:
+                # A complexity-c GOP needs c times the rate per dB: scale
+                # the effective slopes (the quality ceiling is invariant).
+                r_mbs.append(base_mbs * scale)
+                r_fbs.append(base_fbs * scale)
+        margins = ([csi.get(user_id) for user_id in static.user_ids]
+                   if csi else [None] * len(static))
+        columns = SlotColumns.validated(
+            static, w_prev, r_mbs, r_fbs,
+            [pair[0] if pair else None for pair in margins],
+            [pair[1] if pair else None for pair in margins])
+        return SlotProblem.from_columns(columns, expected_channels)
 
     def _draw_csi_batched(self) -> Dict[int, tuple]:
         """Realise this slot's block-fading margins for every link.
@@ -449,8 +460,8 @@ class SimulationEngine:
             bound_q = min(tighter_upper_bound(greedy_trace), relaxed.objective)
             bound_gap = max(0.0, bound_q - greedy_trace.q_final)
         else:
-            channel_map = color_partition_allocation(
-                config.topology.interference_graph, fbs_ids, available, posterior_map)
+            channel_map = deal_channels(self._colour_classes, fbs_ids,
+                                        available, posterior_map)
             expected = expected_channels_of(channel_map, posterior_map)
             problem = self.build_slot_problem(expected, csi)
         inject = (fault_plan is not None
@@ -467,28 +478,31 @@ class SimulationEngine:
             idle_truth = {m for m, busy in enumerate(state.occupancy.tolist())
                           if not busy}
         increments: Dict[int, float] = {}
-        for user in problem.users:
-            margin_mbs, margin_fbs = csi[user.user_id]
+        columns = problem.columns
+        static = columns.static
+        mbs_user_ids = allocation.mbs_user_ids
+        for j, user_id in enumerate(static.user_ids):
             increment = 0.0
-            if allocation.uses_mbs(user.user_id):
-                rho = allocation.rho_mbs.get(user.user_id, 0.0)
-                if rho > 0.0 and margin_mbs > 1.0:
-                    increment = rho * user.r_mbs
+            if user_id in mbs_user_ids:
+                rho = allocation.rho_mbs.get(user_id, 0.0)
+                if rho > 0.0 and columns.csi_mbs[j] > 1.0:
+                    increment = rho * columns.r_mbs[j]
             else:
-                rho = allocation.rho_fbs.get(user.user_id, 0.0)
+                rho = allocation.rho_fbs.get(user_id, 0.0)
                 if rho > 0.0:
+                    fbs_id = static.fbs_id[j]
                     if config.realized_throughput:
                         multiplier = float(len(
-                            channel_map.get(user.fbs_id, set())
+                            channel_map.get(fbs_id, set())
                             & set(available) & idle_truth))
                     else:
-                        multiplier = problem.expected_channels[user.fbs_id]
-                    if multiplier > 0.0 and margin_fbs > 1.0:
-                        increment = rho * multiplier * user.r_fbs
+                        multiplier = problem.expected_channels[fbs_id]
+                    if multiplier > 0.0 and columns.csi_fbs[j] > 1.0:
+                        increment = rho * multiplier * columns.r_fbs[j]
             # The clock clamps at the GOP's enhancement ceiling; capacity
             # spent past it is wasted (the winner-take-all baseline pays
             # this cost the most).
-            increments[user.user_id] = self.clocks[user.user_id].add_quality(increment)
+            increments[user_id] = self._clock_list[j].add_quality(increment)
 
         self._gop_bound_gap += bound_gap
         gop_elapsed = False
@@ -497,11 +511,11 @@ class SimulationEngine:
         if gop_elapsed:
             self._bound_gaps_per_gop.append(self._gop_bound_gap)
             self._gop_bound_gap = 0.0
-            for user_id, trace in self._rd_traces.items():
-                self._rd_scale[user_id] = 1.0 / trace.advance()
-                clock = self.clocks[user_id]
+            for j, trace in enumerate(self._rd_traces):
+                self._rd_scale[j] = 1.0 / trace.advance()
+                clock = self._clock_list[j]
                 clock.quantum_db = self._nal_quantum(
-                    clock.sequence, self._rd_scale[user_id])
+                    clock.sequence, self._rd_scale[j])
 
         self._mark_phase("transmission", tick, tracer)
         if observing:

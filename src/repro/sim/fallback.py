@@ -27,7 +27,7 @@ import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from repro.core.problem import Allocation, SlotProblem, fbs_groups
+from repro.core.problem import Allocation, SlotProblem
 from repro.obs.logging import get_logger
 from repro.obs.trace import active_tracer
 from repro.utils.errors import AllocationFailedError, ConvergenceError, ReproError
@@ -108,10 +108,11 @@ def check_allocation(problem: SlotProblem,
       most the slot (``"infeasible"``).
 
     Each cell's load is summed over its users in user order.  The cells
-    come from one :func:`~repro.core.problem.fbs_groups` pass, so the
-    whole check is a handful of float comparisons per user, linear in
-    the users however many FBSs there are, and the engine can afford it
-    on every slot.
+    are the scenario's per-FBS grouping
+    (:attr:`~repro.core.problem.StaticColumns.groups`), built once, so
+    the whole check is a handful of float comparisons per user, linear
+    in the users however many FBSs there are, and the engine can afford
+    it on every slot.
     """
     shares = list(allocation.rho_mbs.values()) + list(allocation.rho_fbs.values())
     if not all(map(math.isfinite, shares)):
@@ -125,12 +126,13 @@ def check_allocation(problem: SlotProblem,
                    for uid in allocation.mbs_user_ids)
     if mbs_load > 1.0 + _FEASIBILITY_TOL:
         return "infeasible"
-    users = problem.users
-    for members in fbs_groups(users).values():
+    static = problem.columns.static
+    user_ids = static.user_ids
+    for members in static.groups.values():
         cell_load = sum(
-            allocation.rho_fbs.get(users[j].user_id, 0.0)
+            allocation.rho_fbs.get(user_ids[j], 0.0)
             for j in members
-            if users[j].user_id not in allocation.mbs_user_ids)
+            if user_ids[j] not in allocation.mbs_user_ids)
         if cell_load > 1.0 + _FEASIBILITY_TOL:
             return "infeasible"
     return None

@@ -40,6 +40,8 @@ class GopClock:
             raise ConfigurationError(
                 f"quantum_db must be non-negative, got {quantum_db}")
         self.sequence = sequence
+        # The sequence is frozen: read its quality ceiling once.
+        self._max_psnr_db = sequence.rd.max_psnr_db
         self.deadline_slots = int(deadline_slots)
         #: NAL-unit granularity: when positive, a GOP's recorded quality
         #: is the base layer plus whole multiples of this quantum -- MGS
@@ -75,7 +77,7 @@ class GopClock:
     @property
     def max_psnr_db(self) -> float:
         """Quality ceiling of one GOP (all enhancement NAL units received)."""
-        return self.sequence.rd.max_psnr_db
+        return self._max_psnr_db
 
     @property
     def headroom_db(self) -> float:
@@ -85,9 +87,10 @@ class GopClock:
         at that point the base station simply has no more data to send
         this window, so schedulers should treat the stream as inactive.
         """
-        if self.max_psnr_db == float("inf"):
-            return float("inf")
-        return max(0.0, self.max_psnr_db - self._psnr_db)
+        ceiling = self._max_psnr_db
+        if ceiling == float("inf"):
+            return ceiling
+        return max(0.0, ceiling - self._psnr_db)
 
     def add_quality(self, increment_db: float) -> float:
         """Fold one slot's realised PSNR increment into ``W_j^t``.

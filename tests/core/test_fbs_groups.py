@@ -1,11 +1,12 @@
 """One-pass per-FBS grouping, and the callers that must stay linear in it.
 
 Every per-cell visit in the slot path -- the compiled exact solve, the
-allocation check, the feasibility check and the two heuristics -- groups
-the users with :func:`repro.core.problem.fbs_groups`.  On the 20x20 city
-grid (400 FBSs, 1200 users) a per-FBS rescan of the users costs 480k
-attribute reads per call; the counting tests below keep those rescans
-from coming back.
+allocation check, the feasibility check and the two heuristics -- walks
+the problem's per-FBS grouping (:attr:`repro.core.problem.StaticColumns.
+groups`, one :func:`repro.core.problem.fbs_groups` pass when the problem
+is built).  On the 20x20 city grid (400 FBSs, 1200 users) a per-FBS
+rescan of the users costs 480k attribute reads per call; the counting
+tests below keep those rescans from coming back.
 """
 
 import numpy as np
@@ -76,7 +77,7 @@ class TestLinearGrouping:
         return CountingUser.reads
 
     @pytest.mark.parametrize("call", [
-        lambda problem, allocation: CompiledSlotProblem(problem.users),
+        lambda problem, allocation: CompiledSlotProblem(problem.columns),
         lambda problem, allocation: check_allocation(problem, allocation),
         lambda problem, allocation: check_feasible(problem, allocation),
         lambda problem, allocation: EqualAllocationHeuristic().allocate(problem),

@@ -193,7 +193,7 @@ class TestCompiledProductionShapes:
         rng = np.random.default_rng(606)
         for _ in range(4):
             problem = production_problem(rng, n_fbss=3, users_per_fbs=3)
-            compiled = CompiledSlotProblem(problem.users)
+            compiled = CompiledSlotProblem(problem.columns)
             ids = [user.user_id for user in problem.users]
             for mask in range(2 ** len(ids)):
                 mbs_ids = {uid for k, uid in enumerate(ids) if mask >> k & 1}
@@ -210,7 +210,7 @@ class TestCompiledProductionShapes:
         ids = [user.user_id for user in problem.users]
         for fraction in (0.0, 0.5, 0.75):
             mbs_ids = {uid for uid in ids if rng.random() < fraction}
-            got = CompiledSlotProblem(problem.users).solve_assignment(
+            got = CompiledSlotProblem(problem.columns).solve_assignment(
                 mbs_ids, problem.expected_channels)
             expected = solve_given_assignment_scalar(problem, mbs_ids)
             assert allocation_bits(got) == allocation_bits(expected)
@@ -228,7 +228,7 @@ class TestCompiledProductionShapes:
         with pytest.raises(ZeroDivisionError):
             solve_given_assignment_scalar(problem, mbs_ids)
         with pytest.raises(ZeroDivisionError):
-            CompiledSlotProblem(users).solve_assignment(
+            CompiledSlotProblem(problem.columns).solve_assignment(
                 mbs_ids, problem.expected_channels)
 
 

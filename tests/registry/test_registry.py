@@ -10,7 +10,7 @@ checkpoint headers.
 
 import pytest
 
-from repro.core.allocator import get_allocator
+from repro.core.allocator import ProposedAllocator, get_allocator
 from repro.core.heuristics import EqualAllocationHeuristic
 from repro.exec.executor import _execute_cell
 from repro.exec.plan import plan_campaign
@@ -55,6 +55,17 @@ class TestSchemeRegistryErrors:
             with pytest.raises(ConfigurationError,
                                match="accepts no options"):
                 get_allocator(scheme, max_iterations=100)
+
+    def test_fast_scheme_refuses_solver_options(self):
+        # The fast solver has no tunables: options must not be dropped
+        # silently, whatever their value.
+        with pytest.raises(ConfigurationError, match="accepts no options"):
+            get_allocator("proposed-fast", step_size=-5)
+        with pytest.raises(ConfigurationError, match="accepts no options"):
+            get_allocator("proposed-fast", max_iterations=1, step_size=-5)
+        with pytest.raises(ConfigurationError):
+            ProposedAllocator(fast=True, step_size=-5)
+        assert get_allocator("proposed-fast").name == "proposed-fast"
 
     def test_temporary_registration_is_scoped(self):
         registry = scheme_registry()
