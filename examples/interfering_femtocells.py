@@ -10,8 +10,6 @@ each -- and walks through one slot of the greedy channel allocation
 Run with:  python examples/interfering_femtocells.py
 """
 
-import networkx as nx
-
 from repro.core.bounds import theorem2_factor, tighter_upper_bound
 from repro.experiments import interfering_fbs_scenario
 from repro.sim import MonteCarloRunner, SimulationEngine

@@ -20,9 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Sequence
 
-import networkx as nx
-
-from repro.net.interference import max_degree
+from repro.net.interference import InterferenceGraph, max_degree
 from repro.utils.errors import ConfigurationError
 
 
@@ -103,7 +101,7 @@ class GreedyTrace:
         return sum(step.gain for step in self.steps)
 
 
-def theorem2_factor(graph: nx.Graph) -> float:
+def theorem2_factor(graph: InterferenceGraph) -> float:
     """The guarantee ``1 / (1 + D_max)`` of Theorem 2.
 
     Equals 1 for non-interfering deployments (``D_max = 0``), where the
@@ -134,7 +132,7 @@ def closed_form_upper_bound(trace: GreedyTrace) -> float:
     return trace.q_final + sum(step.degree * step.gain for step in trace.steps)
 
 
-def theorem2_lower_bound(trace: GreedyTrace, graph: nx.Graph) -> float:
+def theorem2_lower_bound(trace: GreedyTrace, graph: InterferenceGraph) -> float:
     """Closed-form lower bound on the greedy's incremental objective.
 
     Rearranging eq. (24): ``Q(pi_L) - Q(empty) >=
@@ -146,7 +144,7 @@ def theorem2_lower_bound(trace: GreedyTrace, graph: nx.Graph) -> float:
     return trace.q_empty + factor * (tighter_upper_bound(trace) - trace.q_empty)
 
 
-def verify_bound_holds(trace: GreedyTrace, optimum: float, graph: nx.Graph, *,
+def verify_bound_holds(trace: GreedyTrace, optimum: float, graph: InterferenceGraph, *,
                        tol: float = 1e-7) -> bool:
     """Check both bounds against a known optimal objective ``Q(Omega)``.
 

@@ -29,18 +29,28 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, Optional
 
-import networkx as nx
-
 from repro.core.heuristics import local_mbs_choice
 from repro.core.problem import Allocation, SlotProblem
 from repro.core.reference import solve_given_assignment
+from repro.net.interference import InterferenceGraph
 from repro.registry.schemes import SchemeInfo, register_scheme
 
 
-def interference_coloring(graph: nx.Graph,
-                          nodes: Optional[Iterable[int]] = None, *,
-                          strategy: str = "largest_first") -> Dict[int, int]:
+def interference_coloring(graph: InterferenceGraph,
+                          nodes: Optional[Iterable[int]] = None) -> Dict[int, int]:
     """Greedy-colour (a subgraph of) an interference graph.
+
+    A port of the largest-first greedy colouring the program used
+    before (``greedy_color(strategy="largest_first")`` of the graph
+    library ``tests/net/test_graph_oracle.py`` holds it to), visit
+    order included: vertices are taken by degree within the coloured
+    set, descending, ties in iteration order, and each takes the
+    smallest colour its coloured neighbours do not use.  The iteration
+    order is the one of that library's induced subgraph view: graph
+    order, except when the subset holds fewer than half the graph's
+    vertices, where the view iterates the Python ``set`` of their ids
+    (so ``[64, 100, 3, 1]`` of a 21-vertex graph ties as
+    ``[64, 1, 3, 100]``).
 
     Parameters
     ----------
@@ -48,22 +58,37 @@ def interference_coloring(graph: nx.Graph,
         Interference graph; vertices are FBS ids, edges mark mutual
         interference.
     nodes:
-        Restrict colouring to this vertex subset (default: all).
-    strategy:
-        Ordering strategy for the greedy colouring.  The default
-        ``largest_first`` guarantees at most ``max_degree + 1`` colours
-        (greedy colouring never needs more than Δ+1 regardless of
-        order; largest-first additionally matches the assignment the
-        baseline channel partition has always produced).
+        Restrict colouring to this vertex subset (default: all); ids
+        that are not vertices are ignored.
 
     Returns
     -------
     dict
-        ``{fbs_id: color index}``; adjacent vertices never share a
-        colour, and colour indices are dense from 0.
+        ``{fbs_id: color index}`` in visit order; adjacent vertices
+        never share a colour, colour indices are dense from 0, and at
+        most ``max_degree + 1`` colours are used.
     """
-    target = graph if nodes is None else graph.subgraph(nodes)
-    return nx.greedy_color(target, strategy=strategy)
+    if nodes is None:
+        order = list(graph.nodes)
+        degree = {node: graph.degree(node) for node in order}
+    else:
+        members = {node for node in nodes if node in graph}
+        if 2 * len(members) < graph.number_of_nodes():
+            order = list(members)
+        else:
+            order = [node for node in graph.nodes if node in members]
+        degree = {node: sum(1 for nbr in graph.neighbors(node)
+                            if nbr in members)
+                  for node in order}
+    order.sort(key=degree.__getitem__, reverse=True)
+    colors: Dict[int, int] = {}
+    for node in order:
+        used = {colors[nbr] for nbr in graph.neighbors(node) if nbr in colors}
+        color = 0
+        while color in used:
+            color += 1
+        colors[node] = color
+    return colors
 
 
 class GraphColoringAllocator:

@@ -32,12 +32,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-import networkx as nx
-
 from repro.core.batch import SolveRequest, drive, fast_solve_iter
 from repro.core.bounds import GreedyStep, GreedyTrace
 from repro.core.dual import fast_solve
 from repro.core.problem import Allocation, SlotProblem
+from repro.net.interference import InterferenceGraph
 from repro.obs.metrics import global_registry, metrics_enabled
 from repro.utils.errors import ConfigurationError
 
@@ -86,7 +85,7 @@ class GreedyChannelAllocator:
         Graph over FBS ids (Definition 1).
     """
 
-    def __init__(self, interference_graph: nx.Graph) -> None:
+    def __init__(self, interference_graph: InterferenceGraph) -> None:
         self.graph = interference_graph
 
     def allocate(self, problem: SlotProblem, available_channels: Sequence[int],
@@ -251,7 +250,8 @@ def _best_channel_per_fbs(candidates: Set[Tuple[int, int]],
 
 
 def exhaustive_channel_optimum(problem: SlotProblem, available_channels: Sequence[int],
-                               posteriors: Dict[int, float], graph: nx.Graph, *,
+                               posteriors: Dict[int, float],
+                               graph: InterferenceGraph, *,
                                max_pairs: int = 16) -> Tuple[Dict[int, Set[int]], float]:
     """Globally optimal channel allocation by exhaustive enumeration.
 
@@ -295,7 +295,8 @@ def exhaustive_channel_optimum(problem: SlotProblem, available_channels: Sequenc
     return best_alloc, best_q
 
 
-def _independent_sets(fbs_ids: Sequence[int], graph: nx.Graph) -> List[Set[int]]:
+def _independent_sets(fbs_ids: Sequence[int],
+                      graph: InterferenceGraph) -> List[Set[int]]:
     """All independent sets (including the empty set) over ``fbs_ids``."""
     sets: List[Set[int]] = [set()]
     for fbs_id in fbs_ids:

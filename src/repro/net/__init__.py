@@ -9,6 +9,7 @@ the same licensed channel (Definition 1, the interference graph).
 """
 
 from repro.net.interference import (
+    InterferenceGraph,
     build_interference_graph,
     interference_graph_from_edges,
     max_degree,
@@ -19,6 +20,7 @@ from repro.net.topology import Topology, build_topology
 __all__ = [
     "CrUser",
     "FemtoBaseStation",
+    "InterferenceGraph",
     "MacroBaseStation",
     "Topology",
     "build_interference_graph",

@@ -13,9 +13,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
-import networkx as nx
-
-from repro.net.interference import build_interference_graph
+from repro.net.interference import InterferenceGraph, build_interference_graph
 from repro.net.nodes import CrUser, FemtoBaseStation, MacroBaseStation, distance
 from repro.phy.fading import RayleighFading
 from repro.phy.pathloss import LogDistancePathLoss, db_to_linear, mean_sinr_db
@@ -89,7 +87,7 @@ class Topology:
     mbs: MacroBaseStation
     fbss: List[FemtoBaseStation]
     users: List[CrUser]
-    interference_graph: nx.Graph
+    interference_graph: InterferenceGraph
     mbs_success: Dict[int, float] = field(default_factory=dict)
     fbs_success: Dict[int, float] = field(default_factory=dict)
     mbs_margin: Dict[int, float] = field(default_factory=dict)
@@ -171,7 +169,7 @@ def build_topology(mbs: MacroBaseStation, fbss: Sequence[FemtoBaseStation],
                    users: Sequence[CrUser], *,
                    macro_budget: LinkBudget = DEFAULT_MACRO_BUDGET,
                    femto_budget: LinkBudget = DEFAULT_FEMTO_BUDGET,
-                   interference_graph: Optional[nx.Graph] = None) -> Topology:
+                   interference_graph: Optional[InterferenceGraph] = None) -> Topology:
     """Resolve association, link budgets, and the interference graph.
 
     Parameters
@@ -205,13 +203,17 @@ def build_topology(mbs: MacroBaseStation, fbss: Sequence[FemtoBaseStation],
         build_interference_graph(list(fbss)))
     topology = Topology(
         mbs=mbs, fbss=list(fbss), users=resolved, interference_graph=graph)
+    # The first FBS of each id, as ``Topology.fbs_by_id`` finds it.
+    fbs_of: Dict[int, FemtoBaseStation] = {}
+    for fbs in fbss:
+        fbs_of.setdefault(fbs.fbs_id, fbs)
     for user in resolved:
         mbs_distance = distance(mbs.position, user.position)
         topology.mbs_margin[user.user_id] = link_margin(
             mbs.tx_power_dbm, mbs_distance, macro_budget)
         topology.mbs_success[user.user_id] = math.exp(
             -1.0 / topology.mbs_margin[user.user_id])
-        fbs = topology.fbs_by_id(user.fbs_id)
+        fbs = fbs_of[user.fbs_id]
         fbs_distance = distance(fbs.position, user.position)
         topology.fbs_margin[user.user_id] = link_margin(
             fbs.tx_power_dbm, fbs_distance, femto_budget)

@@ -18,7 +18,6 @@ import math
 from typing import Protocol
 
 import numpy as np
-from scipy import special as _special
 
 from repro.utils.errors import ConfigurationError
 from repro.utils.rng import RandomState, as_generator, batched_exponential
@@ -86,7 +85,9 @@ class NakagamiFading:
     def cdf(self, threshold: float) -> float:
         """Regularised lower incomplete gamma ``P(m, m H / mean)``."""
         threshold = check_positive(threshold, "threshold", allow_zero=True)
-        return float(_special.gammainc(self.m, self.m * threshold / self.mean_sinr))
+        from scipy.special import gammainc
+
+        return float(gammainc(self.m, self.m * threshold / self.mean_sinr))
 
     def sample(self, rng: RandomState, size=None):
         """Sample instantaneous SINR values."""

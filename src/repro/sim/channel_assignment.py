@@ -24,19 +24,18 @@ from __future__ import annotations
 
 from typing import Dict, List, Sequence, Set
 
-import networkx as nx
-
 from repro.core.coloring import interference_coloring
+from repro.net.interference import InterferenceGraph
 from repro.utils.errors import ConfigurationError
 
 
-def colour_classes(graph: nx.Graph,
+def colour_classes(graph: InterferenceGraph,
                    fbs_ids: Sequence[int]) -> List[List[int]]:
     """The colour classes of ``fbs_ids`` in the interference graph.
 
     ``classes[c]`` lists the FBSs of colour ``c`` in the colouring's
     order (:func:`~repro.core.coloring.interference_coloring`,
-    ``largest_first``); FBSs of one class are mutually non-adjacent.
+    largest first); FBSs of one class are mutually non-adjacent.
     Empty when ``fbs_ids`` is.
 
     Raises
@@ -50,8 +49,7 @@ def colour_classes(graph: nx.Graph,
             f"FBS ids {missing} are not vertices of the interference graph")
     if not fbs_ids:
         return []
-    coloring = interference_coloring(graph, fbs_ids,
-                                     strategy="largest_first")
+    coloring = interference_coloring(graph, fbs_ids)
     classes: List[List[int]] = [[] for _ in range(max(coloring.values()) + 1)]
     for fbs_id, color in coloring.items():
         classes[color].append(fbs_id)
@@ -92,7 +90,7 @@ def deal_channels(classes: Sequence[Sequence[int]], fbs_ids: Sequence[int],
     return allocation
 
 
-def color_partition_allocation(graph: nx.Graph, fbs_ids: Sequence[int],
+def color_partition_allocation(graph: InterferenceGraph, fbs_ids: Sequence[int],
                                available_channels: Sequence[int],
                                posteriors: Dict[int, float]) -> Dict[int, Set[int]]:
     """Conflict-free channel assignment by interference-graph colouring.

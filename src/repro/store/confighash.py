@@ -109,9 +109,9 @@ def canonical_value(value: object) -> object:
         pairs = [[canonical_value(key), canonical_value(item)]
                  for key, item in value.items()]
         return {"__map__": sorted(pairs, key=lambda pair: _sort_key(pair[0]))}
-    # networkx graphs (the interference graph) canonicalise as sorted
-    # nodes plus sorted undirected edges; duck-typed so this module
-    # stays importable without networkx.
+    # Graphs (the interference graph) canonicalise as sorted nodes plus
+    # sorted undirected edges; duck-typed (``nodes`` plus ``edges``), so
+    # any graph type with the same vertices and edges hashes alike.
     if hasattr(value, "nodes") and hasattr(value, "edges"):
         nodes = sorted(canonical_value(node) for node in value.nodes)
         edges = sorted(
@@ -128,6 +128,8 @@ def canonical_value(value: object) -> object:
 
 def _sort_key(canonical: object) -> str:
     """Total order over canonical values (for sets and mapping keys)."""
+    if type(canonical) is int:
+        return str(canonical)  # == json.dumps(canonical), much cheaper
     return json.dumps(canonical, sort_keys=True, separators=(",", ":"))
 
 

@@ -12,7 +12,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import special as _special
+
+from repro.utils import t_table
 
 
 @dataclass(frozen=True)
@@ -73,10 +74,22 @@ def mean_confidence_interval(samples: Sequence[float], confidence: float = 0.95)
     if n == 1:
         return ConfidenceInterval(mean=mean, half_width=0.0, confidence=confidence, n_samples=1)
     sem = float(arr.std(ddof=1)) / math.sqrt(n)
-    # The Student-t quantile straight from scipy.special: the same bits
-    # as ``scipy.stats.t.ppf``, without importing scipy.stats.
-    t_crit = float(_special.stdtrit(n - 1, 0.5 + confidence / 2.0))
+    t_crit = student_t_quantile(n - 1, 0.5 + confidence / 2.0)
     return ConfidenceInterval(mean=mean, half_width=t_crit * sem, confidence=confidence, n_samples=n)
+
+
+def student_t_quantile(df: int, p: float) -> float:
+    """The Student-t quantile ``stdtrit(df, p)``, bit for bit.
+
+    The 95% level for ``df`` up to 1998 comes from the committed table
+    of :mod:`repro.utils.t_table`, so the default interval imports no
+    special-function library; any other level or ``df`` imports it.
+    """
+    if p == t_table.P and 1 <= df <= len(t_table.T_QUANTILES):
+        return float.fromhex(t_table.T_QUANTILES[df - 1])
+    from scipy import special
+
+    return float(special.stdtrit(df, p))
 
 
 class RunningMean:

@@ -6,7 +6,6 @@ produce a monotone non-decreasing objective trajectory, and keep its
 bound accounting consistent.
 """
 
-import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,7 +14,10 @@ from hypothesis import strategies as st
 from repro.core.bounds import closed_form_upper_bound, tighter_upper_bound
 from repro.core.greedy import GreedyChannelAllocator
 from repro.core.problem import SlotProblem, UserDemand
-from repro.net.interference import is_valid_allocation
+from repro.net.interference import (
+    interference_graph_from_edges,
+    is_valid_allocation,
+)
 from tests.oracle import drive_exact
 
 
@@ -24,12 +26,9 @@ def greedy_instances(draw):
     """A random (graph, problem, channels, posteriors) instance."""
     n_fbss = draw(st.integers(1, 4))
     fbs_ids = list(range(1, n_fbss + 1))
-    graph = nx.Graph()
-    graph.add_nodes_from(fbs_ids)
-    for a in fbs_ids:
-        for b in fbs_ids:
-            if a < b and draw(st.booleans()):
-                graph.add_edge(a, b)
+    edges = [(a, b) for a in fbs_ids for b in fbs_ids
+             if a < b and draw(st.booleans())]
+    graph = interference_graph_from_edges(fbs_ids, edges)
 
     n_users = draw(st.integers(1, 5))
     users = [

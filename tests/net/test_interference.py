@@ -1,6 +1,5 @@
 """Tests for interference-graph construction (Definition 1, Figs. 2/5)."""
 
-import networkx as nx
 import pytest
 
 from repro.net.interference import (
@@ -74,12 +73,12 @@ class TestQueries:
         assert neighbors(graph, 1) == {2}
 
     def test_neighbors_unknown_node(self):
-        graph = nx.Graph()
+        graph = interference_graph_from_edges([], [])
         with pytest.raises(ConfigurationError):
             neighbors(graph, 1)
 
     def test_max_degree_empty_graph(self):
-        assert max_degree(nx.Graph()) == 0
+        assert max_degree(interference_graph_from_edges([], [])) == 0
 
 
 class TestAllocationValidity:

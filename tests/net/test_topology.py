@@ -86,11 +86,9 @@ class TestBuildTopology:
         assert topology.interference_graph.number_of_edges() == 0
 
     def test_explicit_graph_wins(self):
-        import networkx as nx
+        from repro.net.interference import interference_graph_from_edges
         mbs, fbss, users = small_network()
-        graph = nx.Graph()
-        graph.add_nodes_from([1, 2])
-        graph.add_edge(1, 2)
+        graph = interference_graph_from_edges([1, 2], [(1, 2)])
         topology = build_topology(mbs, fbss, users, interference_graph=graph)
         assert topology.interference_graph.has_edge(1, 2)
 

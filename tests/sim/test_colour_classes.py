@@ -27,7 +27,10 @@ from repro.sim.engine import SimulationEngine
 
 def reference_classes(graph, fbs_ids):
     """Classes from a per-slot ``nx.greedy_color`` of the FBS subgraph."""
-    coloring = nx.greedy_color(graph.subgraph(fbs_ids),
+    reference = nx.Graph()
+    reference.add_nodes_from(graph.nodes)
+    reference.add_edges_from(graph.edges)
+    coloring = nx.greedy_color(reference.subgraph(fbs_ids),
                                strategy="largest_first")
     classes = [[] for _ in range(max(coloring.values()) + 1)]
     for fbs_id, color in coloring.items():

@@ -12,7 +12,26 @@ from repro.utils.stats import (
     RunningMean,
     jain_fairness_index,
     mean_confidence_interval,
+    student_t_quantile,
 )
+
+
+def _modules_after(statement):
+    """The top-level and dotted module names a fresh interpreter holds
+    after running ``statement`` with this checkout's ``repro``."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import repro
+
+    src = str(Path(repro.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    code = f"import sys; {statement}; print(' '.join(sys.modules))"
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True, env=env).stdout
+    return set(out.split())
 
 
 class TestMeanConfidenceInterval:
@@ -69,21 +88,36 @@ class TestMeanConfidenceInterval:
         assert got.tobytes() == expected.tobytes()
 
     def test_importing_the_cli_leaves_scipy_stats_unloaded(self):
-        # scipy.stats costs more than a second of start-up; only
-        # scipy.special may be pulled in by the program.
-        import os
-        import subprocess
-        import sys
-        from pathlib import Path
+        # scipy.stats costs more than a second of start-up.
+        assert "scipy.stats" not in _modules_after("import repro.cli")
 
-        import repro
+    @pytest.mark.parametrize("statement", ["import repro.cli",
+                                           "import repro.serve.api"])
+    def test_cold_start_loads_neither_networkx_nor_scipy(self, statement):
+        # networkx and scipy.special together are most of the start-up
+        # of every CLI run and job child; the program needs neither to
+        # start (the interference graph and its colouring are in-repo,
+        # the default Student-t quantile is a committed table).
+        loaded = _modules_after(statement)
+        assert {"networkx", "scipy"} & loaded == set()
 
-        src = str(Path(repro.__file__).resolve().parent.parent)
-        env = dict(os.environ, PYTHONPATH=src)
-        code = "import sys, repro.cli; print('scipy.stats' in sys.modules)"
-        out = subprocess.run([sys.executable, "-c", code], check=True,
-                             capture_output=True, text=True, env=env).stdout
-        assert out.strip() == "False"
+    def test_t_table_is_scipy_stdtrit_bit_for_bit(self):
+        from scipy import special
+
+        from repro.utils import t_table
+
+        assert t_table.P == 0.5 + 0.95 / 2.0
+        assert len(t_table.T_QUANTILES) == 1998
+        for df, entry in enumerate(t_table.T_QUANTILES, start=1):
+            assert entry == float(special.stdtrit(df, t_table.P)).hex(), df
+
+    @pytest.mark.parametrize("df,p", [(1, 0.975), (1998, 0.975),
+                                      (1999, 0.975), (5000, 0.975),
+                                      (4, 0.95), (4, 0.995)])
+    def test_quantile_is_stdtrit_inside_and_outside_the_table(self, df, p):
+        from scipy import special
+
+        assert student_t_quantile(df, p) == float(special.stdtrit(df, p))
 
     def test_interval_endpoints(self):
         ci = ConfidenceInterval(mean=10.0, half_width=2.0, confidence=0.95, n_samples=5)
