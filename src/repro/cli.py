@@ -66,7 +66,9 @@ def build_parser() -> argparse.ArgumentParser:
                     "femtocell CR networks.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    # A command gets --output/--checkpoint only if it honours them, so
+    # passing one it would ignore is a usage error (exit 2).
+    def add_common(p, *, output=True, checkpoint=True):
         p.add_argument("--runs", type=int, default=10,
                        help="Monte-Carlo replications per point (default 10)")
         p.add_argument("--gops", type=int, default=3,
@@ -75,13 +77,15 @@ def build_parser() -> argparse.ArgumentParser:
                        help="root RNG seed (default 7)")
         p.add_argument("--chart", action="store_true",
                        help="also render sweep results as an ASCII chart")
-        p.add_argument("--output", metavar="FILE", default=None,
-                       help="save the result data as JSON (see "
-                            "repro.experiments.results_io)")
-        p.add_argument("--checkpoint", metavar="FILE", default=None,
-                       help="checkpoint completed (scheme, point, run) "
-                            "cells to FILE and resume from it on restart "
-                            "(sweep figures only)")
+        if output:
+            p.add_argument("--output", metavar="FILE", default=None,
+                           help="save the result data as JSON (see "
+                                "repro.experiments.results_io)")
+        if checkpoint:
+            p.add_argument("--checkpoint", metavar="FILE", default=None,
+                           help="checkpoint completed (scheme, point, run) "
+                                "cells to FILE and resume from it on "
+                                "restart (sweep figures only)")
         p.add_argument("--jobs", type=int, default=1, metavar="N",
                        help="worker processes for Monte-Carlo cells "
                             "(default 1 = serial; results are "
@@ -138,17 +142,17 @@ def build_parser() -> argparse.ArgumentParser:
         ("all", "run every figure in sequence"),
     ):
         sub_parser = sub.add_parser(name, help=title)
-        add_common(sub_parser)
+        add_common(sub_parser, checkpoint=name != "fig3")
 
     # fig4a shares the full common flag set (the convergence trace only
     # uses a subset, but --profile/--progress/--trace behave uniformly
     # across every subcommand) plus its own solver step size.
     fig4a = sub.add_parser("fig4a", help="Fig. 4(a): dual-variable convergence")
-    add_common(fig4a)
+    add_common(fig4a, checkpoint=False)
     fig4a.add_argument("--step-size", type=float, default=0.004)
 
     simulate = sub.add_parser("simulate", help="run one scenario and print metrics")
-    add_common(simulate)
+    add_common(simulate, output=False, checkpoint=False)
     simulate.add_argument("--scenario", choices=scenario_registry().names(),
                           default="single",
                           help="registered scenario generator "

@@ -3,9 +3,11 @@
 The service turns the blocking CLI into a queue: clients POST a job
 spec (one figure sweep or simulate campaign), poll its state, stream
 its progress events, and fetch results that are byte-identical to a
-direct CLI run -- because each job *is* a CLI run, executed as a child
-process against a shared :class:`~repro.store.workspace.FileWorkspace`
-(see :mod:`repro.serve.jobs` for why).
+direct CLI run -- because each job *is* a CLI run, executed in a child
+process of its own against a shared
+:class:`~repro.store.workspace.FileWorkspace` (see :mod:`repro.serve.jobs`
+for why).  The child is a spare started ahead of the job, which has
+already imported the CLI (:mod:`repro.jobchild`).
 
 Three layers (DESIGN.md §17):
 

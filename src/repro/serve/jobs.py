@@ -2,13 +2,15 @@
 
 The service's unit of work is a **job**: one figure sweep or simulate
 campaign, described by a small JSON spec and executed as a child
-``python -m repro ...`` process against the service's workspace.  Running
-jobs as CLI subprocesses (rather than in-process threads) is the load-
+process that runs ``repro.cli.main`` on the job's argv against the
+service's workspace, exactly as ``python -m repro ...`` would.  Running
+jobs as CLI processes (rather than in-process threads) is the load-
 bearing design decision:
 
 * **byte identity for free** -- a job produces exactly the bytes the
   same CLI invocation would, because it *is* that CLI invocation;
-* **isolation** -- the CLI's process-global machinery (the shutdown
+* **isolation** -- every job runs in a fresh process that never ran
+  another job, so the CLI's process-global machinery (the shutdown
   coordinator's signal handlers, the metrics registry, the solver
   caches) stays per-job instead of fighting over one server process;
 * **two-stage cancel** -- SIGTERM reuses the CLI's
@@ -17,6 +19,17 @@ bearing design decision:
   a second hard-aborts (exit 6);
 * **resume** -- an interrupted sweep job restarts from its per-job
   checkpoint, so a crashed server loses at most in-flight cells.
+
+**Spares.**  Interpreter start-up and ``import repro.cli`` cost more
+than a small job's own work, so each worker keeps one *spare*: a
+``python -m repro.jobchild`` process that has already imported the CLI
+and waits on its stdin (:mod:`repro.jobchild`).  Taking a job hands the
+spare its argv and output paths; the worker then starts the next spare,
+so that import overlaps the running job.  The first spare starts when a
+worker takes its first job, so an unstarted or idle manager runs no
+process.  The handle is still a :class:`subprocess.Popen` leading its
+own session, so cancel, stop, kill, :meth:`JobManager.recover`, the
+exit codes and the record's ``pid`` are those of a plain child.
 
 Lifecycle::
 
@@ -209,7 +222,7 @@ class JobManager:
         Concurrent jobs (each job additionally parallelises internally
         via its spec's ``jobs`` field).
     python:
-        Interpreter for job subprocesses (defaults to
+        Interpreter for job processes (defaults to
         ``sys.executable``; tests never need to override it).
     """
 
@@ -223,6 +236,8 @@ class JobManager:
         self._lock = threading.RLock()
         self._queue: "queue.Queue[str]" = queue.Queue()
         self._procs: Dict[str, subprocess.Popen] = {}
+        #: Each worker's idle spare, by worker index.
+        self._spares: Dict[int, subprocess.Popen] = {}
         self._threads: List[threading.Thread] = []
         self._stopping = threading.Event()
         self._metrics = MetricsRegistry()
@@ -420,8 +435,8 @@ class JobManager:
                 self._started = True
                 for index in range(self.job_workers):
                     thread = threading.Thread(
-                        target=self._worker, name=f"repro-job-worker-{index}",
-                        daemon=True)
+                        target=self._worker, args=(index,),
+                        name=f"repro-job-worker-{index}", daemon=True)
                     thread.start()
                     self._threads.append(thread)
         return resumed
@@ -471,8 +486,10 @@ class JobManager:
         own pool and exit 4, leaving the job ``queued`` for the next
         server); without, each child's process group -- the child and
         its ``--jobs`` pool workers -- is SIGKILLed and the records stay
-        stale until :meth:`recover`.
+        stale until :meth:`recover`.  Either way every idle spare is
+        retired (:meth:`_retire_spares`).
         """
+        deadline = time.monotonic() + timeout
         self._stopping.set()
         with self._lock:
             procs = dict(self._procs)
@@ -484,7 +501,7 @@ class JobManager:
                     proc.send_signal(signal.SIGTERM)
                 except OSError:
                     pass
-        deadline = time.monotonic() + timeout
+        self._retire_spares(deadline - time.monotonic())
         for thread in self._threads:
             thread.join(max(0.1, deadline - time.monotonic()))
         self._threads = []
@@ -497,13 +514,15 @@ class JobManager:
         Each child's whole process group dies, so no pool worker of a
         killed job outlives it.  Job records are deliberately left stale
         (``running`` with a dead pid) -- exactly what a power cut leaves
-        behind -- so tests can drive the :meth:`recover` path.
+        behind -- so tests can drive the :meth:`recover` path.  Idle
+        spares ran no job and are retired as :meth:`stop` retires them.
         """
         self._stopping.set()
         with self._lock:
             procs = dict(self._procs)
         for proc in procs.values():
             _kill_group(proc)
+        self._retire_spares(10.0)
         for proc in procs.values():
             try:
                 proc.wait(timeout=10.0)
@@ -518,14 +537,14 @@ class JobManager:
     # ------------------------------------------------------------------
     # Worker internals
     # ------------------------------------------------------------------
-    def _worker(self) -> None:
+    def _worker(self, index: int) -> None:
         while not self._stopping.is_set():
             try:
                 job_id = self._queue.get(timeout=0.2)
             except queue.Empty:
                 continue
             try:
-                self._run_job(job_id)
+                self._run_job(job_id, index)
             except Exception:
                 logger.exception("serve: worker crashed on %s", job_id)
                 try:
@@ -542,10 +561,11 @@ class JobManager:
                 self._queue.task_done()
 
     def _argv(self, record: dict) -> List[str]:
+        """The job's CLI arguments (``repro.cli.main``'s argv)."""
         spec = record["spec"]
         ws = self.workspace
         job_id = record["id"]
-        argv = [self.python, "-m", "repro", spec["command"]]
+        argv = [spec["command"]]
         if spec["command"] == "simulate":
             argv += ["--scenario", spec["scenario"],
                      "--scheme", spec["scheme"]]
@@ -576,7 +596,10 @@ class JobManager:
         The server may have been started with a relative ``PYTHONPATH``
         (``PYTHONPATH=src ...``); pinning the installed package's parent
         directory absolutely keeps children importable regardless of
-        their working directory.
+        their working directory.  A spare gets it when it is spawned,
+        before its job is known: nothing in ``repro`` reads the
+        environment at import time, so the job sees it as a child
+        spawned for it would.
         """
         import repro
 
@@ -588,7 +611,64 @@ class JobManager:
                                  if existing else package_root)
         return env
 
-    def _run_job(self, job_id: str) -> None:
+    def _spawn_spare(self) -> subprocess.Popen:
+        """Start a spare: a process that imports the CLI and awaits a job.
+
+        A session of its own makes the spare -- and so the job it
+        becomes -- a process-group leader, so _kill_group reaches the
+        job's pool workers too; signals meant for the server (a
+        terminal's Ctrl-C) no longer reach it, and a job drains only on
+        the server's SIGTERM.  It keeps our stderr until the handoff.
+        """
+        return subprocess.Popen([self.python, "-m", "repro.jobchild"],
+                                stdin=subprocess.PIPE,
+                                stdout=subprocess.DEVNULL,
+                                env=self._child_env(),
+                                start_new_session=True)
+
+    def _take_spare(self, index: int) -> subprocess.Popen:
+        """Worker ``index``'s spare, started now if it has none or it died."""
+        with self._lock:
+            spare = self._spares.pop(index, None)
+        if spare is not None and spare.poll() is not None:
+            logger.warning("serve: spare pid %d exited with %d before taking "
+                           "a job; starting another", spare.pid,
+                           spare.returncode)
+            spare.stdin.close()
+            spare = None
+        return spare or self._spawn_spare()
+
+    def _restock(self, index: int) -> None:
+        """Start worker ``index``'s next spare unless the pool is stopping."""
+        with self._lock:
+            if self._stopping.is_set():
+                return
+            try:
+                self._spares[index] = self._spawn_spare()
+            except OSError as exc:
+                # The next job retries the spawn and fails if it fails.
+                logger.warning("serve: could not start a spare: %s", exc)
+
+    def _retire_spares(self, timeout: float) -> None:
+        """Close each idle spare's stdin and reap it.
+
+        A spare exits 0 on end of file, once its import is done; one
+        still alive after ``timeout`` seconds has its group SIGKILLed.
+        """
+        with self._lock:
+            spares = list(self._spares.values())
+            self._spares.clear()
+        for spare in spares:
+            spare.stdin.close()
+        deadline = time.monotonic() + timeout
+        for spare in spares:
+            try:
+                spare.wait(max(0.1, deadline - time.monotonic()))
+            except subprocess.TimeoutExpired:
+                _kill_group(spare)
+                spare.wait()
+
+    def _run_job(self, job_id: str, index: int) -> None:
         with self._lock:
             record = self._load(job_id)
             if record["state"] != "queued":
@@ -598,22 +678,24 @@ class JobManager:
             record["state"] = "building"
             record["started"] = time.time()
             self._save(record)
-        argv = self._argv(record)
         root = self.workspace.root
-        out_path = root / record["artifacts"]["stdout"]
-        log_path = root / record["artifacts"]["log"]
+        job = {"argv": self._argv(record),
+               "stdout": str(root / record["artifacts"]["stdout"]),
+               "stderr": str(root / record["artifacts"]["log"])}
+        proc = None
         try:
-            with open(out_path, "w", encoding="utf-8") as out, \
-                    open(log_path, "a", encoding="utf-8") as log:
-                # A session of its own makes the child a process-group
-                # leader, so _kill_group reaches its pool workers too;
-                # signals meant for the server (a terminal's Ctrl-C)
-                # no longer reach the child, which drains only on the
-                # server's SIGTERM.
-                proc = subprocess.Popen(argv, stdout=out, stderr=log,
-                                        env=self._child_env(),
-                                        start_new_session=True)
+            # Create or truncate the report and append to the log here,
+            # so an unwritable workspace fails the job before handoff.
+            with open(job["stdout"], "w", encoding="utf-8"), \
+                    open(job["stderr"], "a", encoding="utf-8"):
+                pass
+            proc = self._take_spare(index)
+            with proc.stdin:
+                proc.stdin.write(json.dumps(job).encode("utf-8") + b"\n")
         except OSError as exc:
+            if proc is not None:
+                _kill_group(proc)
+                proc.wait()
             with self._lock:
                 record["state"] = "failed"
                 record["error"] = f"failed to launch job process: {exc}"
@@ -626,6 +708,7 @@ class JobManager:
             self._procs[job_id] = proc
             self._save(record)
         logger.info("serve: %s running as pid %d", job_id, proc.pid)
+        self._restock(index)
         code = proc.wait()
         if code < 0 and self._stopping.is_set():
             # The pool is being torn down with prejudice (kill(), or a

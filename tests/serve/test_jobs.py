@@ -1,8 +1,9 @@
 """JobManager unit surface: validation, dedup, records, cancel, exits.
 
 Everything here runs against an *unstarted* manager -- no worker
-threads, no subprocesses -- so submit/cancel/record behaviour is tested
-pure.  End-to-end execution lives in test_api.py and test_lifecycle.py.
+threads, no subprocesses, not even a spare -- so submit/cancel/record
+behaviour is tested pure.  End-to-end execution lives in test_api.py,
+test_lifecycle.py and test_spares.py.
 """
 
 import json
@@ -15,7 +16,9 @@ from repro.exec.supervisor import (
     EXIT_HARD_ABORT,
     EXIT_INTERRUPTED,
 )
+from repro.cli import build_parser
 from repro.serve.jobs import (
+    ALLOWED_COMMANDS,
     MAX_AUTO_RESUMES,
     SWEEP_COMMANDS,
     JobError,
@@ -162,6 +165,18 @@ class TestSubmit:
         with pytest.raises(JobError):
             manager.submit({"command": "fig4b", "runs": 0})
         assert manager.jobs() == []
+
+
+class TestJobArgv:
+    @pytest.mark.parametrize("command", ALLOWED_COMMANDS)
+    def test_the_cli_accepts_every_flag_a_job_passes(self, manager, command):
+        # The CLI rejects flags a command would ignore (--output for
+        # simulate, --checkpoint for fig3/fig4a/simulate); a job's argv
+        # must never carry one.
+        record, _ = manager.submit({"command": command, "runs": 1,
+                                    "gops": 1})
+        args = build_parser().parse_args(manager._argv(record))
+        assert args.progress is True
 
 
 class TestCancel:

@@ -41,6 +41,35 @@ class TestParser:
             build_parser().parse_args(["simulate", "--scheme", "magic"])
 
 
+class TestUnsupportedFlags:
+    """A shared flag a command has no use for is a usage error, never
+    silently ignored."""
+
+    def rejected(self, capsys, argv, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+    def test_simulate_rejects_output_and_checkpoint(self, capsys, tmp_path):
+        output = tmp_path / "sim.json"
+        self.rejected(capsys, ["simulate", "--runs", "1", "--gops", "1",
+                               "--output", str(output)], "--output")
+        assert not output.exists()
+        self.rejected(capsys, ["simulate", "--runs", "1", "--gops", "1",
+                               "--checkpoint", str(tmp_path / "c.jsonl")],
+                      "--checkpoint")
+
+    def test_fig3_rejects_checkpoint(self, capsys, tmp_path):
+        self.rejected(capsys, ["fig3", "--runs", "1", "--gops", "1",
+                               "--checkpoint", str(tmp_path / "c.jsonl")],
+                      "--checkpoint")
+
+    def test_fig4a_rejects_checkpoint(self, capsys, tmp_path):
+        self.rejected(capsys, ["fig4a", "--checkpoint",
+                               str(tmp_path / "c.jsonl")], "--checkpoint")
+
+
 class TestExecution:
     def test_fig3_prints_table(self, capsys):
         assert main(["fig3", "--runs", "1", "--gops", "1"]) == 0
