@@ -20,11 +20,10 @@ from pathlib import Path
 
 from benchmarks.conftest import BENCH_GOPS, BENCH_RUNS, BENCH_SEED, report
 from repro import obs
-from repro.core import caches
 from repro.experiments.scenarios import interfering_fbs_scenario
 from repro.sim.checkpoint import run_metrics_to_dict
 from repro.sim.runner import MonteCarloRunner
-from tests.oracle import scalar_path, unbatched
+from tests.oracle import clear_solver_caches, scalar_path, unbatched
 
 #: Required end-to-end engine speedup of the batched backend (ISSUE 4).
 MIN_SPEEDUP = 1.3
@@ -160,17 +159,17 @@ def test_bench_batched_allocation(benchmark):
     answering B sibling replications' solve requests per round instead
     of B sequential solves.  The
     allocation-phase speedup is the headline number (batching touches
-    nothing else); solver caches are re-scoped before each leg so both
+    nothing else); solver caches are cleared before each leg so both
     start equally cold.
     """
     config = interfering_fbs_scenario(
         n_gops=BENCH_GOPS, seed=BENCH_SEED, scheme="proposed-fast")
 
     def ab_comparison():
-        caches.scope_to(("bench-alloc", "unbatched"))
+        clear_solver_caches()
         with unbatched():
             base_runs, base_s = _timed_runs(config, BATCH_BENCH_RUNS)
-        caches.scope_to(("bench-alloc", "batched"))
+        clear_solver_caches()
         batched_runs, batched_s = _timed_runs(config, BATCH_BENCH_RUNS)
         return base_runs, base_s, batched_runs, batched_s
 
@@ -191,7 +190,7 @@ def test_bench_batched_allocation(benchmark):
     enable_metrics(True)
     try:
         with scoped_registry() as registry:
-            caches.scope_to(("bench-alloc", "metered"))
+            clear_solver_caches()
             MonteCarloRunner(config, n_runs=BATCH_BENCH_RUNS).run_all()
             counters = registry.counters()
     finally:

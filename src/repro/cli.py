@@ -66,17 +66,18 @@ def build_parser() -> argparse.ArgumentParser:
                     "femtocell CR networks.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    # A command gets --output/--checkpoint only if it honours them, so
-    # passing one it would ignore is a usage error (exit 2).
-    def add_common(p, *, output=True, checkpoint=True):
+    # A command gets --output/--checkpoint/--chart only if it honours
+    # them, so passing one it would ignore is a usage error (exit 2).
+    def add_common(p, *, output=True, checkpoint=True, chart=True):
         p.add_argument("--runs", type=int, default=10,
                        help="Monte-Carlo replications per point (default 10)")
         p.add_argument("--gops", type=int, default=3,
                        help="GOP windows per run (default 3)")
         p.add_argument("--seed", type=int, default=7,
                        help="root RNG seed (default 7)")
-        p.add_argument("--chart", action="store_true",
-                       help="also render sweep results as an ASCII chart")
+        if chart:
+            p.add_argument("--chart", action="store_true",
+                           help="also render sweep results as an ASCII chart")
         if output:
             p.add_argument("--output", metavar="FILE", default=None,
                            help="save the result data as JSON (see "
@@ -92,7 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "bit-identical at any N)")
         p.add_argument("--progress", action="store_true",
                        help="live per-cell progress on stderr plus an "
-                            "end-of-run timing report (sweep figures only)")
+                            "end-of-run timing report")
         p.add_argument("--profile", action="store_true",
                        help="print per-phase engine timings (sensing/"
                             "access/allocation/transmission) with the "
@@ -142,17 +143,18 @@ def build_parser() -> argparse.ArgumentParser:
         ("all", "run every figure in sequence"),
     ):
         sub_parser = sub.add_parser(name, help=title)
-        add_common(sub_parser, checkpoint=name != "fig3")
+        add_common(sub_parser, checkpoint=name != "fig3",
+                   chart=name != "fig3")
 
     # fig4a shares the full common flag set (the convergence trace only
     # uses a subset, but --profile/--progress/--trace behave uniformly
     # across every subcommand) plus its own solver step size.
     fig4a = sub.add_parser("fig4a", help="Fig. 4(a): dual-variable convergence")
-    add_common(fig4a, checkpoint=False)
+    add_common(fig4a, checkpoint=False, chart=False)
     fig4a.add_argument("--step-size", type=float, default=0.004)
 
     simulate = sub.add_parser("simulate", help="run one scenario and print metrics")
-    add_common(simulate, output=False, checkpoint=False)
+    add_common(simulate, output=False, checkpoint=False, chart=False)
     simulate.add_argument("--scenario", choices=scenario_registry().names(),
                           default="single",
                           help="registered scenario generator "
@@ -411,7 +413,7 @@ def _make_tracker(args, name: str):
 
 
 def _timing_lines(tracker) -> List[str]:
-    """End-of-run timing report lines (empty without --progress)."""
+    """End-of-run timing report lines (empty without --progress/--profile)."""
     if tracker is None:
         return []
     return ["", _heading("Timing report"), tracker.report().format()]
@@ -424,19 +426,19 @@ def _run_figure(name: str, args) -> Tuple[str, int]:
                "deadline": getattr(args, "deadline", None)}
     workspace = getattr(args, "_workspace", None)
     run_name = getattr(args, "run_name", None) or name
+    # Label progress lines with the run name (the job id under the
+    # service), so a shared workspace's logs identify their job.
+    tracker = _make_tracker(args, run_name)
     if name == "fig3":
         rows = run_fig3(n_runs=args.runs, n_gops=args.gops, seed=args.seed,
-                        jobs=jobs, **budgets)
+                        jobs=jobs, progress=tracker, **budgets)
         return "\n".join(_maybe_save(rows, args, command=name) + [
             _heading("Fig. 3: per-user Y-PSNR (dB), single FBS"),
             format_fig3(rows),
             f"max per-user gain of proposed over a heuristic: "
             f"{max_improvement_db(rows):.2f} dB",
-        ]), sum(row.n_failed for row in rows)
+        ] + _timing_lines(tracker)), sum(row.n_failed for row in rows)
     checkpoint = getattr(args, "checkpoint", None)
-    # Label progress lines with the run name (the job id under the
-    # service), so a shared workspace's logs identify their job.
-    tracker = _make_tracker(args, run_name)
     if name == "fig4b":
         result = run_fig4b(n_runs=args.runs, n_gops=args.gops, seed=args.seed,
                            checkpoint_path=checkpoint, jobs=jobs,
@@ -494,10 +496,17 @@ def _run_simulate(args) -> Tuple[str, int]:
     config = scenario_registry().build(
         args.scenario, n_gops=args.gops, seed=args.seed, scheme=args.scheme,
         **_scenario_params(args))
+    tracker = _make_tracker(args, getattr(args, "run_name", None)
+                            or "simulate")
     summary = MonteCarloRunner(
         config, n_runs=args.runs, jobs=getattr(args, "jobs", 1),
         cell_timeout=getattr(args, "cell_timeout", None),
-        deadline=getattr(args, "deadline", None)).summary()
+        deadline=getattr(args, "deadline", None),
+        progress=tracker).summary()
+    # stdout is the campaign's result (the job service keeps it as the
+    # job's result file), so the timing report goes to stderr.
+    for line in _timing_lines(tracker):
+        print(line, file=sys.stderr)
     lines = [_heading(f"{args.scenario} scenario, scheme={args.scheme}")]
     for user_id, ci in sorted(summary.per_user_psnr.items()):
         lines.append(f"user {user_id}: {ci}")

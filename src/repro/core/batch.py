@@ -96,8 +96,7 @@ def _solver_for(step_size: float, threshold: float, max_iterations: int,
     """Shared solver instances keyed on the request parameters.
 
     The solver is stateless across calls, so an equivalent instance
-    answers a request bit-identically to the caller's own; the cache is
-    scoped per scenario by :mod:`repro.core.caches`.
+    answers a request bit-identically to the caller's own.
     """
     return DualDecompositionSolver(
         step_size=step_size, threshold=threshold,

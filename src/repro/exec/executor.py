@@ -89,9 +89,6 @@ class CellOutcome:
 
 def _execute_cell(cell: Cell) -> Tuple[str, Union[RunMetrics, FailedRun], float]:
     """Run one cell and return ``(key, result, seconds)``."""
-    from repro.core import caches
-
-    caches.scope_to(cell.scenario_ref or ("config", id(cell.config)))
     start = time.perf_counter()
     # Resolved through the module so test-time interception of
     # repro.sim.runner.execute_run keeps working under every executor.
@@ -141,15 +138,12 @@ def _run_cells(cells: Sequence[Cell]
     cell order, each as soon as it is known, and starts no new group or
     cell once a shutdown drain is requested.
     """
-    from repro.core import caches
     from repro.sim import lockstep
 
     for group in lockstep.plan_batch_groups(cells):
         if _lockstep_group(group):
             if _stop_before(group[0]):
                 return
-            caches.scope_to(group[0].scenario_ref
-                            or ("config", id(group[0].config)))
             yield from lockstep.run_cells_lockstep(group,
                                                    fallback=_execute_cell)
             continue

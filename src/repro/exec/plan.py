@@ -23,23 +23,6 @@ from repro.utils.errors import ConfigurationError
 CAMPAIGN_PARAMETER = "<campaign>"
 
 
-def _scenario_ref(config: ScenarioConfig) -> Optional[str]:
-    """The config's scenario hash, or ``None`` without content identity.
-
-    Computed once per sweep point in the planning process; scheme and
-    seed variations of the point share the hash by construction
-    (:func:`~repro.store.confighash.scenario_hash` covers only the
-    build-feeding fields).
-    """
-    from repro.store.confighash import scenario_hash
-
-    try:
-        return scenario_hash(config)
-    except TypeError:
-        # No content identity (e.g. a test-double topology).
-        return None
-
-
 @dataclass(frozen=True)
 class Cell:
     """One unit of Monte-Carlo work: a single replication of one scenario.
@@ -57,20 +40,12 @@ class Cell:
     config:
         The fully derived scenario configuration (sweep value, scheme,
         root seed all applied).
-    scenario_ref:
-        The config's :func:`~repro.store.confighash.scenario_hash`,
-        computed at planning time (``None`` for a config without
-        content identity).  Solver caches are scoped per scenario by
-        it (:func:`repro.core.caches.scope_to`); computing it here also
-        memoizes the topology digest on the (shared, pickled-once)
-        topology object, so later hash lookups are O(1).
     """
 
     scheme: str
     point_index: int
     run_index: int
     config: ScenarioConfig
-    scenario_ref: Optional[str] = None
 
     @property
     def key(self) -> str:
@@ -128,35 +103,29 @@ def plan_sweep(base_config: ScenarioConfig, parameter: str,
             point_config = configure(base_config, value)
         else:
             point_config = base_config.replace(**{parameter: value})
-        ref = _scenario_ref(point_config)
         for scheme in schemes:
             scheme_config = point_config.with_scheme(scheme)
             for run_index in range(n_runs):
                 cells.append(Cell(scheme=scheme, point_index=point_index,
-                                  run_index=run_index, config=scheme_config,
-                                  scenario_ref=ref))
+                                  run_index=run_index, config=scheme_config))
     return SweepPlan(parameter=parameter, values=tuple(values),
                      schemes=tuple(schemes), n_runs=int(n_runs),
                      seed=base_config.seed, cells=tuple(cells))
 
 
-def plan_campaign(config: ScenarioConfig, n_runs: int) -> SweepPlan:
-    """Flatten one scenario's replication campaign (no sweep) into cells.
+def _unchanged(config: ScenarioConfig, value: object) -> ScenarioConfig:
+    """The ``configure`` hook of a one-point plan: the config as given."""
+    return config
 
-    Used by :class:`~repro.sim.runner.MonteCarloRunner` so a plain
-    ``summary()`` call can ride the same executor layer as the figure
-    sweeps.
+
+def plan_campaign(config: ScenarioConfig, n_runs: int) -> SweepPlan:
+    """Flatten one scenario's replication campaign into a one-point plan.
+
+    Used by :class:`~repro.sim.runner.MonteCarloRunner`: a campaign is a
+    :func:`plan_sweep` of one scheme at one point.
     """
-    if n_runs < 1:
-        raise ConfigurationError(f"n_runs must be >= 1, got {n_runs}")
-    ref = _scenario_ref(config)
-    cells = tuple(
-        Cell(scheme=config.scheme, point_index=0, run_index=run_index,
-             config=config, scenario_ref=ref)
-        for run_index in range(n_runs))
-    return SweepPlan(parameter=CAMPAIGN_PARAMETER, values=(None,),
-                     schemes=(config.scheme,), n_runs=int(n_runs),
-                     seed=config.seed, cells=cells)
+    return plan_sweep(config, CAMPAIGN_PARAMETER, (None,), (config.scheme,),
+                      n_runs=n_runs, configure=_unchanged)
 
 
 def ensure_picklable(cells: Iterable[Cell]) -> None:

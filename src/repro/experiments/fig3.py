@@ -10,9 +10,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
+from repro.exec.plan import CAMPAIGN_PARAMETER
 from repro.experiments.scenarios import single_fbs_scenario
 from repro.obs.logging import get_logger
-from repro.sim.runner import MonteCarloRunner
+from repro.sim.runner import sweep
 from repro.utils.stats import ConfidenceInterval
 
 logger = get_logger(__name__)
@@ -50,23 +51,28 @@ def run_fig3(*, n_runs: int = 10, n_gops: int = 3, seed: int = 7,
              schemes: Sequence[str] = FIG3_SCHEMES,
              jobs: Optional[int] = None,
              cell_timeout: Optional[float] = None,
-             deadline: Optional[float] = None) -> List[Fig3Row]:
+             deadline: Optional[float] = None,
+             progress: Optional[object] = None) -> List[Fig3Row]:
     """Regenerate Fig. 3's data.
 
     Returns one row per scheme with per-user confidence intervals; all
-    schemes share root seeds (paired comparison).  ``jobs`` spreads each
-    scheme's replications over worker processes (see :mod:`repro.exec`);
-    the rows are identical at every worker count.  ``cell_timeout`` /
-    ``deadline`` arm the parallel executor's watchdog budgets.
+    schemes share root seeds (paired comparison).  The figure is one
+    :func:`~repro.sim.runner.sweep` of every scheme at a single point, so
+    one executor runs all its cells: ``jobs`` worker processes (see
+    :mod:`repro.exec`; the rows are identical at every worker count),
+    and ``cell_timeout`` / ``deadline`` budgets that cover the whole
+    figure.  ``progress`` is the sweep's telemetry sink.
     """
     logger.info("fig3: %d runs x %d GOPs, seed %s, schemes %s, jobs %s",
                 n_runs, n_gops, seed, list(schemes), jobs)
+    result = sweep(single_fbs_scenario(n_gops=n_gops, seed=seed),
+                   CAMPAIGN_PARAMETER, (None,), schemes, n_runs=n_runs,
+                   configure=lambda config, _: config, jobs=jobs,
+                   progress=progress, cell_timeout=cell_timeout,
+                   deadline=deadline)
     rows = []
     for scheme in schemes:
-        config = single_fbs_scenario(n_gops=n_gops, seed=seed, scheme=scheme)
-        summary = MonteCarloRunner(config, n_runs=n_runs, jobs=jobs,
-                                   cell_timeout=cell_timeout,
-                                   deadline=deadline).summary()
+        summary = result.summaries[scheme][0]
         rows.append(Fig3Row(
             scheme=scheme,
             per_user_psnr=summary.per_user_psnr,

@@ -119,9 +119,9 @@ def _absorb_outcomes(outcomes, cells) -> None:
     key).  They are folded in the order of ``cells``, the plan's cell
     order, never in completion order, so the float sums of the absorbed
     histograms and counters come out bit-identical at any worker count.
-    Called from the parent-side collection loops only (never in
+    Called from the parent-side collection loop only (never in
     workers), mirroring the single-writer checkpointing rule, and only
-    with metrics enabled: otherwise the loops keep no outcomes.
+    with metrics enabled: otherwise the loop keeps no outcomes.
     """
     registry = global_registry()
     for cell in cells:
@@ -158,6 +158,8 @@ class MonteCarloRunner:
         seconds; either one arms the watchdog of
         :class:`~repro.exec.executor.ParallelExecutor`, which then runs
         the replications in worker processes even at ``jobs=1``.
+    progress:
+        Optional telemetry sink, as for :func:`sweep`.
 
     Attributes
     ----------
@@ -171,7 +173,8 @@ class MonteCarloRunner:
                  jobs: Optional[int] = None,
                  executor: Optional[object] = None,
                  cell_timeout: Optional[float] = None,
-                 deadline: Optional[float] = None) -> None:
+                 deadline: Optional[float] = None,
+                 progress: Optional[object] = None) -> None:
         if n_runs < 1:
             raise ConfigurationError(f"n_runs must be >= 1, got {n_runs}")
         self.config = config
@@ -179,6 +182,7 @@ class MonteCarloRunner:
         self.jobs = jobs
         self.cell_timeout = cell_timeout
         self.deadline = deadline
+        self.progress = progress
         self._executor = executor
         self.failed_runs: List[FailedRun] = []
 
@@ -211,32 +215,11 @@ class MonteCarloRunner:
         executor = self._executor if self._executor is not None \
             else make_executor(self.jobs, cell_timeout=self.cell_timeout,
                                deadline=self.deadline)
-        by_index: Dict[int, Union[RunMetrics, FailedRun]] = {}
-        observing = metrics_enabled()
-        outcomes = {}
-        try:
-            for outcome in executor.run(plan.cells):
-                if observing:
-                    outcomes.setdefault(outcome.cell.key, []).append(outcome)
-                by_index[outcome.cell.run_index] = outcome.result
-        finally:
-            if observing:
-                _absorb_outcomes(outcomes, plan.cells)
-        if len(by_index) < len(plan.cells):
-            # The executor drained early under a shutdown signal; a
-            # campaign has no checkpoint, so nothing survives -- report
-            # the interruption rather than a silently truncated summary.
-            raise SweepInterrupted(
-                f"campaign interrupted by shutdown signal: "
-                f"{len(by_index)}/{len(plan.cells)} replications completed")
-        runs: List[RunMetrics] = []
-        failures: List[FailedRun] = []
-        for run_index in sorted(by_index):
-            result = by_index[run_index]
-            if isinstance(result, RunMetrics):
-                runs.append(result)
-            else:
-                failures.append(result)
+        completed = _collect(plan, executor, progress=self.progress)
+        # Plan order is run-index order.
+        results = [completed[cell.key] for cell in plan.cells]
+        runs = [r for r in results if isinstance(r, RunMetrics)]
+        failures = [r for r in results if not isinstance(r, RunMetrics)]
         self.failed_runs = failures
         if not runs:
             raise ReproError(
@@ -377,7 +360,6 @@ def sweep(base_config: ScenarioConfig, parameter: str, values: Sequence[object],
     """
     from repro.exec.executor import make_executor
     from repro.exec.plan import plan_sweep
-    from repro.exec.supervisor import active_shutdown
 
     plan = plan_sweep(base_config, parameter, values, schemes,
                       n_runs=n_runs, configure=configure)
@@ -411,6 +393,31 @@ def sweep(base_config: ScenarioConfig, parameter: str, values: Sequence[object],
         executor = make_executor(jobs, cell_timeout=cell_timeout,
                                  deadline=deadline)
 
+    return _assemble_sweep(plan, _collect(plan, executor,
+                                          checkpoint=checkpoint,
+                                          progress=progress))
+
+
+def _collect(plan, executor, *, checkpoint: Optional[SweepCheckpoint] = None,
+             progress: Optional[object] = None
+             ) -> Dict[str, Union[RunMetrics, FailedRun]]:
+    """Run a plan's cells and return every cell's result by key.
+
+    The one collection loop of :func:`sweep` and
+    :meth:`MonteCarloRunner.run_all`.  Cells found in ``checkpoint`` are
+    not executed; the rest go to ``executor``, and each result is
+    appended to the checkpoint as soon as it arrives.  All writes happen
+    here, in the parent process (single-writer), never in workers.
+    ``progress`` (duck-typed like
+    :class:`~repro.exec.progress.ProgressTracker`) gets ``begin(total,
+    cached=...)`` once and ``observe(outcome)`` per executed cell.
+
+    Raises :class:`~repro.utils.errors.SweepInterrupted` when the
+    executor drained early under a shutdown signal, after making the
+    checkpointed cells durable.
+    """
+    from repro.exec.supervisor import active_shutdown
+
     completed: Dict[str, Union[RunMetrics, FailedRun]] = {}
     pending = []
     for cell in plan.cells:
@@ -421,7 +428,7 @@ def sweep(base_config: ScenarioConfig, parameter: str, values: Sequence[object],
             pending.append(cell)
 
     logger.info("sweep %s: %d cells planned, %d pending, %d from checkpoint",
-                parameter, len(plan.cells), len(pending), len(completed))
+                plan.parameter, len(plan.cells), len(pending), len(completed))
     if progress is not None and hasattr(progress, "begin"):
         progress.begin(len(pending), cached=len(completed))
     coordinator = active_shutdown()
@@ -434,9 +441,6 @@ def sweep(base_config: ScenarioConfig, parameter: str, values: Sequence[object],
     outcomes = {}
     try:
         for outcome in executor.run(pending):
-            # Single-writer checkpointing: results stream back to the
-            # parent and only the parent touches the file, as soon as
-            # each arrives.
             if checkpoint is not None:
                 checkpoint.record(outcome.cell.key, outcome.result)
             if observing:
@@ -454,9 +458,6 @@ def sweep(base_config: ScenarioConfig, parameter: str, values: Sequence[object],
     # in which case its cells share keys and completed can never reach
     # len(plan.cells).
     if len(completed) < len({cell.key for cell in plan.cells}):
-        # The executor drained early under a shutdown signal.  Completed
-        # cells are already on disk; make them durable and report the
-        # interruption so the CLI can exit with its documented code.
         if checkpoint is not None:
             checkpoint.sync()
         raise SweepInterrupted(
@@ -464,7 +465,7 @@ def sweep(base_config: ScenarioConfig, parameter: str, values: Sequence[object],
             f"{len(plan.cells)} cells completed"
             + ("" if checkpoint is None
                else f"; resume from checkpoint {checkpoint.path}"))
-    return _assemble_sweep(plan, completed)
+    return completed
 
 
 def _assemble_sweep(plan, completed) -> SweepResult:

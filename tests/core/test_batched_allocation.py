@@ -18,7 +18,6 @@ from contextlib import nullcontext
 import numpy as np
 import pytest
 
-from repro.core import caches
 from repro.core.batch import (
     RunningStack,
     SolveRequest,
@@ -38,7 +37,7 @@ from repro.sim.checkpoint import run_metrics_to_dict
 from repro.sim.lockstep import MAX_BATCH, plan_batch_groups
 from repro.sim.runner import MonteCarloRunner
 from tests.conftest import make_problem, make_user, random_problem
-from tests.oracle import answer_request_scalar, unbatched
+from tests.oracle import answer_request_scalar, clear_solver_caches, unbatched
 
 
 def assert_same_solution(scalar, batched):
@@ -442,8 +441,8 @@ def _fingerprint(runs):
                       sort_keys=True)
 
 
-def _campaign(config, *, batched, token, n_runs=3):
-    caches.scope_to(("batched-diff", token))
+def _campaign(config, *, batched, n_runs=3):
+    clear_solver_caches()
     if batched:
         return MonteCarloRunner(config, n_runs=n_runs).run_all()
     with unbatched():
@@ -454,8 +453,8 @@ class TestCampaignDifferential:
     def test_batched_campaign_bit_identical_to_unbatched(self):
         config = single_fbs_scenario(n_gops=1, seed=1234,
                                      scheme="proposed-fast")
-        base = _campaign(config, batched=False, token="unbatched")
-        batched = _campaign(config, batched=True, token="batched")
+        base = _campaign(config, batched=False)
+        batched = _campaign(config, batched=True)
         assert _fingerprint(base) == _fingerprint(batched)
 
     def test_kernel_refusal_escapes_bit_identically(self, monkeypatch):
@@ -467,13 +466,13 @@ class TestCampaignDifferential:
 
         config = single_fbs_scenario(n_gops=1, seed=56,
                                      scheme="proposed-fast")
-        base = _campaign(config, batched=False, token="escape-base")
+        base = _campaign(config, batched=False)
 
         def refuse(requests):
             raise ReproError("stacked kernel refused the round")
 
         monkeypatch.setattr(lockstep, "solve_requests", refuse)
-        refused = _campaign(config, batched=True, token="escape-refused")
+        refused = _campaign(config, batched=True)
         assert _fingerprint(base) == _fingerprint(refused)
 
     def test_solver_counters_match_unbatched(self, monkeypatch):
@@ -497,14 +496,13 @@ class TestCampaignDifferential:
         enable_metrics(True)
         try:
             with scoped_registry():
-                base = _campaign(config, batched=False, token="obs-unbatched")
+                base = _campaign(config, batched=False)
             for refused in (False, True):
                 with monkeypatch.context() as patch:
                     if refused:
                         patch.setattr(lockstep, "solve_requests", refuse)
                     with scoped_registry():
-                        batched = _campaign(config, batched=True,
-                                            token=f"obs-batched-{refused}")
+                        batched = _campaign(config, batched=True)
                 for expected, got in zip(base, batched):
                     assert expected.obs_snapshot == got.obs_snapshot, refused
                     assert any("repro_solver_solves_total" in key
@@ -559,11 +557,9 @@ class TestCampaignDifferential:
         enable_metrics(True)
         try:
             with scoped_registry():
-                base = _campaign(config, batched=False, token="events-base",
-                                 n_runs=4)
+                base = _campaign(config, batched=False, n_runs=4)
             with scoped_registry() as registry:
-                batched = _campaign(config, batched=True,
-                                    token="events-batched", n_runs=4)
+                batched = _campaign(config, batched=True, n_runs=4)
                 counters = registry.counters()
         finally:
             enable_metrics(False)
@@ -613,7 +609,7 @@ class TestCampaignDifferential:
         enable_metrics(True)
         try:
             with scoped_registry() as registry:
-                _campaign(config, batched=True, token="intercepted", n_runs=2)
+                _campaign(config, batched=True, n_runs=2)
                 counters = registry.counters()
         finally:
             enable_metrics(False)

@@ -7,6 +7,8 @@ from repro.experiments.fig3 import Fig3Row, max_improvement_db, run_fig3
 from repro.experiments.fig4 import run_fig4a, run_fig4b, run_fig4c
 from repro.experiments.fig6 import run_fig6b, run_fig6c
 from repro.experiments.report import format_convergence, format_fig3, format_sweep
+from repro.experiments.scenarios import single_fbs_scenario
+from repro.sim.runner import MonteCarloRunner
 
 
 class TestFig3:
@@ -31,6 +33,40 @@ class TestFig3:
         rows = run_fig3(n_runs=1, n_gops=1, schemes=("proposed-fast",))
         with pytest.raises(ValueError):
             max_improvement_db(rows)
+
+    def test_one_executor_runs_every_scheme(self, monkeypatch):
+        # One sweep over the three schemes: one pool, one deadline clock.
+        from repro.exec import executor as executor_module
+
+        original = executor_module.make_executor
+        made, dispatched = [], []
+
+        def counting(*args, **kwargs):
+            executor = original(*args, **kwargs)
+            run = executor.run
+
+            def counted(cells):
+                dispatched.append(len(cells))
+                return run(cells)
+
+            executor.run = counted
+            made.append(executor)
+            return executor
+
+        monkeypatch.setattr(executor_module, "make_executor", counting)
+        rows = run_fig3(n_runs=2, n_gops=1, jobs=2, deadline=600.0)
+        assert len(made) == 1
+        assert dispatched == [3 * 2]
+        assert [row.n_failed for row in rows] == [0, 0, 0]
+
+    def test_rows_match_per_scheme_campaigns(self):
+        rows = run_fig3(n_runs=2, n_gops=1, seed=5, jobs=1)
+        for row in rows:
+            config = single_fbs_scenario(n_gops=1, seed=5, scheme=row.scheme)
+            summary = MonteCarloRunner(config, n_runs=2, jobs=1).summary()
+            assert row.per_user_psnr == summary.per_user_psnr
+            assert row.fairness == summary.fairness
+            assert row.n_failed == summary.n_failed
 
 
 class TestFig4a:

@@ -19,9 +19,10 @@ production path to them:
   observation, one fading draw per link, and one ``P_D`` per channel.
 
 :func:`scalar_path` routes a whole simulation through them (patching
-the production seams for the duration of a ``with`` block), and
+the production seams for the duration of a ``with`` block),
 :func:`unbatched` runs campaigns replication by replication instead of
-in lockstep.  For the Table III greedy, :func:`drive_exact` answers
+in lockstep, and :func:`clear_solver_caches` starts a run with cold
+caches.  For the Table III greedy, :func:`drive_exact` answers
 every ``Q(c)`` evaluation with a cold full solve and
 :func:`literal_scan` makes each step evaluate every candidate pair.
 All of these exist for tests and benchmarks only.
@@ -452,6 +453,15 @@ def unbatched():
     """Run campaigns replication by replication (no lockstep formations)."""
     with _patched([(lockstep, "lockstep_eligible", _never)]):
         yield
+
+
+def clear_solver_caches() -> None:
+    """Drop the process-wide solver and R-D table caches, so the next
+    run starts cold."""
+    from repro.video import sequences
+
+    batch._solver_for.cache_clear()
+    sequences.reset_rd_table()
 
 
 @contextmanager

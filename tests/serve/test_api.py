@@ -168,8 +168,11 @@ class TestSimulateJob:
         events = list(client.trace_events(job.id))
         assert events
         assert events[-1]["kind"] == "trace-summary"
-        # Campaigns narrate nothing (no sweep cells), but the log
-        # endpoint must still serve the (empty) stderr capture.
+        # The campaign narrates its one cell like a sweep does.
+        events, _ = client.events(job.id)
+        cells = [e for e in events if e["kind"] == "cell"]
+        assert len(cells) == 1 and cells[0]["ok"]
+        assert cells[0]["label"] == job.id
         assert isinstance(client.log_text(job.id), str)
 
     def test_cancel_of_a_finished_job_is_a_noop(self, service):

@@ -69,6 +69,14 @@ class TestUnsupportedFlags:
         self.rejected(capsys, ["fig4a", "--checkpoint",
                                str(tmp_path / "c.jsonl")], "--checkpoint")
 
+    @pytest.mark.parametrize("argv", [
+        ["fig3", "--runs", "1", "--gops", "1"],
+        ["fig4a"],
+        ["simulate", "--runs", "1", "--gops", "1"],
+    ])
+    def test_commands_without_a_chart_reject_chart(self, capsys, argv):
+        self.rejected(capsys, argv + ["--chart"], "--chart")
+
 
 class TestExecution:
     def test_fig3_prints_table(self, capsys):
@@ -110,6 +118,26 @@ class TestExecution:
         assert "phase seconds" in out
         for phase in ("sensing", "access", "allocation", "transmission"):
             assert phase in out
+
+    def test_simulate_progress_narrates_on_stderr_only(self, capsys):
+        argv = ["simulate", "--runs", "2", "--gops", "1",
+                "--scheme", "heuristic1"]
+        assert main(argv) == 0
+        plain = capsys.readouterr()
+        assert main(argv + ["--progress"]) == 0
+        narrated = capsys.readouterr()
+        # stdout is the campaign's result: byte-identical either way.
+        assert narrated.out == plain.out
+        assert "heuristic1|0|1" in narrated.err
+        assert "Timing report" in narrated.err
+
+    def test_fig3_progress_appends_timing_report(self, capsys):
+        assert main(["fig3", "--runs", "1", "--gops", "1",
+                     "--progress"]) == 0
+        captured = capsys.readouterr()
+        assert "Timing report" in captured.out
+        for scheme in ("proposed-fast", "heuristic1", "heuristic2"):
+            assert f"{scheme}|0|0" in captured.err
 
     def test_profile_without_progress_prints_timing_report(self, capsys):
         assert main(["fig4c", "--runs", "1", "--gops", "1", "--profile"]) == 0
