@@ -40,7 +40,8 @@ MIN_BATCHED_ALLOC_SPEEDUP = 1.7
 #: counts (the greedy allocator's evaluation count is data-dependent),
 #: so early-finishing members thin the later rounds -- a too-small
 #: campaign measures mostly that tail.  Real campaigns run tens of
-#: replications (EXPERIMENTS.md; MAX_BATCH is 32), so benching at
+#: replications (EXPERIMENTS.md), and a sweep's formation takes them from
+#: every point up to ``repro.sim.lockstep.MAX_BATCH``, so benching at
 #: fewer than 10 would understate the production width.
 BATCH_BENCH_RUNS = max(BENCH_RUNS, 10)
 

@@ -67,12 +67,17 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     # A command gets --output/--checkpoint/--chart only if it honours
-    # them, so passing one it would ignore is a usage error (exit 2).
-    def add_common(p, *, output=True, checkpoint=True, chart=True):
-        p.add_argument("--runs", type=int, default=10,
-                       help="Monte-Carlo replications per point (default 10)")
-        p.add_argument("--gops", type=int, default=3,
-                       help="GOP windows per run (default 3)")
+    # them, and the Monte-Carlo flags (--runs/--gops/--jobs/--progress,
+    # the budgets, --fail-on-error) only if it runs replications, so
+    # passing one it would ignore is a usage error (exit 2).
+    def add_common(p, *, output=True, checkpoint=True, chart=True,
+                   replications=True):
+        if replications:
+            p.add_argument("--runs", type=int, default=10,
+                           help="Monte-Carlo replications per point "
+                                "(default 10)")
+            p.add_argument("--gops", type=int, default=3,
+                           help="GOP windows per run (default 3)")
         p.add_argument("--seed", type=int, default=7,
                        help="root RNG seed (default 7)")
         if chart:
@@ -87,13 +92,14 @@ def build_parser() -> argparse.ArgumentParser:
                            help="checkpoint completed (scheme, point, run) "
                                 "cells to FILE and resume from it on "
                                 "restart (sweep figures only)")
-        p.add_argument("--jobs", type=int, default=1, metavar="N",
-                       help="worker processes for Monte-Carlo cells "
-                            "(default 1 = serial; results are "
-                            "bit-identical at any N)")
-        p.add_argument("--progress", action="store_true",
-                       help="live per-cell progress on stderr plus an "
-                            "end-of-run timing report")
+        if replications:
+            p.add_argument("--jobs", type=int, default=1, metavar="N",
+                           help="worker processes for Monte-Carlo cells "
+                                "(default 1 = serial; results are "
+                                "bit-identical at any N)")
+            p.add_argument("--progress", action="store_true",
+                           help="live per-cell progress on stderr plus an "
+                                "end-of-run timing report")
         p.add_argument("--profile", action="store_true",
                        help="print per-phase engine timings (sensing/"
                             "access/allocation/transmission) with the "
@@ -108,20 +114,23 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--log-level", default=None,
                        choices=("debug", "info", "warning", "error"),
                        help="enable repro.* logging on stderr at this level")
-        p.add_argument("--cell-timeout", type=float, default=None,
-                       metavar="SEC",
-                       help="per-cell wall-clock deadline: a cell past it "
-                            "has its worker killed and is recorded as a "
-                            "CellTimedOut failure (runs cells in worker "
-                            "processes, even at --jobs 1)")
-        p.add_argument("--deadline", type=float, default=None, metavar="SEC",
-                       help="whole-run wall-clock deadline: on expiry the "
-                            "run exits with code 5; completed cells stay "
-                            "in the checkpoint")
-        p.add_argument("--fail-on-error", action="store_true",
-                       help="exit with code 3 when any replication failed "
-                            "after its retry (including cells killed by "
-                            "--cell-timeout) instead of just reporting it")
+        if replications:
+            p.add_argument("--cell-timeout", type=float, default=None,
+                           metavar="SEC",
+                           help="per-cell wall-clock deadline: a cell past "
+                                "it has its worker killed and is recorded "
+                                "as a CellTimedOut failure (runs cells in "
+                                "worker processes, even at --jobs 1)")
+            p.add_argument("--deadline", type=float, default=None,
+                           metavar="SEC",
+                           help="whole-run wall-clock deadline: on expiry "
+                                "the run exits with code 5; completed cells "
+                                "stay in the checkpoint")
+            p.add_argument("--fail-on-error", action="store_true",
+                           help="exit with code 3 when any replication "
+                                "failed after its retry (including cells "
+                                "killed by --cell-timeout) instead of just "
+                                "reporting it")
         p.add_argument("--workspace", metavar="DIR", default=None,
                        help="managed artifact workspace: default "
                             "--output into DIR/results/ and --checkpoint "
@@ -146,11 +155,9 @@ def build_parser() -> argparse.ArgumentParser:
         add_common(sub_parser, checkpoint=name != "fig3",
                    chart=name != "fig3")
 
-    # fig4a shares the full common flag set (the convergence trace only
-    # uses a subset, but --profile/--progress/--trace behave uniformly
-    # across every subcommand) plus its own solver step size.
+    # fig4a traces one dual solve: it runs no replications.
     fig4a = sub.add_parser("fig4a", help="Fig. 4(a): dual-variable convergence")
-    add_common(fig4a, checkpoint=False, chart=False)
+    add_common(fig4a, checkpoint=False, chart=False, replications=False)
     fig4a.add_argument("--step-size", type=float, default=0.004)
 
     simulate = sub.add_parser("simulate", help="run one scenario and print metrics")

@@ -8,8 +8,8 @@ arrival order, which is what makes parallel runs bit-identical to serial
 ones.
 
 Both executors run cells through one body, :func:`_run_cells`, so
-consecutive replications of one scenario batch in lockstep whichever
-executor runs them.  Isolation semantics are inherited from
+the batchable cells of a task batch in lockstep, whatever their sweep
+point or scheme, whichever executor runs them.  Isolation semantics are inherited from
 :func:`repro.sim.runner.execute_run`: a replication that raises a
 :class:`~repro.utils.errors.ReproError` (after its fresh-seed retry) is
 returned as a :class:`~repro.sim.metrics.FailedRun`, and programming
@@ -129,14 +129,17 @@ def _stop_before(cell: Cell) -> bool:
 
 def _run_cells(cells: Sequence[Cell]
                ) -> Iterator[Tuple[str, Union[RunMetrics, FailedRun], float]]:
-    """Execute cells, batching consecutive same-scenario replications.
+    """Execute cells, batching every batchable cell into one formation.
 
-    The one execution body of both executors: consecutive cells that are
-    replications of one derived config run in lockstep through the
-    stacked allocation kernel (:mod:`repro.sim.lockstep`); everything
-    else takes the per-cell path.  Yields ``(key, result, seconds)`` in
-    cell order, each as soon as it is known, and starts no new group or
-    cell once a shutdown drain is requested.
+    The one execution body of both executors: the batchable cells run in
+    lockstep through the stacked allocation kernel
+    (:mod:`repro.sim.lockstep`), up to ``MAX_BATCH`` to a formation,
+    whatever their sweep point or scheme; everything else takes the
+    per-cell path.  Yields ``(key, result, seconds)`` for each cell as
+    soon as it is known -- a formation's members as each one ends, so
+    the order is not the cell order -- and starts no new formation or
+    cell once a shutdown drain is requested.  A formation in flight
+    runs to its end.
     """
     from repro.sim import lockstep
 
@@ -151,6 +154,20 @@ def _run_cells(cells: Sequence[Cell]
             if _stop_before(cell):
                 return
             yield _execute_cell(cell)
+
+
+def _take(cells: Deque[Cell], key: str) -> Cell:
+    """Remove and return the first cell of ``cells`` keyed ``key``.
+
+    Outcomes arrive out of cell order, so they are matched by key.  A
+    degenerate sweep that lists a scheme twice plans cells that share a
+    key; they are equal, so whichever comes first stands for the report.
+    """
+    for index, cell in enumerate(cells):
+        if cell.key == key:
+            del cells[index]
+            return cell
+    raise KeyError(f"outcome for cell {key} that was not dispatched")
 
 
 class Executor(ABC):
@@ -169,13 +186,17 @@ class SerialExecutor(Executor):
     """Execute cells one at a time in the calling process.
 
     The reference implementation: no pickling requirements, no
-    subprocess overhead, results streamed in plan order.
+    subprocess overhead.  Results stream in the order :func:`_run_cells`
+    yields them: a formation where its first member stands in the plan,
+    its members as each one ends.
     """
 
     def run(self, cells: Sequence[Cell]) -> Iterator[CellOutcome]:
         cells = list(cells)
-        for cell, (_, result, seconds) in zip(cells, _run_cells(cells)):
-            yield CellOutcome(cell=cell, result=result, seconds=seconds)
+        unreported = deque(cells)
+        for key, result, seconds in _run_cells(cells):
+            yield CellOutcome(cell=_take(unreported, key), result=result,
+                              seconds=seconds)
 
 
 def _worker_loop(conn) -> None:
@@ -230,9 +251,11 @@ class ParallelExecutor(Executor):
         budget set, ``jobs=1`` still runs cells in a child process --
         that is what makes a hung cell killable.
     chunk_size:
-        Cells per dispatched task; defaults to roughly
-        ``len(cells) / (jobs * 4)`` so stragglers can be load-balanced
-        while dispatch overhead stays amortised.
+        Cells per dispatched task of unbatchable cells (lockstep
+        formations are dispatched whole, :meth:`_chunks`); defaults to
+        roughly ``n / (jobs * 4)`` of the ``n`` unbatchable cells so
+        stragglers can be load-balanced while dispatch overhead stays
+        amortised.
     cell_timeout:
         Per-cell wall-clock budget in seconds.  A worker's budget is
         ``cell_timeout`` times the size of the first lockstep group among
@@ -251,11 +274,12 @@ class ParallelExecutor(Executor):
 
     Notes
     -----
-    Each task (a chunk from :meth:`_chunks`) runs through
-    :func:`_run_cells` inside a worker, so lockstep batching engages,
-    and every cell is reported over the worker's pipe as soon as it
-    finishes.  One failure rule covers worker death and budget overrun:
-    the worker is replaced and its unreported cells are requeued as solo
+    Each task (a formation or a chunk from :meth:`_chunks`) runs
+    through :func:`_run_cells` inside a worker, so lockstep batching
+    engages, and every cell is reported over the worker's pipe as soon
+    as it finishes; the parent matches reports to cells by key.  One
+    failure rule covers worker death and budget overrun: the worker is
+    replaced and its unreported cells are requeued as solo
     tasks; a solo cell is written off instead -- ``CellTimedOut`` at
     once, ``WorkerCrashed`` on its :data:`MAX_DISPATCH_ATTEMPTS`-th
     dispatch (each crash redispatch waits out a deterministic backoff).
@@ -291,10 +315,29 @@ class ParallelExecutor(Executor):
         self._ctx = get_context()
 
     def _chunks(self, cells: Sequence[Cell]) -> List[List[Cell]]:
+        """Cut cells into tasks: whole formations first, then chunks.
+
+        The batchable cells are dealt round-robin into one formation per
+        worker, or more where ``MAX_BATCH`` caps their width, so each
+        worker's stacked iterations are those of its formation's busiest
+        member and the points' costs spread evenly.  A formation is one
+        task, never split.  The other cells follow in chunks of
+        ``chunk_size``.
+        """
+        from repro.sim.lockstep import MAX_BATCH, cell_batchable
+
+        batchable: List[Cell] = []
+        rest: List[Cell] = []
+        for cell in cells:
+            (batchable if cell_batchable(cell) else rest).append(cell)
+        count = min(len(batchable),
+                    max(self.jobs, math.ceil(len(batchable) / MAX_BATCH)))
+        tasks = [batchable[i::count] for i in range(count)]
         size = self.chunk_size
         if size is None:
-            size = max(1, math.ceil(len(cells) / (self.jobs * _CHUNKS_PER_WORKER)))
-        return [list(cells[i:i + size]) for i in range(0, len(cells), size)]
+            size = max(1, math.ceil(len(rest) / (self.jobs * _CHUNKS_PER_WORKER)))
+        tasks.extend(rest[i:i + size] for i in range(0, len(rest), size))
+        return tasks
 
     # -- worker lifecycle ------------------------------------------------
 
@@ -412,8 +455,8 @@ class ParallelExecutor(Executor):
                 # Programming errors propagate unchanged, as everywhere
                 # else in the execution stack.
                 raise message
-            _, result, seconds = message
-            cell = worker.task.popleft()
+            key, result, seconds = message
+            cell = _take(worker.task, key)
             if worker.task:
                 self._arm(worker)
             yield CellOutcome(cell=cell, result=result, seconds=seconds)

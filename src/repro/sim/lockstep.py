@@ -2,20 +2,20 @@
 
 The dual solves inside one slot are inherently sequential (each greedy
 ``Q(c)`` evaluation warm-starts from the previous one), but *different
-replications* of the same scenario are completely independent -- and,
-deriving the same :class:`~repro.sim.build.BuiltScenario`, they produce
-slot problems of identical shape.  This module runs B sibling engines
-through their slot generators (:meth:`SimulationEngine._step_iter`) as
-one event loop with continuous batching: each
-:class:`~repro.core.batch.SolveRequest` a member yields joins the
-running stack for its shape (:class:`~repro.core.batch.RunningStack`),
-and every call to the stacked kernel
-(:func:`~repro.core.batch.solve_requests`) resumes that stack until a
-row freezes.  Only the members whose rows froze are answered and
-advanced -- flip-polish, their next ``Q(c)``, or their next slot --
-and their next requests refill the freed rows.  There is no round or
-slot barrier: a member leaves the stack only when its last slot ends
-or it escapes.
+replications* are completely independent, whatever their sweep point or
+scheme, and their slot problems stack by shape.  This module runs B
+engines -- any mix of sweep points and batchable schemes -- through
+their slot generators
+(:meth:`SimulationEngine._step_iter`) as one event loop with continuous
+batching: each :class:`~repro.core.batch.SolveRequest` a member yields
+joins the running stack for its shape
+(:class:`~repro.core.batch.RunningStack`), and every call to the
+stacked kernel (:func:`~repro.core.batch.solve_requests`) resumes that
+stack until a row freezes.  Only the members whose rows froze are
+answered and advanced -- flip-polish, their next ``Q(c)``, or their
+next slot -- and their next requests refill the freed rows.  There is
+no round or slot barrier: a member leaves the stack only when its last
+slot ends or it escapes, and its result is reported at that moment.
 
 Correctness contract
 --------------------
@@ -37,7 +37,8 @@ excluded from serialized results, so this is cosmetic).
 from __future__ import annotations
 
 import time
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import replace
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.batch import (
     RunningStack,
@@ -63,10 +64,13 @@ from repro.utils.rng import derive_seed
 logger = get_logger(__name__)
 
 #: Largest lockstep formation.  The stacked kernel's per-iteration cost
-#: is nearly flat in B, but memory for B live engines adds up, and a
-#: wider formation has a longer tail: the stack narrows as members run
-#: out of slots, and its last rows run at the width of the stragglers.
-MAX_BATCH = 32
+#: is nearly flat in B, so a formation's stacked iterations are those of
+#: its busiest member whatever its width; what grows with B is memory,
+#: one live engine per unfinished member.  64 holds a default-size figure
+#: (10 runs at each of 5 points) in one formation; on ``fig6a --runs 20
+#: --gops 1`` it costs 53.4 MB peak RSS against 49.7 MB at 32 and 55.8 MB
+#: uncapped.
+MAX_BATCH = 64
 
 
 def lockstep_eligible() -> bool:
@@ -83,7 +87,13 @@ def batchable_schemes() -> Tuple[str, ...]:
     return tuple(info.name for info in scheme_registry() if info.batchable)
 
 
-def _cell_batchable(cell: Cell) -> bool:
+def cell_batchable(cell: Cell) -> bool:
+    """Whether ``cell`` may join a lockstep formation.
+
+    Its scheme must carry the ``batchable`` capability, its config a
+    root seed (per-member seeds derive deterministically), and no fault
+    plan (fault hooks are stateful per replication).
+    """
     registry = scheme_registry()
     return (cell.scheme in registry
             and registry.get(cell.scheme).batchable
@@ -92,30 +102,25 @@ def _cell_batchable(cell: Cell) -> bool:
 
 
 def plan_batch_groups(cells: Sequence[Cell]) -> List[List[Cell]]:
-    """Split cells into consecutive runs that may share a formation.
+    """Split cells into lockstep formations and singleton groups.
 
-    Cells group only when they are replications of the *same* derived
-    config (object identity -- the planner shares one config across a
-    scheme's replications, and pickling a chunk preserves the sharing),
-    use a batchable scheme, carry a root seed (per-member seeds derive
-    deterministically), and have no fault plan (fault hooks are stateful
-    per replication).  Unbatchable cells come back as singleton groups,
-    preserving plan order.
+    Every batchable cell joins a formation, whatever its sweep point or
+    scheme: each member builds its engine from its own config, its
+    requests join the running stack of their shape, and rows never
+    interact.  Formations fill in plan order up to :data:`MAX_BATCH`
+    members, and each stands where its first member stood.  Every other
+    cell is a singleton group, in plan order.
     """
     groups: List[List[Cell]] = []
-    current: List[Cell] = []
+    formation: Optional[List[Cell]] = None
     for cell in cells:
-        if (current and len(current) < MAX_BATCH
-                and _cell_batchable(cell)
-                and _cell_batchable(current[-1])
-                and cell.config is current[-1].config):
-            current.append(cell)
-        else:
-            if current:
-                groups.append(current)
-            current = [cell]
-    if current:
-        groups.append(current)
+        if not cell_batchable(cell):
+            groups.append([cell])
+            continue
+        if formation is None or len(formation) == MAX_BATCH:
+            formation = []
+            groups.append(formation)
+        formation.append(cell)
     return groups
 
 
@@ -196,24 +201,24 @@ class _LockstepMember:
 def run_cells_lockstep(
         cells: Sequence[Cell],
         fallback: Callable[[Cell], Tuple[str, object, float]],
-) -> List[Tuple[str, object, float]]:
-    """Execute a batch group as one event loop; return ``(key, result, seconds)``.
+) -> Iterator[Tuple[str, object, float]]:
+    """Execute a formation as one event loop; yield ``(key, result, seconds)``.
 
-    Mirrors what ``_execute_cell`` would produce for each cell, in cell
-    order.  Members that fail anywhere -- scenario build, any slot --
-    are handed to ``fallback`` (the per-cell path), so isolation and
-    retry semantics are byte-for-byte the unbatched ones.
+    Yields what ``_execute_cell`` would produce for each cell, each
+    member's as soon as its last slot ends, so the caller checkpoints
+    and reports cell by cell.  Members that fail anywhere -- scenario
+    build, any slot -- are handed to ``fallback`` (the per-cell path)
+    once the formation ends, so isolation and retry semantics are
+    byte-for-byte the unbatched ones.
     """
-    cells = list(cells)
     observing = metrics_enabled()
-    config = cells[0].config
     members: List[_LockstepMember] = []
     escaped: List[Cell] = []
     refused = 0
 
     for cell in cells:
-        seed = derive_seed(config.seed, cell.run_index, 0)
-        seeded = config.with_seed(seed)
+        seed = derive_seed(cell.config.seed, cell.run_index, 0)
+        seeded = cell.config.with_seed(seed)
         registry = MetricsRegistry() if observing else None
         start = time.perf_counter()
         try:
@@ -238,8 +243,11 @@ def run_cells_lockstep(
 
     stacks: Dict[tuple, RunningStack] = {}
 
-    def deliver(member: _LockstepMember, payload) -> None:
-        """Advance ``member``; its next request joins its shape's stack."""
+    def deliver(member: _LockstepMember, payload) -> bool:
+        """Advance ``member``; its next request joins its shape's stack.
+
+        Returns whether the member has just run its last slot.
+        """
         request = member.advance(payload)
         if request is not None:
             shape = request_shape(request)
@@ -248,11 +256,30 @@ def run_cells_lockstep(
             stack = stacks[shape]
             member.share_mark = stack.row_seconds
             stack.join(request, member)
-        elif member.error is not None:
+            return False
+        if member.error is not None:
             escaped.append(member.cell)
+            return False
+        return True
+
+    def finish(member: _LockstepMember) -> Tuple[str, object, float]:
+        """The finished member's ``(key, result, seconds)``; frees its engine."""
+        start = time.perf_counter()
+        engine = member.engine
+        engine.phase_seconds["allocation"] = max(
+            0.0, engine.phase_seconds["allocation"] - member.overcharge)
+        with _ScopedRegistry(member.registry):
+            metrics = engine.collect_metrics()
+        if observing:
+            metrics = replace(metrics,
+                              obs_snapshot=member.registry.snapshot())
+        member.engine = None
+        member.busy_seconds += time.perf_counter() - start
+        return member.cell.key, metrics, member.busy_seconds
 
     for member in members:
-        deliver(member, None)
+        if deliver(member, None):
+            yield finish(member)
     resumptions = 0
     batched_solves = 0
     while True:
@@ -282,26 +309,8 @@ def run_cells_lockstep(
                 # yielded, minus its fair share of the kernel.
                 member.overcharge += max(
                     0.0, (time.perf_counter() - member.request_time) - share)
-                deliver(member, answer)
-
-    results = {}
-    for member in members:
-        if member.error is not None:
-            continue
-        start = time.perf_counter()
-        engine = member.engine
-        engine.phase_seconds["allocation"] = max(
-            0.0, engine.phase_seconds["allocation"] - member.overcharge)
-        with _ScopedRegistry(member.registry):
-            metrics = engine.collect_metrics()
-        if observing:
-            from dataclasses import replace
-
-            metrics = replace(metrics,
-                              obs_snapshot=member.registry.snapshot())
-        member.busy_seconds += time.perf_counter() - start
-        results[member.cell.key] = (member.cell.key, metrics,
-                                    member.busy_seconds)
+                if deliver(member, answer):
+                    yield finish(member)
 
     if observing:
         registry = global_registry()
@@ -323,5 +332,4 @@ def run_cells_lockstep(
                        "per-cell path: %s", len(escaped),
                        ", ".join(cell.key for cell in escaped))
     for cell in escaped:
-        results[cell.key] = fallback(cell)
-    return [results[cell.key] for cell in cells]
+        yield fallback(cell)

@@ -28,7 +28,7 @@ from repro.core.batch import (
 )
 from repro.core.dual import _masked_row_sums, fast_solve
 from repro.core.problem import SlotProblem
-from repro.exec.plan import plan_campaign
+from repro.exec.plan import plan_campaign, plan_sweep
 from repro.experiments.scenarios import (
     interfering_fbs_scenario,
     single_fbs_scenario,
@@ -414,11 +414,21 @@ class TestPlanBatchGroups:
         groups = plan_batch_groups(self._cells(3, seed=None))
         assert [len(g) for g in groups] == [1, 1, 1]
 
-    def test_distinct_config_objects_do_not_merge(self):
-        # Equal values, different objects: grouping is by identity (the
-        # planner shares one config across a campaign's replications).
-        cells = list(self._cells(2)) + list(self._cells(2))
-        assert [len(g) for g in plan_batch_groups(cells)] == [2, 2]
+    def test_sweep_points_and_schemes_share_a_formation(self):
+        # Rows never interact, so every batchable cell of a sweep joins
+        # one formation, whatever its point or scheme; the unbatchable
+        # cells stay singletons, and every cell appears exactly once.
+        config = single_fbs_scenario(n_gops=1, seed=31)
+        cells = plan_sweep(config, "n_channels", [4, 6],
+                           ["proposed", "heuristic1", "proposed-fast"],
+                           n_runs=2).cells
+        groups = plan_batch_groups(cells)
+        assert [len(g) for g in groups] == [8, 1, 1, 1, 1]
+        assert {(cell.point_index, cell.scheme) for cell in groups[0]} \
+            == {(point, scheme) for point in (0, 1)
+                for scheme in ("proposed", "proposed-fast")}
+        flat = [id(cell) for group in groups for cell in group]
+        assert sorted(flat) == sorted(id(cell) for cell in cells)
 
     def test_fault_plan_stays_singleton(self):
         # Fault injection hooks are stateful; their cells never batch.
@@ -617,14 +627,80 @@ class TestCampaignDifferential:
         assert counters.get("repro_lockstep_groups_total", 0) == 0
 
 
+class TestCrossPointFormation:
+    """One formation holds every sweep point and batchable scheme."""
+
+    def test_two_points_two_schemes_match_unbatched(self):
+        # Each member builds its engine from its own cell's config, so a
+        # formation mixing points and schemes must reproduce every cell
+        # of the per-replication path, obs snapshot included.
+        from repro.exec.executor import SerialExecutor
+        from repro.obs.metrics import (
+            enable_metrics,
+            reset_metrics,
+            scoped_registry,
+        )
+
+        config = single_fbs_scenario(n_gops=1, seed=2718)
+        cells = plan_sweep(config, "n_channels", [4, 6],
+                           ["proposed", "proposed-fast"], n_runs=2).cells
+        assert [len(group) for group in plan_batch_groups(cells)] == [8]
+
+        def run():
+            clear_solver_caches()
+            return {outcome.cell.key: outcome.result
+                    for outcome in SerialExecutor().run(cells)}
+
+        enable_metrics(True)
+        try:
+            with scoped_registry(), unbatched():
+                base = run()
+            with scoped_registry() as registry:
+                batched = run()
+                counters = registry.counters()
+        finally:
+            enable_metrics(False)
+            reset_metrics()
+        assert counters["repro_lockstep_groups_total"] == 1
+        assert counters["repro_lockstep_batch_members_total"] == 8
+        assert sorted(batched) == sorted(cell.key for cell in cells)
+        for key, expected in base.items():
+            got = batched[key]
+            assert run_metrics_to_dict(got) == run_metrics_to_dict(expected)
+            assert got.obs_snapshot == expected.obs_snapshot
+            assert got.obs_snapshot
+
+    def test_a_short_member_is_reported_before_the_formation_ends(
+            self, monkeypatch):
+        from repro.exec.executor import _execute_cell
+        from repro.sim import lockstep
+
+        config = single_fbs_scenario(seed=99, scheme="proposed-fast")
+        cells = plan_sweep(config, "n_gops", [3, 1], ["proposed-fast"],
+                           n_runs=1).cells
+        kernel = lockstep.solve_requests
+        calls = []
+
+        def counted(stack):
+            calls.append(len(calls))
+            return kernel(stack)
+
+        monkeypatch.setattr(lockstep, "solve_requests", counted)
+        reported = [(key, len(calls)) for key, _, _ in
+                    lockstep.run_cells_lockstep(cells, _execute_cell)]
+        short, long = cells[1].key, cells[0].key
+        assert [key for key, _ in reported] == [short, long]
+        # The kernel kept running the long member after the short one
+        # was reported.
+        assert reported[0][1] < reported[1][1] == len(calls)
+
+
 @pytest.mark.parametrize("batched", [True, False])
 def test_pool_jobs_invariant_with_batching(tmp_path, batched):
     """--jobs 1 and --jobs 2 serialise identically, batched and unbatched.
 
-    Worker pools receive pickled cell chunks; unpickling preserves the
-    config sharing inside a chunk, so pool workers form (smaller)
-    lockstep groups of their own.  The serialised sweep must not depend
-    on any of it.  ``unbatched`` is process-local, so with
+    Each pool worker receives a formation of its own, a share of the
+    batchable cells.  The serialised sweep must not depend on it.  ``unbatched`` is process-local, so with
     ``batched=False`` the serial run is replication by replication while
     the pool workers may still form lockstep groups.
     """

@@ -74,13 +74,30 @@ class TestParallelExecutor:
     def test_empty_plan(self):
         assert list(ParallelExecutor(jobs=2).run([])) == []
 
-    def test_chunking_covers_every_cell_once(self, single_config):
-        plan = plan_campaign(single_config, 5)
-        executor = ParallelExecutor(jobs=2, chunk_size=2)
-        chunks = executor._chunks(list(plan.cells))
-        assert [len(c) for c in chunks] == [2, 2, 1]
-        flat = [cell.key for chunk in chunks for cell in chunk]
-        assert flat == [cell.key for cell in plan.cells]
+    def test_chunking_covers_every_cell_once(self, single_config,
+                                             monkeypatch):
+        from repro.sim import lockstep
+
+        plan = plan_sweep(single_config, "n_channels", [4, 6],
+                          ["proposed", "heuristic1"], n_runs=3)
+        cells = list(plan.cells)
+        for jobs, cap, widths in ((2, lockstep.MAX_BATCH, [3, 3]),
+                                  (1, 4, [3, 3]), (1, 6, [6])):
+            monkeypatch.setattr(lockstep, "MAX_BATCH", cap)
+            chunks = ParallelExecutor(jobs=jobs, chunk_size=2)._chunks(cells)
+            flat = sorted(cell.key for chunk in chunks for cell in chunk)
+            assert flat == sorted(cell.key for cell in cells)
+            # The formations go first, each one whole task: the worker
+            # plans it as one group, and no other task holds a
+            # batchable cell.
+            formations = chunks[:len(widths)]
+            assert [len(task) for task in formations] == widths
+            for task in formations:
+                assert lockstep.plan_batch_groups(task) == [task]
+            rest = chunks[len(widths):]
+            assert [len(task) for task in rest] == [2, 2, 2]
+            assert not any(lockstep.cell_batchable(cell)
+                           for task in rest for cell in task)
 
     def test_invalid_parameters(self):
         with pytest.raises(ConfigurationError):

@@ -180,7 +180,7 @@ class TestCapabilityFlags:
             enable_metrics(True)
             try:
                 with scoped_registry() as registry:
-                    outcomes = run_cells_lockstep(cells, _execute_cell)
+                    outcomes = list(run_cells_lockstep(cells, _execute_cell))
                     counters = registry.counters()
             finally:
                 enable_metrics(False)

@@ -69,6 +69,23 @@ class TestUnsupportedFlags:
         self.rejected(capsys, ["fig4a", "--checkpoint",
                                str(tmp_path / "c.jsonl")], "--checkpoint")
 
+    @pytest.mark.parametrize("flag", [
+        ["--runs", "2"], ["--gops", "1"], ["--jobs", "2"], ["--progress"],
+        ["--cell-timeout", "5"], ["--deadline", "5"], ["--fail-on-error"],
+    ])
+    def test_fig4a_rejects_the_replication_flags(self, capsys, flag):
+        # fig4a traces one dual solve and runs no replications.
+        self.rejected(capsys, ["fig4a"] + flag, flag[0])
+
+    def test_all_keeps_the_replication_flags(self):
+        args = build_parser().parse_args(
+            ["all", "--runs", "2", "--gops", "1", "--jobs", "2",
+             "--progress", "--cell-timeout", "5", "--deadline", "5",
+             "--fail-on-error"])
+        assert (args.runs, args.gops, args.jobs) == (2, 1, 2)
+        assert args.progress and args.fail_on_error
+        assert (args.cell_timeout, args.deadline) == (5.0, 5.0)
+
     @pytest.mark.parametrize("argv", [
         ["fig3", "--runs", "1", "--gops", "1"],
         ["fig4a"],
