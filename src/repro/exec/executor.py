@@ -30,10 +30,11 @@ import signal
 import time
 from abc import ABC, abstractmethod
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from multiprocessing import get_context
 from multiprocessing.connection import wait as _connection_wait
-from typing import Deque, Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import (Deque, Dict, Iterator, List, Mapping, Optional, Sequence,
+                    Tuple, Union)
 
 from repro.exec.plan import Cell, ensure_picklable
 from repro.exec.supervisor import (
@@ -44,7 +45,12 @@ from repro.exec.supervisor import (
     shutdown_draining,
 )
 from repro.obs.logging import get_logger
-from repro.obs.metrics import global_registry, metrics_enabled
+from repro.obs.metrics import (
+    MetricsRegistry,
+    global_registry,
+    metrics_enabled,
+    set_global_registry,
+)
 from repro.obs.trace import active_tracer
 from repro.sim import runner as _runner
 from repro.sim.metrics import FailedRun, RunMetrics
@@ -80,42 +86,28 @@ class CellOutcome:
     seconds:
         Wall-clock execution time of the cell, measured inside the
         process that ran it (so pool queueing time is excluded).
+    worker_snapshot:
+        Metrics snapshot of what the worker process booked outside any
+        replication since its previous report -- a lockstep formation's
+        own counters -- folded in by the parent with the cell's
+        (empty when the cell ran in the parent or metrics are off).
     """
 
     cell: Cell
     result: Union[RunMetrics, FailedRun]
     seconds: float
+    worker_snapshot: Mapping[str, object] = field(default_factory=dict)
 
 
 def _execute_cell(cell: Cell) -> Tuple[str, Union[RunMetrics, FailedRun], float]:
-    """Run one cell and return ``(key, result, seconds)``."""
+    """Run one cell on the per-cell path; return ``(key, result, seconds)``.
+
+    The path of unbatchable cells, and of a lockstep formation's escapes.
+    """
     start = time.perf_counter()
-    # Resolved through the module so test-time interception of
-    # repro.sim.runner.execute_run keeps working under every executor.
     metrics, failure = _runner.execute_run(cell.config, cell.run_index)
     result = metrics if metrics is not None else failure
     return cell.key, result, time.perf_counter() - start
-
-
-#: Unpatched originals, captured at import: lockstep batching bypasses
-#: these seams (it runs real engines directly), so it must stand down
-#: whenever a test has monkeypatched either one.
-_EXECUTE_RUN_BASELINE = _runner.execute_run
-_EXECUTE_CELL_BASELINE = _execute_cell
-
-
-def _interception_active() -> bool:
-    """Whether a test double has replaced an execution seam."""
-    return (_runner.execute_run is not _EXECUTE_RUN_BASELINE
-            or _execute_cell is not _EXECUTE_CELL_BASELINE)
-
-
-def _lockstep_group(group: Sequence[Cell]) -> bool:
-    """Whether a planned group should run through the lockstep driver."""
-    from repro.sim import lockstep
-
-    return (len(group) >= 2 and lockstep.lockstep_eligible()
-            and not _interception_active())
 
 
 def _stop_before(cell: Cell) -> bool:
@@ -134,17 +126,17 @@ def _run_cells(cells: Sequence[Cell]
     The one execution body of both executors: the batchable cells run in
     lockstep through the stacked allocation kernel
     (:mod:`repro.sim.lockstep`), up to ``MAX_BATCH`` to a formation,
-    whatever their sweep point or scheme; everything else takes the
-    per-cell path.  Yields ``(key, result, seconds)`` for each cell as
-    soon as it is known -- a formation's members as each one ends, so
-    the order is not the cell order -- and starts no new formation or
-    cell once a shutdown drain is requested.  A formation in flight
-    runs to its end.
+    whatever their sweep point or scheme, a formation of one included;
+    everything else takes the per-cell path.  Yields ``(key, result,
+    seconds)`` for each cell as soon as it is known -- a formation's
+    members as each one ends, so the order is not the cell order -- and
+    starts no new formation or cell once a shutdown drain is requested.
+    A formation in flight runs to its end.
     """
     from repro.sim import lockstep
 
     for group in lockstep.plan_batch_groups(cells):
-        if _lockstep_group(group):
+        if lockstep.cell_batchable(group[0]):
             if _stop_before(group[0]):
                 return
             yield from lockstep.run_cells_lockstep(group,
@@ -199,14 +191,27 @@ class SerialExecutor(Executor):
                               seconds=seconds)
 
 
+def _take_worker_books() -> dict:
+    """Snapshot and clear what this process booked outside any
+    replication since the last call (empty when nothing was booked)."""
+    if not metrics_enabled():
+        return {}
+    booked = set_global_registry(MetricsRegistry())
+    return booked.snapshot() if len(booked) else {}
+
+
 def _worker_loop(conn) -> None:
     """Worker body: run each received task, reporting every cell as it ends.
 
-    SIGINT is ignored so a terminal Ctrl-C (delivered to the whole
-    foreground process group) cannot kill workers mid-task -- draining
-    in-flight work is the parent coordinator's contract.
+    Each report carries the worker's own bookings since the previous
+    one (:func:`_take_worker_books`), so a formation's counters reach
+    the parent as they do at ``--jobs 1``.  SIGINT is ignored so a
+    terminal Ctrl-C (delivered to the whole foreground process group)
+    cannot kill workers mid-task -- draining in-flight work is the
+    parent coordinator's contract.
     """
     signal.signal(signal.SIGINT, signal.SIG_IGN)
+    _take_worker_books()  # what the parent had booked before the fork
     while True:
         try:
             task = conn.recv()
@@ -216,8 +221,8 @@ def _worker_loop(conn) -> None:
             conn.close()
             return
         try:
-            for item in _run_cells(task):
-                conn.send(item)
+            for key, result, seconds in _run_cells(task):
+                conn.send((key, result, seconds, _take_worker_books()))
         except BaseException as exc:
             try:
                 conn.send(exc)
@@ -455,11 +460,12 @@ class ParallelExecutor(Executor):
                 # Programming errors propagate unchanged, as everywhere
                 # else in the execution stack.
                 raise message
-            key, result, seconds = message
+            key, result, seconds, books = message
             cell = _take(worker.task, key)
             if worker.task:
                 self._arm(worker)
-            yield CellOutcome(cell=cell, result=result, seconds=seconds)
+            yield CellOutcome(cell=cell, result=result, seconds=seconds,
+                              worker_snapshot=books)
         now = time.monotonic()
         for worker in workers:
             if worker.task and worker.due is not None and now >= worker.due:

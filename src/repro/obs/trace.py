@@ -59,6 +59,22 @@ FLUSH_BUFFER_LINES = 64
 _FLUSH_KINDS = frozenset({"replication", "run"})
 
 
+class OpenSpan:
+    """A span opened by :meth:`SpanTracer.begin`, not yet written."""
+
+    __slots__ = ("kind", "name", "span", "parent", "attrs", "t", "start")
+
+    def __init__(self, kind: str, name: str, span: int,
+                 parent: Optional[int], attrs: Dict[str, object]) -> None:
+        self.kind = kind
+        self.name = name
+        self.span = span
+        self.parent = parent
+        self.attrs = attrs
+        self.t = time.time()
+        self.start = time.perf_counter()
+
+
 class SpanTracer:
     """Append-only JSONL span/event writer bound to one output path."""
 
@@ -143,23 +159,51 @@ class SpanTracer:
         Yields the span id; nesting is tracked per process, so a span
         opened inside another records it as ``parent``.
         """
-        span_id = self._new_id()
-        parent = self._stack[-1] if self._stack else None
-        self._stack.append(span_id)
-        start_wall = time.time()
-        start = time.perf_counter()
+        opened = self.begin(name, kind=kind, **attrs)
         try:
-            yield span_id
+            yield opened.span
         finally:
-            duration = time.perf_counter() - start
-            if self._stack and self._stack[-1] == span_id:
-                self._stack.pop()
-            record = {"kind": kind, "name": name, "span": span_id,
-                      "parent": parent, "pid": self._pid, "t": start_wall,
-                      "dur": duration}
-            if attrs:
-                record["attrs"] = attrs
-            self._write(record)
+            self.end(opened, time.perf_counter() - opened.start)
+
+    def begin(self, name: str, *, kind: str = "span",
+              **attrs: object) -> OpenSpan:
+        """Open a span on the stack; :meth:`end` closes it.
+
+        For spans that do not enclose one ``with`` block: a slot body
+        that yields its solve requests, or a lockstep member's
+        replication, whose length is its apportioned time rather than
+        the wall time between open and close.
+        """
+        opened = OpenSpan(kind, name, self._new_id(),
+                          self._stack[-1] if self._stack else None, attrs)
+        self._stack.append(opened.span)
+        return opened
+
+    def end(self, opened: OpenSpan, seconds: float,
+            **attrs: object) -> None:
+        """Close ``opened`` as ``seconds`` long, adding ``attrs``."""
+        if self._stack and self._stack[-1] == opened.span:
+            self._stack.pop()
+        record = {"kind": opened.kind, "name": opened.name,
+                  "span": opened.span, "parent": opened.parent,
+                  "pid": self._pid, "t": opened.t, "dur": float(seconds)}
+        if opened.attrs or attrs:
+            record["attrs"] = dict(opened.attrs, **attrs)
+        self._write(record)
+
+    def open_spans(self) -> List[int]:
+        """Ids of the open spans, outermost first (a copy)."""
+        return list(self._stack)
+
+    def swap_stack(self, stack: List[int]) -> List[int]:
+        """Install ``stack`` as the open-span stack; return the old one.
+
+        The lockstep driver keeps one stack per member and swaps it in
+        while the member runs, so each member's spans nest under its
+        own replication and slot.
+        """
+        previous, self._stack = self._stack, stack
+        return previous
 
     def emit_span(self, name: str, *, kind: str = "span",
                   seconds: float, **attrs: object) -> int:
@@ -169,15 +213,11 @@ class SpanTracer:
         engine's ``_mark_phase``): the span closes at call time with
         the given length instead of wrapping a ``with`` block.
         """
-        span_id = self._new_id()
-        parent = self._stack[-1] if self._stack else None
-        record = {"kind": kind, "name": name, "span": span_id,
-                  "parent": parent, "pid": self._pid,
-                  "t": time.time() - seconds, "dur": float(seconds)}
-        if attrs:
-            record["attrs"] = attrs
-        self._write(record)
-        return span_id
+        opened = OpenSpan(kind, name, self._new_id(),
+                          self._stack[-1] if self._stack else None, attrs)
+        opened.t -= seconds
+        self.end(opened, seconds)
+        return opened.span
 
     def bump(self, name: str, amount: int = 1) -> None:
         """Increment a named counter carried on the trace-summary trailer.

@@ -183,6 +183,11 @@ class SimulationEngine:
         self.phase_seconds: Dict[str, float] = {
             "sensing": 0.0, "access": 0.0, "allocation": 0.0,
             "transmission": 0.0}
+        #: Seconds the next phase mark leaves out, and all it left out:
+        #: time a lockstep driver spent on batch mates while this
+        #: engine waited for a solve (see :meth:`refund`).
+        self._refund = 0.0
+        self._refunded = 0.0
 
         # The slot problems' static columns come from the build; GOP
         # clocks are per-run mutable state and stay here.  Both are in
@@ -215,12 +220,25 @@ class SimulationEngine:
         """Number of slots simulated so far."""
         return self._slot
 
+    def refund(self, seconds: float) -> None:
+        """Leave ``seconds`` out of the current phase's time.
+
+        The lockstep driver refunds a suspended member the time it spent
+        on batch mates beyond the member's share of the kernel, so the
+        member's phase and slot times are its own.
+        """
+        self._refund += seconds
+
     def _mark_phase(self, phase: str, tick: float, tracer=None) -> float:
-        """Charge the time since ``tick`` to ``phase``; return a new mark."""
+        """Charge the time since ``tick``, less refunds, to ``phase``;
+        return a new mark."""
         now = time.perf_counter()
-        self.phase_seconds[phase] += now - tick
+        seconds = now - tick - self._refund
+        self._refunded += self._refund
+        self._refund = 0.0
+        self.phase_seconds[phase] += seconds
         if tracer is not None:
-            tracer.emit_span(phase, kind="phase", seconds=now - tick,
+            tracer.emit_span(phase, kind="phase", seconds=seconds,
                              slot=self._slot)
         return now
 
@@ -354,21 +372,9 @@ class SimulationEngine:
         AllocationFailedError
             When every allocator in the fallback chain fails.
         """
-        # Observability gate: with tracing off this is one global read
-        # and a plain call into the slot body, so the disabled path adds
-        # nothing measurable.  Phase/solver spans additionally require
-        # collect_phases (the --profile contract).
-        tracer = active_tracer()
-        if tracer is None:
-            return self._step(None)
-        with tracer.span("slot", kind="slot", slot=self._slot):
-            return self._step(tracer if tracer.collect_phases else None)
+        return drive(self._step_iter())
 
-    def _step(self, tracer) -> SlotRecord:
-        """The slot body; ``tracer`` (or None) receives phase spans."""
-        return drive(self._step_iter(tracer))
-
-    def _step_iter(self, tracer):
+    def _step_iter(self):
         """Generator form of the slot body (lockstep batching).
 
         Every dual solve of the allocation phase -- the greedy's Q(c)
@@ -378,7 +384,32 @@ class SimulationEngine:
         (sensing, access, transmission) runs inline.  Driven either
         sequentially by :func:`~repro.core.batch.drive` or in lockstep
         with sibling replications by :mod:`repro.sim.lockstep`.
+
+        Observability gate: with tracing off this is one global read and
+        the plain slot body.  A trace records the slot span, and phase
+        spans additionally require collect_phases (the --profile
+        contract).
         """
+        tracer = active_tracer()
+        if tracer is None:
+            return self._slot_iter(None)
+        return self._traced_slot_iter(tracer)
+
+    def _traced_slot_iter(self, tracer):
+        """:meth:`_slot_iter` inside a ``slot`` span, as long as the
+        slot's own time (refunds left out)."""
+        span = tracer.begin("slot", kind="slot", slot=self._slot)
+        start = time.perf_counter()
+        refunded = self._refunded + self._refund
+        try:
+            return (yield from self._slot_iter(
+                tracer if tracer.collect_phases else None))
+        finally:
+            tracer.end(span, time.perf_counter() - start - (
+                self._refunded + self._refund - refunded))
+
+    def _slot_iter(self, tracer):
+        """The slot body; ``tracer`` (or None) receives phase spans."""
         config = self.config
         fault_plan = config.fault_plan
         if fault_plan is not None:

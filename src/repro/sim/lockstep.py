@@ -22,16 +22,27 @@ Correctness contract
 Each member's computation is *exactly* the serial one: the generator
 protocol fixes the order of its solves, the kernel answers each request
 bit-identically to the single-request solver, every engine advance runs under
-the member's own private metrics registry (so obs snapshots match the
-unbatched ``execute_run``), and a member that raises a
-:class:`~repro.utils.errors.ReproError` is dropped from the formation
-and re-run standalone through the normal per-cell path -- whose retry
-semantics then apply verbatim.  Phase timings are the only telemetry
-that needs repair: a suspended member's wall clock keeps running while
-its batch mates compute, so the driver refunds each member the
-suspension time beyond its fair share of the kernel -- an equal share
-of every resumption its row was in flight for (timings are explicitly
-excluded from serialized results, so this is cosmetic).
+the member's own private metrics registry and span stack (so obs
+snapshots and traces match the unbatched ``execute_run``), and a member
+that raises a :class:`~repro.utils.errors.ReproError` is dropped from
+the formation and re-run standalone through the normal per-cell path --
+whose retry semantics then apply verbatim.
+
+Telemetry
+---------
+A traced member writes what the per-cell path writes: a
+``replication`` span, its ``slot`` spans, and with ``--profile`` its
+``phase`` spans and one ``dual-solve`` span per answered request, all
+nested under the member's own spans.  Every duration is the member's
+own: a suspended member's wall clock keeps running while its batch
+mates compute, so the driver refunds each member the suspension time
+beyond its share of the kernel -- an equal share of every resumption
+its row was in flight for -- at the engine's next phase mark
+(:meth:`SimulationEngine.refund`).  A ``dual-solve`` span lasts the
+row's share, and the ``replication`` span the member's reported
+seconds.  The formation's own ``repro_lockstep_*`` counters are booked
+on the process's registry as they become known, before the member
+result that follows them is yielded.
 """
 
 from __future__ import annotations
@@ -55,7 +66,7 @@ from repro.obs.metrics import (
     metrics_enabled,
     set_global_registry,
 )
-from repro.obs.trace import active_tracer
+from repro.obs.trace import SpanTracer, active_tracer
 from repro.registry.schemes import scheme_registry
 from repro.sim.engine import SimulationEngine
 from repro.utils.errors import ReproError
@@ -71,20 +82,6 @@ logger = get_logger(__name__)
 #: --gops 1`` it costs 53.4 MB peak RSS against 49.7 MB at 32 and 55.8 MB
 #: uncapped.
 MAX_BATCH = 64
-
-
-def lockstep_eligible() -> bool:
-    """Whether this process may batch replications at all.
-
-    Batching stands down under an active tracer -- span nesting assumes
-    one replication at a time.
-    """
-    return active_tracer() is None
-
-
-def batchable_schemes() -> Tuple[str, ...]:
-    """Registered schemes carrying the ``batchable`` capability."""
-    return tuple(info.name for info in scheme_registry() if info.batchable)
 
 
 def cell_batchable(cell: Cell) -> bool:
@@ -124,62 +121,99 @@ def plan_batch_groups(cells: Sequence[Cell]) -> List[List[Cell]]:
     return groups
 
 
-class _ScopedRegistry:
-    """Swap the global registry for one member's advance (or no-op)."""
+class _MemberScope:
+    """Swap one member's metrics registry and span stack in (or no-op)."""
 
-    def __init__(self, registry: Optional[MetricsRegistry]) -> None:
+    __slots__ = ("registry", "tracer", "stack", "_registry", "_stack")
+
+    def __init__(self, registry: Optional[MetricsRegistry],
+                 tracer: Optional[SpanTracer]) -> None:
         self.registry = registry
-        self._previous: Optional[MetricsRegistry] = None
+        self.tracer = tracer
+        #: The member's open spans, under the formation's own.
+        self.stack = tracer.open_spans() if tracer is not None else None
+        self._registry: Optional[MetricsRegistry] = None
+        self._stack: Optional[List[int]] = None
 
     def __enter__(self) -> None:
         if self.registry is not None:
-            self._previous = set_global_registry(self.registry)
+            self._registry = set_global_registry(self.registry)
+        if self.tracer is not None:
+            self._stack = self.tracer.swap_stack(self.stack)
 
     def __exit__(self, *exc_info) -> None:
+        if self.tracer is not None:
+            self.tracer.swap_stack(self._stack)
         if self.registry is not None:
-            set_global_registry(self._previous)
+            set_global_registry(self._registry)
 
 
 class _LockstepMember:
     """One replication advancing through the formation."""
 
-    __slots__ = ("cell", "registry", "engine", "gen", "slots_left",
-                 "request_time", "share_mark", "busy_seconds", "overcharge",
-                 "error")
+    __slots__ = ("cell", "scope", "span", "engine", "gen", "slots_left",
+                 "request_time", "share_mark", "busy_seconds", "error")
 
-    def __init__(self, cell: Cell, registry: Optional[MetricsRegistry],
-                 engine: SimulationEngine) -> None:
+    def __init__(self, cell: Cell, scope: _MemberScope) -> None:
         self.cell = cell
-        self.registry = registry
-        self.engine = engine
+        self.scope = scope
+        self.span = None
+        self.engine: Optional[SimulationEngine] = None
         self.gen = None
-        self.slots_left = engine.config.n_slots
+        self.slots_left = 0
         self.request_time = 0.0
         self.share_mark = 0.0
         self.busy_seconds = 0.0
-        self.overcharge = 0.0
         self.error: Optional[ReproError] = None
 
-    def advance(self, payload=None) -> Optional[SolveRequest]:
-        """Drive the member to its next solve request, under its registry.
+    def build(self) -> bool:
+        """Open the replication span and build the engine, as attempt 0
+        of the per-cell path would; return whether the build succeeded."""
+        start = time.perf_counter()
+        config = self.cell.config
+        seed = derive_seed(config.seed, self.cell.run_index, 0)
+        tracer = self.scope.tracer
+        try:
+            with self.scope:
+                if tracer is not None:
+                    self.span = tracer.begin(
+                        "replication", kind="replication",
+                        run=self.cell.run_index, attempt=0, seed=seed,
+                        scheme=config.scheme)
+                self.engine = SimulationEngine(config.with_seed(seed))
+        except ReproError:
+            return False
+        finally:
+            self.busy_seconds += time.perf_counter() - start
+        self.slots_left = self.engine.config.n_slots
+        return True
+
+    def advance(self, payload=None, share: float = 0.0
+                ) -> Optional[SolveRequest]:
+        """Drive the member to its next solve request, in its scope.
 
         ``payload`` is ``None`` to start, a
         :class:`~repro.core.dual.DualSolution` to answer the pending
         request, or a :class:`ReproError` to raise *at the yield point*
         -- exactly where the inline solver would have raised -- so the
         engine's own degradation paths (fallback chain) run unchanged.
-        A slot that ends starts the next one.  Returns ``None`` once the
-        last slot has ended, or when the member failed (``error``).
+        Of the time since the member yielded, only ``share`` (its share
+        of the kernel) is its own; the rest is refunded.  A slot that
+        ends starts the next one.  Returns ``None`` once the last slot
+        has ended, or when the member failed (``error``).
         """
         start = time.perf_counter()
+        if self.gen is not None:
+            self.busy_seconds += share
+            self.engine.refund(max(0.0, start - self.request_time - share))
         request = None
         try:
-            with _ScopedRegistry(self.registry):
+            with self.scope:
                 while request is None and (self.gen is not None
                                            or self.slots_left):
                     try:
                         if self.gen is None:
-                            self.gen = self.engine._step_iter(None)
+                            self.gen = self.engine._step_iter()
                             request = self.gen.send(None)
                         elif isinstance(payload, ReproError):
                             request = self.gen.throw(payload)
@@ -197,6 +231,56 @@ class _LockstepMember:
         self.busy_seconds += self.request_time - start
         return request
 
+    def record_solve(self, solution, share: float) -> None:
+        """Trace a kernel answer as the member's ``dual-solve``, as long
+        as its ``share`` of the kernel (when profiling)."""
+        tracer = self.scope.tracer
+        if tracer is not None and tracer.collect_phases:
+            with self.scope:
+                tracer.emit_span("dual-solve", kind="solver", seconds=share,
+                                 iterations=solution.iterations,
+                                 converged=solution.converged,
+                                 stations=len(solution.multipliers))
+
+    def escape(self) -> None:
+        """Drop the member's engine; close its span as ``escaped``."""
+        self.engine = None
+        self.gen = None
+        if self.span is not None:
+            with self.scope:
+                self.scope.tracer.end(self.span, self.busy_seconds,
+                                      escaped=True)
+
+    def interrupt(self) -> None:
+        """Close the open slot and replication spans of a member that
+        was still running when its formation stopped."""
+        if self.span is not None:
+            with self.scope:
+                if self.gen is not None:
+                    self.gen.close()
+                self.scope.tracer.end(self.span, self.busy_seconds)
+        self.engine = None
+
+    def finish(self) -> Tuple[str, object, float]:
+        """The member's ``(key, result, seconds)``; frees its engine."""
+        start = time.perf_counter()
+        with self.scope:
+            metrics = self.engine.collect_metrics()
+        registry = self.scope.registry
+        if registry is not None:
+            metrics = replace(metrics, obs_snapshot=registry.snapshot())
+        self.engine = None
+        self.busy_seconds += time.perf_counter() - start
+        if self.span is not None:
+            with self.scope:
+                self.scope.tracer.end(self.span, self.busy_seconds)
+        return self.cell.key, metrics, self.busy_seconds
+
+
+def _book(name: str, amount: int = 1) -> None:
+    """Add to one of the formation's counters, on the process's books."""
+    global_registry().counter(name).inc(amount)
+
 
 def run_cells_lockstep(
         cells: Sequence[Cell],
@@ -212,43 +296,49 @@ def run_cells_lockstep(
     byte-for-byte the unbatched ones.
     """
     observing = metrics_enabled()
+    tracer = active_tracer()
     members: List[_LockstepMember] = []
     escaped: List[Cell] = []
     refused = 0
 
     for cell in cells:
-        seed = derive_seed(cell.config.seed, cell.run_index, 0)
-        seeded = cell.config.with_seed(seed)
-        registry = MetricsRegistry() if observing else None
-        start = time.perf_counter()
-        try:
-            with _ScopedRegistry(registry):
-                engine = SimulationEngine(seeded)
-        except ReproError:
+        member = _LockstepMember(cell, _MemberScope(
+            MetricsRegistry() if observing else None, tracer))
+        if not member.build():
             # Build failed; the per-cell path will fail (and retry)
             # identically on its own clock.
+            member.escape()
             escaped.append(cell)
             continue
-        if not hasattr(engine.allocator, "allocate_iter"):
+        if not hasattr(member.engine.allocator, "allocate_iter"):
             # The scheme registered itself batchable but its allocator
             # cannot yield solve requests; refuse the claim and run the
             # cell through the inline per-cell path instead of crashing
             # the formation mid-slot.
             refused += 1
+            member.escape()
             escaped.append(cell)
             continue
-        member = _LockstepMember(cell, registry, engine)
-        member.busy_seconds += time.perf_counter() - start
         members.append(member)
+    if observing:
+        for name, amount in (("groups", 1), ("batch_members", len(members)),
+                             ("rounds", 0), ("batched_solves", 0),
+                             ("stacked_iterations", 0)):
+            _book(f"repro_lockstep_{name}_total", amount)
+        if refused:
+            _book("repro_lockstep_refused_total", refused)
+        if escaped:
+            _book("repro_lockstep_escapes_total", len(escaped))
 
     stacks: Dict[tuple, RunningStack] = {}
 
-    def deliver(member: _LockstepMember, payload) -> bool:
+    def deliver(member: _LockstepMember, payload, share: float = 0.0
+                ) -> bool:
         """Advance ``member``; its next request joins its shape's stack.
 
         Returns whether the member has just run its last slot.
         """
-        request = member.advance(payload)
+        request = member.advance(payload, share)
         if request is not None:
             shape = request_shape(request)
             if shape not in stacks:
@@ -258,75 +348,60 @@ def run_cells_lockstep(
             stack.join(request, member)
             return False
         if member.error is not None:
+            member.escape()
             escaped.append(member.cell)
+            if observing:
+                _book("repro_lockstep_escapes_total")
             return False
         return True
 
-    def finish(member: _LockstepMember) -> Tuple[str, object, float]:
-        """The finished member's ``(key, result, seconds)``; frees its engine."""
-        start = time.perf_counter()
-        engine = member.engine
-        engine.phase_seconds["allocation"] = max(
-            0.0, engine.phase_seconds["allocation"] - member.overcharge)
-        with _ScopedRegistry(member.registry):
-            metrics = engine.collect_metrics()
-        if observing:
-            metrics = replace(metrics,
-                              obs_snapshot=member.registry.snapshot())
-        member.engine = None
-        member.busy_seconds += time.perf_counter() - start
-        return member.cell.key, metrics, member.busy_seconds
+    try:
+        for member in members:
+            if deliver(member, None):
+                yield member.finish()
+        while True:
+            busy = [stack for stack in stacks.values() if stack.width]
+            if not busy:
+                break
+            for stack in busy:
+                joining = len(stack)
+                iterations = stack.iterations
+                try:
+                    answers = solve_requests(stack)
+                    solved = True
+                except ReproError:
+                    # The stacked kernel refused; answer every request of the
+                    # stack alone, in its member's scope (booking and tracing
+                    # to the member), and deliver per-member results or
+                    # exceptions, exactly as the unbatched path would.
+                    answers = []
+                    solved = False
+                    for request, member in stack.drain():
+                        try:
+                            with member.scope:
+                                answer = answer_request(request)
+                        except ReproError as exc:
+                            answer = exc
+                        answers.append((member, answer))
+                if observing:
+                    _book("repro_lockstep_rounds_total")
+                    _book("repro_lockstep_batched_solves_total", joining)
+                    _book("repro_lockstep_stacked_iterations_total",
+                          stack.iterations - iterations)
+                for member, answer in answers:
+                    share = stack.row_seconds - member.share_mark
+                    if solved:
+                        member.record_solve(answer, share)
+                    if deliver(member, answer, share):
+                        yield member.finish()
+    finally:
+        # Stopped early (the caller quit, or an error escaped): close
+        # the spans of the members still running, as the per-cell
+        # path's ``with`` blocks close theirs.
+        for member in members:
+            if member.engine is not None:
+                member.interrupt()
 
-    for member in members:
-        if deliver(member, None):
-            yield finish(member)
-    resumptions = 0
-    batched_solves = 0
-    while True:
-        busy = [stack for stack in stacks.values() if stack.width]
-        if not busy:
-            break
-        for stack in busy:
-            resumptions += 1
-            batched_solves += len(stack)
-            try:
-                answers = solve_requests(stack)
-            except ReproError:
-                # The stacked kernel refused; answer every request of the
-                # stack alone (booking to its member's registry) and
-                # deliver per-member results or exceptions, exactly as
-                # the unbatched path would.
-                answers = []
-                for request, member in stack.drain():
-                    try:
-                        answers.append((member, answer_request(request)))
-                    except ReproError as exc:
-                        answers.append((member, exc))
-            for member, answer in answers:
-                share = stack.row_seconds - member.share_mark
-                member.busy_seconds += share
-                # Refund the suspension: wall time since this member
-                # yielded, minus its fair share of the kernel.
-                member.overcharge += max(
-                    0.0, (time.perf_counter() - member.request_time) - share)
-                if deliver(member, answer):
-                    yield finish(member)
-
-    if observing:
-        registry = global_registry()
-        registry.counter("repro_lockstep_groups_total").inc()
-        registry.counter("repro_lockstep_batch_members_total").inc(
-            len(members))
-        registry.counter("repro_lockstep_rounds_total").inc(resumptions)
-        registry.counter("repro_lockstep_batched_solves_total").inc(
-            batched_solves)
-        registry.counter("repro_lockstep_stacked_iterations_total").inc(
-            sum(stack.iterations for stack in stacks.values()))
-        if refused:
-            registry.counter("repro_lockstep_refused_total").inc(refused)
-        if escaped:
-            registry.counter("repro_lockstep_escapes_total").inc(
-                len(escaped))
     if escaped:
         logger.warning("lockstep group: %d member(s) escaped to the "
                        "per-cell path: %s", len(escaped),

@@ -129,9 +129,10 @@ def _absorb_outcomes(outcomes, cells) -> None:
             registry.counter("repro_executor_cells_total").inc()
             registry.counter("repro_executor_busy_seconds_total").inc(
                 max(0.0, float(outcome.seconds)))
-            snapshot = getattr(outcome.result, "obs_snapshot", None)
-            if snapshot:
-                registry.absorb(snapshot)
+            for snapshot in (outcome.worker_snapshot,
+                             getattr(outcome.result, "obs_snapshot", None)):
+                if snapshot:
+                    registry.absorb(snapshot)
 
 
 class MonteCarloRunner:
@@ -185,17 +186,6 @@ class MonteCarloRunner:
         self.progress = progress
         self._executor = executor
         self.failed_runs: List[FailedRun] = []
-
-    def run_one(self, run_index: int, attempt: int = 0) -> RunMetrics:
-        """Execute a single replication without isolation (raises on error)."""
-        if not 0 <= run_index < self.n_runs:
-            raise ConfigurationError(
-                f"run_index must be in [0, {self.n_runs}), got {run_index}")
-        seed = derive_seed(self.config.seed, run_index, attempt)
-        plan = self.config.fault_plan
-        if plan is not None and hasattr(plan, "begin_run"):
-            plan.begin_run(run_index, attempt)
-        return SimulationEngine(self.config.with_seed(seed)).run()
 
     def run_all(self) -> List[RunMetrics]:
         """Execute every replication and return the surviving runs' metrics.

@@ -596,36 +596,6 @@ class TestCampaignDifferential:
         stacked = counters["repro_lockstep_stacked_iterations_total"]
         assert solver_iterations / 4 <= stacked < solver_iterations
 
-    def test_monkeypatched_runner_stands_down(self, monkeypatch):
-        # Tests that stub the execution seams must keep seeing their
-        # stubs: lockstep stands down whenever execute_run or
-        # _execute_cell has been replaced.
-        from repro.exec import executor as executor_mod
-        from repro.sim import runner as runner_mod
-
-        assert not executor_mod._interception_active()
-        baseline = runner_mod.execute_run
-        monkeypatch.setattr(runner_mod, "execute_run",
-                            lambda *args, **kwargs: baseline(*args, **kwargs))
-        assert executor_mod._interception_active()
-        config = single_fbs_scenario(n_gops=1, seed=17,
-                                     scheme="proposed-fast")
-        from repro.obs.metrics import (
-            enable_metrics,
-            reset_metrics,
-            scoped_registry,
-        )
-
-        enable_metrics(True)
-        try:
-            with scoped_registry() as registry:
-                _campaign(config, batched=True, n_runs=2)
-                counters = registry.counters()
-        finally:
-            enable_metrics(False)
-            reset_metrics()
-        assert counters.get("repro_lockstep_groups_total", 0) == 0
-
 
 class TestCrossPointFormation:
     """One formation holds every sweep point and batchable scheme."""

@@ -13,10 +13,13 @@ from repro.exec.executor import (
 )
 from repro.exec.plan import plan_campaign, plan_sweep
 from repro.exec.supervisor import MAX_DISPATCH_ATTEMPTS
+from repro.sim.checkpoint import run_metrics_to_dict
+from repro.sim.engine import SimulationEngine
 from repro.sim.metrics import FailedRun, RunMetrics
 from repro.sim.runner import execute_run
 from repro.testing.faults import FaultPlan
 from repro.utils.errors import ConfigurationError
+from repro.utils.rng import derive_seed
 
 
 def outcomes_by_key(executor, cells):
@@ -24,12 +27,21 @@ def outcomes_by_key(executor, cells):
 
 
 class TestSerialExecutor:
-    def test_streams_in_plan_order(self, single_config):
+    def test_yields_every_cell_once_as_execute_run(self, single_config):
+        # A formation reports its members as each one ends, so the
+        # stream's order is not the plan's; the contract is one outcome
+        # per cell, matched by key, equal to the per-cell path's result.
         plan = plan_campaign(single_config, 3)
         outcomes = list(SerialExecutor().run(plan.cells))
-        assert [o.cell.run_index for o in outcomes] == [0, 1, 2]
-        assert all(isinstance(o.result, RunMetrics) for o in outcomes)
-        assert all(o.seconds >= 0.0 for o in outcomes)
+        assert sorted(o.cell.key for o in outcomes) == \
+            sorted(cell.key for cell in plan.cells)
+        for outcome in outcomes:
+            assert isinstance(outcome.result, RunMetrics)
+            assert outcome.seconds >= 0.0
+            reference, _ = execute_run(outcome.cell.config,
+                                       outcome.cell.run_index)
+            assert run_metrics_to_dict(outcome.result) == \
+                run_metrics_to_dict(reference)
 
     def test_matches_execute_run(self, single_config):
         plan = plan_campaign(single_config, 2)
@@ -113,19 +125,22 @@ class TestWorkerCrash:
     def test_crashed_worker_becomes_failed_run(self, single_config,
                                                monkeypatch):
         """A dying worker process must not take the sweep down with it."""
-        import repro.exec.executor as executor_module
+        # Replication 1 kills its worker as its engine is built, on the
+        # lockstep and the per-cell path alike.
+        doomed = {derive_seed(single_config.seed, 1, attempt)
+                  for attempt in (0, 1)}
+        original = SimulationEngine.__init__
 
-        original = executor_module._execute_cell
-
-        def crashing(cell):
-            if cell.run_index == 1:
+        def crashing(engine, config, **kwargs):
+            if config.seed in doomed:
                 os._exit(17)  # simulate a segfault/OOM-killed worker
-            return original(cell)
+            original(engine, config, **kwargs)
 
-        monkeypatch.setattr(executor_module, "_execute_cell", crashing)
+        monkeypatch.setattr(SimulationEngine, "__init__", crashing)
         plan = plan_campaign(single_config, 3)
         for budgets in ({}, {"cell_timeout": 30.0}):
-            executor = ParallelExecutor(jobs=2, chunk_size=3, **budgets)
+            # One worker: all three cells share its one task.
+            executor = ParallelExecutor(jobs=1, **budgets)
             outcomes = {o.cell.run_index: o for o in executor.run(plan.cells)}
             assert set(outcomes) == {0, 1, 2}
             assert isinstance(outcomes[1].result, FailedRun)

@@ -444,14 +444,15 @@ def _patched(patches):
             setattr(owner, name, value)
 
 
-def _never() -> bool:
+def _unbatchable(cell) -> bool:
     return False
 
 
 @contextmanager
 def unbatched():
-    """Run campaigns replication by replication (no lockstep formations)."""
-    with _patched([(lockstep, "lockstep_eligible", _never)]):
+    """Run campaigns replication by replication (no lockstep formations):
+    every cell plans as unbatchable and takes the per-cell path."""
+    with _patched([(lockstep, "cell_batchable", _unbatchable)]):
         yield
 
 
@@ -483,7 +484,7 @@ def scalar_path():
         (dual, "flip_polish", flip_polish_scalar),
         (batch, "flip_polish", flip_polish_scalar),
         (coloring, "solve_given_assignment", solve_given_assignment_scalar),
-        (lockstep, "lockstep_eligible", _never),
+        (lockstep, "cell_batchable", _unbatchable),
     ]):
         yield
 

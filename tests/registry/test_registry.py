@@ -20,11 +20,7 @@ from repro.registry import SchemeInfo, scenario_registry, scheme_registry
 from repro.sim.checkpoint import SweepCheckpoint
 from repro.sim.config import ScenarioConfig
 from repro.sim.fallback import fallback_chain_for
-from repro.sim.lockstep import (
-    batchable_schemes,
-    plan_batch_groups,
-    run_cells_lockstep,
-)
+from repro.sim.lockstep import plan_batch_groups, run_cells_lockstep
 from repro.sim.metrics import RunMetrics
 from repro.store.confighash import config_hash, scenario_hash
 from repro.utils.errors import CheckpointError, ConfigurationError
@@ -157,7 +153,9 @@ class _InlineOnlyAllocator:
 
 class TestCapabilityFlags:
     def test_batchable_schemes_follow_the_registry(self):
-        assert batchable_schemes() == ("proposed", "proposed-fast")
+        batchable = tuple(info.name for info in scheme_registry()
+                          if info.batchable)
+        assert batchable == ("proposed", "proposed-fast")
 
     def test_non_batchable_schemes_plan_as_singletons(self):
         config = interfering_fbs_scenario(

@@ -11,6 +11,7 @@ import pytest
 
 from repro.sim import MonteCarloRunner, SweepCheckpoint, sweep
 from repro.sim.checkpoint import run_metrics_from_dict, run_metrics_to_dict
+from repro.sim.engine import SimulationEngine
 from repro.sim.metrics import FailedRun
 from repro.testing.faults import FaultPlan, corrupt_json_file
 from repro.utils.errors import CheckpointError
@@ -59,13 +60,11 @@ class TestCheckpointResume:
         path = tmp_path / "ckpt.jsonl"
         first = run_sweep(single_config, path)
 
-        # A resumed run must not construct a single engine.
-        import repro.sim.runner as runner_module
-
-        def explode(config, run_index):
+        # A resumed run must not construct a single engine, on any path.
+        def explode(engine, config, **kwargs):
             raise AssertionError("completed cell was recomputed")
 
-        monkeypatch.setattr(runner_module, "execute_run", explode)
+        monkeypatch.setattr(SimulationEngine, "__init__", explode)
         resumed = run_sweep(single_config, path)
         for scheme in SWEEP_ARGS["schemes"]:
             assert resumed.series(scheme) == first.series(scheme)
@@ -76,33 +75,33 @@ class TestCheckpointResume:
         path = tmp_path / "ckpt.jsonl"
         reference = run_sweep(single_config)  # no checkpoint
 
-        import repro.sim.runner as runner_module
-        real_execute = runner_module.execute_run
-        calls = {"n": 0}
+        # The kill lands as the fourth finished cell is recorded; the
+        # engine builds are counted.  Both seams are on every path.
+        real_record = SweepCheckpoint.record
+        real_init = SimulationEngine.__init__
+        calls = {"records": 0, "engines": 0}
 
-        def killed_after_three(config, run_index):
-            if calls["n"] >= 3:
+        def killed_after_three(checkpoint, key, result):
+            if calls["records"] >= 3:
                 raise KeyboardInterrupt  # simulated operator kill
-            calls["n"] += 1
-            return real_execute(config, run_index)
+            calls["records"] += 1
+            return real_record(checkpoint, key, result)
 
-        monkeypatch.setattr(runner_module, "execute_run", killed_after_three)
+        def counting(engine, config, **kwargs):
+            calls["engines"] += 1
+            real_init(engine, config, **kwargs)
+
+        monkeypatch.setattr(SweepCheckpoint, "record", killed_after_three)
         with pytest.raises(KeyboardInterrupt):
             run_sweep(single_config, path)
         completed_lines = len(path.read_text().splitlines())
         assert completed_lines == 1 + 3  # header + the three finished cells
 
         # Rerun without the kill: only the remaining cells are computed.
-        monkeypatch.setattr(runner_module, "execute_run", real_execute)
-        recomputed = {"n": 0}
-
-        def counting(config, run_index):
-            recomputed["n"] += 1
-            return real_execute(config, run_index)
-
-        monkeypatch.setattr(runner_module, "execute_run", counting)
+        monkeypatch.setattr(SweepCheckpoint, "record", real_record)
+        monkeypatch.setattr(SimulationEngine, "__init__", counting)
         resumed = run_sweep(single_config, path)
-        assert recomputed["n"] == 2 * 2 * 2 - 3
+        assert calls["engines"] == 2 * 2 * 2 - 3
         for scheme in SWEEP_ARGS["schemes"]:
             assert resumed.series(scheme) == reference.series(scheme)
 

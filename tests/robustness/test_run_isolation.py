@@ -10,7 +10,7 @@ from repro.sim import MonteCarloRunner, sweep
 from repro.sim.metrics import FailedRun
 from repro.sim.runner import execute_run
 from repro.testing.faults import FaultPlan
-from repro.utils.errors import NumericalError, ReproError
+from repro.utils.errors import ReproError
 from repro.utils.rng import derive_seed
 
 
@@ -81,13 +81,6 @@ class TestRunnerIsolation:
             single_config.replace(fault_plan=plan), n_runs=3).run_all()
         assert [r.mean_psnr for r in survivors] == [
             healthy[0].mean_psnr, healthy[2].mean_psnr]
-
-    def test_run_one_raises_without_isolation(self, single_config):
-        plan = FaultPlan(nan_fading_slots={0})
-        runner = MonteCarloRunner(
-            single_config.replace(fault_plan=plan), n_runs=2)
-        with pytest.raises(NumericalError):
-            runner.run_one(0)
 
 
 class TestSweepIsolation:

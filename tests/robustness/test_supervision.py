@@ -16,12 +16,12 @@ import os
 import pytest
 
 from repro import obs
-from repro.exec import executor as executor_module
 from repro.exec.executor import ParallelExecutor, SerialExecutor, make_executor
 from repro.exec.supervisor import MAX_DISPATCH_ATTEMPTS, backoff_delay
 from repro.experiments.results_io import sweep_to_dict
 from repro.sim import lockstep
 from repro.sim.checkpoint import SweepCheckpoint, run_metrics_to_dict
+from repro.sim.engine import SimulationEngine
 from repro.sim.metrics import FailedRun
 from repro.sim.runner import execute_run, sweep
 from repro.testing.faults import FaultPlan
@@ -172,7 +172,7 @@ class TestSweepDeadline:
         assert as_json(resumed) == as_json(reference)
 
 
-def _crash_in_worker(cell):
+def _crash_in_worker(engine, config, **kwargs):
     os._exit(17)
 
 
@@ -182,8 +182,9 @@ class TestWorkerCrash:
         reason="monkeypatched worker body requires the fork start method")
     def test_crashing_cell_written_off_after_redispatch(self, fast_config,
                                                         monkeypatch):
-        monkeypatch.setattr(executor_module, "_execute_cell",
-                            _crash_in_worker)
+        # Every engine build kills its worker, on the lockstep and the
+        # per-cell path alike.
+        monkeypatch.setattr(SimulationEngine, "__init__", _crash_in_worker)
         executor = ParallelExecutor(2, cell_timeout=30.0)
         from repro.exec.plan import plan_campaign
 
@@ -286,8 +287,6 @@ class TestBudgetsKeepLockstep:
                 handle.write(f"{os.getpid()}\n")
             return original(cells, fallback)
 
-        # Not an execution seam _interception_active() watches, so the
-        # spy leaves lockstep engaged.
         monkeypatch.setattr(lockstep, "run_cells_lockstep", spy)
         for jobs in (1, 2):
             log.write_text("")
