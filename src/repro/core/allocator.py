@@ -9,7 +9,9 @@ paper's allocators and registers them with the process-wide
 * ``"proposed"`` -- the paper's algorithm (dual decomposition; combined
   with greedy channel allocation by the engine when FBSs interfere).
 * ``"proposed-fast"`` -- same optimisation problem solved by the fast
-  exact-inner-solve variant (identical results, used for large sweeps).
+  exact-inner-solve variant, used for large sweeps.  The subgradient
+  iteration stops near the optimum rather than at it, so the two
+  schemes' results differ slightly.
 * ``"heuristic1"`` / ``"heuristic2"`` -- the comparison schemes.
 
 The ``"graph-coloring"`` scheme lives in :mod:`repro.core.coloring`,
@@ -94,7 +96,6 @@ def _proposed_fast_factory():
 register_scheme(SchemeInfo(
     name="proposed",
     factory=_proposed_factory,
-    batchable=True,
     greedy_channels=True,
     accepts_options=True,
     description="Dual-decomposition optimum (Tables I/II) with greedy "
@@ -103,10 +104,9 @@ register_scheme(SchemeInfo(
 register_scheme(SchemeInfo(
     name="proposed-fast",
     factory=_proposed_fast_factory,
-    batchable=True,
     greedy_channels=True,
     description="Same convex program via the fast exact-inner solver; "
-                "identical results, preferred for large sweeps.",
+                "results differ slightly, preferred for large sweeps.",
 ))
 register_scheme(SchemeInfo(
     name="heuristic1",

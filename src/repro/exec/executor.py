@@ -8,8 +8,8 @@ arrival order, which is what makes parallel runs bit-identical to serial
 ones.
 
 Both executors run cells through one body, :func:`_run_cells`, so
-the batchable cells of a task batch in lockstep, whatever their sweep
-point or scheme, whichever executor runs them.  Isolation semantics are inherited from
+the cells of a task batch in lockstep, whatever their sweep point or
+scheme, whichever executor runs them.  Isolation semantics are inherited from
 :func:`repro.sim.runner.execute_run`: a replication that raises a
 :class:`~repro.utils.errors.ReproError` (after its fresh-seed retry) is
 returned as a :class:`~repro.sim.metrics.FailedRun`, and programming
@@ -42,7 +42,7 @@ from repro.exec.supervisor import (
     ShutdownCoordinator,
     active_shutdown,
     apply_backoff,
-    shutdown_draining,
+    stop_before,
 )
 from repro.obs.logging import get_logger
 from repro.obs.metrics import (
@@ -62,6 +62,10 @@ logger = get_logger(__name__)
 #: load-balance scheme-dependent cell costs, large enough to amortise
 #: per-task dispatch overhead.
 _CHUNKS_PER_WORKER = 4
+
+#: Reports a worker may have unacknowledged and still admit a cell, so
+#: it learns of the parent's drain within this many cells.
+_MAX_UNACKED = 2
 
 #: Watchdog wake-up interval while a budget is armed: the granularity
 #: at which ``cell_timeout``/``deadline`` expiry is noticed.
@@ -102,7 +106,7 @@ class CellOutcome:
 def _execute_cell(cell: Cell) -> Tuple[str, Union[RunMetrics, FailedRun], float]:
     """Run one cell on the per-cell path; return ``(key, result, seconds)``.
 
-    The path of unbatchable cells, and of a lockstep formation's escapes.
+    The path of fault-plan cells, and of a lockstep formation's escapes.
     """
     start = time.perf_counter()
     metrics, failure = _runner.execute_run(cell.config, cell.run_index)
@@ -110,42 +114,27 @@ def _execute_cell(cell: Cell) -> Tuple[str, Union[RunMetrics, FailedRun], float]
     return cell.key, result, time.perf_counter() - start
 
 
-def _stop_before(cell: Cell) -> bool:
-    """Whether a shutdown drain forbids starting ``cell`` (logged once)."""
-    if shutdown_draining():
-        logger.warning("shutdown requested; stopping before cell %s",
-                       cell.key)
-        return True
-    return False
-
-
 def _run_cells(cells: Sequence[Cell]
                ) -> Iterator[Tuple[str, Union[RunMetrics, FailedRun], float]]:
-    """Execute cells, batching every batchable cell into one formation.
+    """Execute cells: one lockstep formation, and fault-plan cells alone.
 
-    The one execution body of both executors: the batchable cells run in
-    lockstep through the stacked allocation kernel
-    (:mod:`repro.sim.lockstep`), up to ``MAX_BATCH`` to a formation,
-    whatever their sweep point or scheme, a formation of one included;
-    everything else takes the per-cell path.  Yields ``(key, result,
-    seconds)`` for each cell as soon as it is known -- a formation's
-    members as each one ends, so the order is not the cell order -- and
-    starts no new formation or cell once a shutdown drain is requested.
-    A formation in flight runs to its end.
+    The one execution body of both executors: every cell without a fault
+    plan runs in lockstep through the stacked allocation kernel
+    (:mod:`repro.sim.lockstep`), whatever its sweep point or scheme.
+    Yields ``(key, result, seconds)`` for each cell as soon as it is
+    known, so the order is not the cell order, and starts no cell once a
+    shutdown drain is requested.
     """
     from repro.sim import lockstep
 
     for group in lockstep.plan_batch_groups(cells):
         if lockstep.cell_batchable(group[0]):
-            if _stop_before(group[0]):
-                return
             yield from lockstep.run_cells_lockstep(group,
                                                    fallback=_execute_cell)
-            continue
-        for cell in group:
-            if _stop_before(cell):
-                return
-            yield _execute_cell(cell)
+        elif stop_before(group[0].key):
+            return
+        else:
+            yield _execute_cell(group[0])
 
 
 def _take(cells: Deque[Cell], key: str) -> Cell:
@@ -205,13 +194,16 @@ def _worker_loop(conn) -> None:
 
     Each report carries the worker's own bookings since the previous
     one (:func:`_take_worker_books`), so a formation's counters reach
-    the parent as they do at ``--jobs 1``.  SIGINT is ignored so a
+    the parent as they do at ``--jobs 1``.  The parent acknowledges each
+    report with its drain state, which the worker's coordinator follows;
+    a worker that stopped early sends ``None``.  SIGINT is ignored so a
     terminal Ctrl-C (delivered to the whole foreground process group)
     cannot kill workers mid-task -- draining in-flight work is the
     parent coordinator's contract.
     """
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     _take_worker_books()  # what the parent had booked before the fork
+    drain = ShutdownCoordinator().install(signals=())
     while True:
         try:
             task = conn.recv()
@@ -220,9 +212,20 @@ def _worker_loop(conn) -> None:
         if task is None:
             conn.close()
             return
+        if isinstance(task, bool):
+            continue  # the acknowledgement of a finished task's report
         try:
+            unacked = reported = 0
             for key, result, seconds in _run_cells(task):
                 conn.send((key, result, seconds, _take_worker_books()))
+                reported += 1
+                unacked += 1
+                while unacked > _MAX_UNACKED or (unacked and conn.poll()):
+                    unacked -= 1
+                    if conn.recv():
+                        drain.follow()
+            if reported < len(task):
+                conn.send(None)
         except BaseException as exc:
             try:
                 conn.send(exc)
@@ -256,16 +259,16 @@ class ParallelExecutor(Executor):
         budget set, ``jobs=1`` still runs cells in a child process --
         that is what makes a hung cell killable.
     chunk_size:
-        Cells per dispatched task of unbatchable cells (lockstep
-        formations are dispatched whole, :meth:`_chunks`); defaults to
-        roughly ``n / (jobs * 4)`` of the ``n`` unbatchable cells so
+        Cells per dispatched task of fault-plan cells (the others form
+        one lockstep formation per worker, :meth:`_chunks`); defaults to
+        roughly ``n / (jobs * 4)`` of the ``n`` fault-plan cells so
         stragglers can be load-balanced while dispatch overhead stays
         amortised.
     cell_timeout:
         Per-cell wall-clock budget in seconds.  A worker's budget is
         ``cell_timeout`` times the size of the first lockstep group among
-        its unreported cells, restarted at dispatch and at every
-        reported cell.  ``None`` disarms the per-cell watchdog.
+        its unreported cells, at most ``MAX_BATCH``, restarted at
+        dispatch and at every reported cell.  ``None`` disarms it.
     deadline:
         Whole-run wall-clock budget in seconds, measured from the start
         of :meth:`run`.  On expiry the pool is torn down and
@@ -290,8 +293,8 @@ class ParallelExecutor(Executor):
     dispatch (each crash redispatch waits out a deterministic backoff).
     Cells are validated as picklable up front
     (:func:`~repro.exec.plan.ensure_picklable`).  Under an active drain
-    no task is dispatched and the stream ends once in-flight tasks
-    finish; the sweep harness detects the shortfall and raises
+    no task is dispatched, workers start no cell once they learn of it,
+    and the stream ends; the sweep harness detects the shortfall and raises
     :class:`~repro.utils.errors.SweepInterrupted`.
     """
 
@@ -322,22 +325,18 @@ class ParallelExecutor(Executor):
     def _chunks(self, cells: Sequence[Cell]) -> List[List[Cell]]:
         """Cut cells into tasks: whole formations first, then chunks.
 
-        The batchable cells are dealt round-robin into one formation per
-        worker, or more where ``MAX_BATCH`` caps their width, so each
-        worker's stacked iterations are those of its formation's busiest
-        member and the points' costs spread evenly.  A formation is one
-        task, never split.  The other cells follow in chunks of
-        ``chunk_size``.
+        The cells without a fault plan are dealt round-robin into one
+        formation per worker, so the points' and schemes' costs spread
+        evenly; the fault-plan cells follow in chunks of ``chunk_size``.
         """
-        from repro.sim.lockstep import MAX_BATCH, cell_batchable
+        from repro.sim.lockstep import cell_batchable
 
-        batchable: List[Cell] = []
+        formation: List[Cell] = []
         rest: List[Cell] = []
         for cell in cells:
-            (batchable if cell_batchable(cell) else rest).append(cell)
-        count = min(len(batchable),
-                    max(self.jobs, math.ceil(len(batchable) / MAX_BATCH)))
-        tasks = [batchable[i::count] for i in range(count)]
+            (formation if cell_batchable(cell) else rest).append(cell)
+        count = min(len(formation), self.jobs)
+        tasks = [formation[i::count] for i in range(count)]
         size = self.chunk_size
         if size is None:
             size = max(1, math.ceil(len(rest) / (self.jobs * _CHUNKS_PER_WORKER)))
@@ -375,14 +374,18 @@ class ParallelExecutor(Executor):
 
     def _arm(self, worker: _Worker) -> None:
         """Restart a busy worker's watchdog budget."""
-        from repro.sim.lockstep import plan_batch_groups
+        from repro.sim.lockstep import MAX_BATCH, plan_batch_groups
 
         worker.since = time.monotonic()
         if self.cell_timeout is not None:
-            width = len(plan_batch_groups(worker.task)[0])
+            width = min(len(plan_batch_groups(worker.task)[0]), MAX_BATCH)
             worker.due = worker.since + self.cell_timeout * width
 
     # -- the dispatch loop -----------------------------------------------
+
+    def _draining(self) -> bool:
+        shutdown = self._shutdown or active_shutdown()
+        return shutdown is not None and shutdown.draining
 
     def run(self, cells: Sequence[Cell]) -> Iterator[CellOutcome]:
         cells = list(cells)
@@ -401,11 +404,9 @@ class ParallelExecutor(Executor):
                     self.deadline)
         try:
             while outstanding > 0:
-                shutdown = self._shutdown or active_shutdown()
-                draining = shutdown is not None and shutdown.draining
                 if run_deadline is not None and time.monotonic() >= run_deadline:
                     self._deadline_expired(workers, outstanding)
-                if not draining:
+                if not self._draining():
                     self._dispatch(workers, pending, dispatches)
                 busy = [w for w in workers if w.task]
                 if not busy:
@@ -460,6 +461,14 @@ class ParallelExecutor(Executor):
                 # Programming errors propagate unchanged, as everywhere
                 # else in the execution stack.
                 raise message
+            if message is None:  # stopped by the drain; the rest never started
+                worker.task.clear()
+                continue
+            # On receipt: a worker must not wait on checkpoint writes.
+            try:
+                conn.send(self._draining())
+            except (OSError, ValueError):
+                pass  # a dead worker is found at its next read
             key, result, seconds, books = message
             cell = _take(worker.task, key)
             if worker.task:

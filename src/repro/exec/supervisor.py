@@ -156,6 +156,10 @@ class ShutdownCoordinator:
         """Register a durability hook to run on a hard abort."""
         self._flushers.append(flusher)
 
+    def follow(self) -> None:
+        """Drain without logging or counting: a worker follows its parent."""
+        self._stage = max(self._stage, 1)
+
     def remove_flusher(self, flusher: Callable[[], None]) -> None:
         """Unregister a hook added with :meth:`add_flusher`."""
         try:
@@ -256,3 +260,11 @@ def shutdown_draining() -> bool:
     """Whether a shutdown signal has requested draining (cheap gate)."""
     coordinator = _ACTIVE_SHUTDOWN
     return coordinator is not None and coordinator.draining
+
+
+def stop_before(key: str) -> bool:
+    """Whether a shutdown drain forbids starting the cell ``key`` (logged)."""
+    if shutdown_draining():
+        logger.warning("shutdown requested; stopping before cell %s", key)
+        return True
+    return False

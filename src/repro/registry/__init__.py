@@ -8,9 +8,9 @@ modules.  This package converts those four dispatch points into one
 seam:
 
 * :mod:`repro.registry.schemes` -- ``SchemeRegistry`` maps a scheme
-  name to an allocator factory plus capability flags (batchable,
-  warm-startable, fallback-eligible, greedy-channels) that the engine,
-  fallback chain, and lockstep driver consult instead of name lists.
+  name to an allocator factory plus capability flags
+  (fallback-eligible, greedy-channels, accepts-options) that the engine
+  and fallback chain consult instead of name lists.
 * :mod:`repro.registry.scenarios` -- ``ScenarioRegistry`` maps a
   scenario name to a topology/workload generator; building through the
   registry stamps the generator's identity (name + build parameters)

@@ -3,11 +3,6 @@
 A scheme is a name, an allocator factory, and a set of capability flags
 the execution layers consult instead of hard-coded name lists:
 
-* ``batchable`` -- the allocator exposes ``allocate_iter`` yielding
-  :class:`~repro.core.batch.SolveRequest` objects, so replications may
-  advance in lockstep (:mod:`repro.sim.lockstep`).  The lockstep driver
-  verifies the claim at group-formation time and refuses (with a
-  counter) allocators that cannot actually yield.
 * ``fallback_eligible`` -- the scheme is closed-form and cannot fail to
   converge, so it may terminate every engine's degradation chain
   (:func:`repro.sim.fallback.fallback_chain_for`).
@@ -48,7 +43,7 @@ class SchemeInfo:
     factory:
         Zero-or-keyword-argument callable returning a fresh allocator
         (an object with ``allocate(problem) -> Allocation``).
-    batchable / fallback_eligible / greedy_channels / accepts_options:
+    fallback_eligible / greedy_channels / accepts_options:
         Capability flags; see the module docstring.
     description:
         One-line human description for ``repro schemes``.
@@ -56,7 +51,6 @@ class SchemeInfo:
 
     name: str
     factory: Callable[..., object]
-    batchable: bool = False
     fallback_eligible: bool = False
     greedy_channels: bool = False
     accepts_options: bool = False
@@ -74,7 +68,6 @@ class SchemeInfo:
         """The capability flags set on this scheme, for display."""
         return tuple(
             label for label, value in (
-                ("batchable", self.batchable),
                 ("fallback-eligible", self.fallback_eligible),
                 ("greedy-channels", self.greedy_channels),
             ) if value)

@@ -4,11 +4,10 @@ The dual solves inside one slot are inherently sequential (each greedy
 ``Q(c)`` evaluation warm-starts from the previous one), but *different
 replications* are completely independent, whatever their sweep point or
 scheme, and their slot problems stack by shape.  This module runs B
-engines -- any mix of sweep points and batchable schemes -- through
-their slot generators
-(:meth:`SimulationEngine._step_iter`) as one event loop with continuous
-batching: each :class:`~repro.core.batch.SolveRequest` a member yields
-joins the running stack for its shape
+engines -- any mix of sweep points and schemes -- through their slot
+generators (:meth:`SimulationEngine._step_iter`) as one event loop
+with continuous batching: each :class:`~repro.core.batch.SolveRequest`
+a member yields joins the running stack for its shape
 (:class:`~repro.core.batch.RunningStack`), and every call to the
 stacked kernel (:func:`~repro.core.batch.solve_requests`) resumes that
 stack until a row freezes.  Only the members whose rows froze are
@@ -49,6 +48,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import replace
+from itertools import takewhile
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.batch import (
@@ -59,6 +59,7 @@ from repro.core.batch import (
     solve_requests,
 )
 from repro.exec.plan import Cell
+from repro.exec.supervisor import stop_before
 from repro.obs.logging import get_logger
 from repro.obs.metrics import (
     MetricsRegistry,
@@ -67,55 +68,48 @@ from repro.obs.metrics import (
     set_global_registry,
 )
 from repro.obs.trace import SpanTracer, active_tracer
-from repro.registry.schemes import scheme_registry
 from repro.sim.engine import SimulationEngine
 from repro.utils.errors import ReproError
 from repro.utils.rng import derive_seed
 
 logger = get_logger(__name__)
 
-#: Largest lockstep formation.  The stacked kernel's per-iteration cost
-#: is nearly flat in B, so a formation's stacked iterations are those of
-#: its busiest member whatever its width; what grows with B is memory,
-#: one live engine per unfinished member.  64 holds a default-size figure
-#: (10 runs at each of 5 points) in one formation; on ``fig6a --runs 20
-#: --gops 1`` it costs 53.4 MB peak RSS against 49.7 MB at 32 and 55.8 MB
-#: uncapped.
+#: Most live members of a lockstep formation (engines built and
+#: suspended on a solve request): a cap on its memory, not its size.
+#: The stacked kernel's per-iteration cost is nearly flat in its width,
+#: so what grows with the width is memory, one engine per live member.
+#: 64 holds a default-size figure's ``proposed-fast`` rows (10 runs at
+#: each of 5 points) live at once; on ``fig6a --runs 20 --gops 1`` it
+#: costs 53.3 MB peak RSS against 50.1 MB at 32.
 MAX_BATCH = 64
 
 
 def cell_batchable(cell: Cell) -> bool:
     """Whether ``cell`` may join a lockstep formation.
 
-    Its scheme must carry the ``batchable`` capability, its config a
-    root seed (per-member seeds derive deterministically), and no fault
-    plan (fault hooks are stateful per replication).
+    Any scheme may: a member whose allocator yields no solve request
+    runs its slots to the end at its turn.  Only a fault plan keeps a
+    cell out (fault hooks are stateful per replication).
     """
-    registry = scheme_registry()
-    return (cell.scheme in registry
-            and registry.get(cell.scheme).batchable
-            and cell.config.fault_plan is None
-            and cell.config.seed is not None)
+    return cell.config.fault_plan is None
 
 
 def plan_batch_groups(cells: Sequence[Cell]) -> List[List[Cell]]:
-    """Split cells into lockstep formations and singleton groups.
+    """Split cells into one lockstep formation and singleton groups.
 
-    Every batchable cell joins a formation, whatever its sweep point or
-    scheme: each member builds its engine from its own config, its
+    Every batchable cell joins the formation, whatever its sweep point
+    or scheme: each member builds its engine from its own config, its
     requests join the running stack of their shape, and rows never
-    interact.  Formations fill in plan order up to :data:`MAX_BATCH`
-    members, and each stands where its first member stood.  Every other
-    cell is a singleton group, in plan order.
+    interact.  The formation stands where its first member stood, among
+    the other cells' singleton groups.
     """
     groups: List[List[Cell]] = []
-    formation: Optional[List[Cell]] = None
+    formation: List[Cell] = []
     for cell in cells:
         if not cell_batchable(cell):
             groups.append([cell])
             continue
-        if formation is None or len(formation) == MAX_BATCH:
-            formation = []
+        if not formation:
             groups.append(formation)
         formation.append(cell)
     return groups
@@ -242,24 +236,16 @@ class _LockstepMember:
                                  converged=solution.converged,
                                  stations=len(solution.multipliers))
 
-    def escape(self) -> None:
-        """Drop the member's engine; close its span as ``escaped``."""
-        self.engine = None
-        self.gen = None
-        if self.span is not None:
-            with self.scope:
-                self.scope.tracer.end(self.span, self.busy_seconds,
-                                      escaped=True)
-
-    def interrupt(self) -> None:
-        """Close the open slot and replication spans of a member that
-        was still running when its formation stopped."""
+    def close(self, **attrs) -> None:
+        """Drop the engine; close the open slot span, and the replication
+        span with ``attrs`` (``escaped=True`` on an escape)."""
         if self.span is not None:
             with self.scope:
                 if self.gen is not None:
                     self.gen.close()
-                self.scope.tracer.end(self.span, self.busy_seconds)
+                self.scope.tracer.end(self.span, self.busy_seconds, **attrs)
         self.engine = None
+        self.gen = None
 
     def finish(self) -> Tuple[str, object, float]:
         """The member's ``(key, result, seconds)``; frees its engine."""
@@ -290,47 +276,33 @@ def run_cells_lockstep(
 
     Yields what ``_execute_cell`` would produce for each cell, each
     member's as soon as its last slot ends, so the caller checkpoints
-    and reports cell by cell.  Members that fail anywhere -- scenario
-    build, any slot -- are handed to ``fallback`` (the per-cell path)
-    once the formation ends, so isolation and retry semantics are
-    byte-for-byte the unbatched ones.
+    and reports cell by cell.  Cells are admitted in order while fewer
+    than :data:`MAX_BATCH` members are live, each built and run to its
+    first solve request; one that yields none (a heuristic, graph
+    colouring) runs every slot, and is yielded and freed before the next
+    is built.  A shutdown drain ends admission; live members run on.
+    Members that fail anywhere -- scenario build, any slot -- are handed
+    to ``fallback`` (the per-cell path) once the formation ends, so
+    isolation and retry semantics are byte-for-byte the unbatched ones.
     """
     observing = metrics_enabled()
     tracer = active_tracer()
-    members: List[_LockstepMember] = []
+    queue = takewhile(lambda cell: not stop_before(cell.key), cells)
+    live: List[_LockstepMember] = []
     escaped: List[Cell] = []
-    refused = 0
-
-    for cell in cells:
-        member = _LockstepMember(cell, _MemberScope(
-            MetricsRegistry() if observing else None, tracer))
-        if not member.build():
-            # Build failed; the per-cell path will fail (and retry)
-            # identically on its own clock.
-            member.escape()
-            escaped.append(cell)
-            continue
-        if not hasattr(member.engine.allocator, "allocate_iter"):
-            # The scheme registered itself batchable but its allocator
-            # cannot yield solve requests; refuse the claim and run the
-            # cell through the inline per-cell path instead of crashing
-            # the formation mid-slot.
-            refused += 1
-            member.escape()
-            escaped.append(cell)
-            continue
-        members.append(member)
+    stacks: Dict[tuple, RunningStack] = {}
     if observing:
-        for name, amount in (("groups", 1), ("batch_members", len(members)),
+        for name, amount in (("groups", 1), ("batch_members", 0),
                              ("rounds", 0), ("batched_solves", 0),
                              ("stacked_iterations", 0)):
             _book(f"repro_lockstep_{name}_total", amount)
-        if refused:
-            _book("repro_lockstep_refused_total", refused)
-        if escaped:
-            _book("repro_lockstep_escapes_total", len(escaped))
 
-    stacks: Dict[tuple, RunningStack] = {}
+    def leave(member: _LockstepMember) -> None:
+        """Drop a failed member; the per-cell path runs it later."""
+        member.close(escaped=True)
+        escaped.append(member.cell)
+        if observing:
+            _book("repro_lockstep_escapes_total")
 
     def deliver(member: _LockstepMember, payload, share: float = 0.0
                 ) -> bool:
@@ -347,30 +319,41 @@ def run_cells_lockstep(
             member.share_mark = stack.row_seconds
             stack.join(request, member)
             return False
+        live.remove(member)
         if member.error is not None:
-            member.escape()
-            escaped.append(member.cell)
-            if observing:
-                _book("repro_lockstep_escapes_total")
+            leave(member)
             return False
         return True
 
-    try:
-        for member in members:
+    def admit() -> Iterator[Tuple[str, object, float]]:
+        while len(live) < MAX_BATCH:
+            cell = next(queue, None)
+            if cell is None:
+                return
+            member = _LockstepMember(cell, _MemberScope(
+                MetricsRegistry() if observing else None, tracer))
+            if not member.build():
+                # The per-cell path will fail (and retry) identically
+                # on its own clock.
+                leave(member)
+                continue
+            if observing:
+                _book("repro_lockstep_batch_members_total")
+            live.append(member)
             if deliver(member, None):
                 yield member.finish()
-        while True:
-            busy = [stack for stack in stacks.values() if stack.width]
-            if not busy:
-                break
-            for stack in busy:
+
+    try:
+        yield from admit()
+        while live:
+            for stack in [stack for stack in stacks.values() if stack.width]:
                 joining = len(stack)
                 iterations = stack.iterations
                 try:
                     answers = solve_requests(stack)
                     solved = True
                 except ReproError:
-                    # The stacked kernel refused; answer every request of the
+                    # The stacked kernel raised; answer every request of the
                     # stack alone, in its member's scope (booking and tracing
                     # to the member), and deliver per-member results or
                     # exceptions, exactly as the unbatched path would.
@@ -394,13 +377,13 @@ def run_cells_lockstep(
                         member.record_solve(answer, share)
                     if deliver(member, answer, share):
                         yield member.finish()
+                    yield from admit()
     finally:
         # Stopped early (the caller quit, or an error escaped): close
         # the spans of the members still running, as the per-cell
         # path's ``with`` blocks close theirs.
-        for member in members:
-            if member.engine is not None:
-                member.interrupt()
+        for member in live:
+            member.close()
 
     if escaped:
         logger.warning("lockstep group: %d member(s) escaped to the "

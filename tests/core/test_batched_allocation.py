@@ -34,7 +34,7 @@ from repro.experiments.scenarios import (
     single_fbs_scenario,
 )
 from repro.sim.checkpoint import run_metrics_to_dict
-from repro.sim.lockstep import MAX_BATCH, plan_batch_groups
+from repro.sim.lockstep import plan_batch_groups
 from repro.sim.runner import MonteCarloRunner
 from tests.conftest import make_problem, make_user, random_problem
 from tests.oracle import answer_request_scalar, clear_solver_caches, unbatched
@@ -402,33 +402,14 @@ class TestPlanBatchGroups:
     def test_replications_of_one_config_share_a_group(self):
         assert [len(g) for g in plan_batch_groups(self._cells(4))] == [4]
 
-    def test_groups_cap_at_max_batch(self):
-        groups = plan_batch_groups(self._cells(MAX_BATCH + 3))
-        assert [len(g) for g in groups] == [MAX_BATCH, 3]
-
-    def test_unbatchable_scheme_stays_singleton(self):
-        groups = plan_batch_groups(self._cells(3, scheme="heuristic1"))
-        assert [len(g) for g in groups] == [1, 1, 1]
-
-    def test_seedless_config_stays_singleton(self):
-        groups = plan_batch_groups(self._cells(3, seed=None))
-        assert [len(g) for g in groups] == [1, 1, 1]
-
     def test_sweep_points_and_schemes_share_a_formation(self):
-        # Rows never interact, so every batchable cell of a sweep joins
-        # one formation, whatever its point or scheme; the unbatchable
-        # cells stay singletons, and every cell appears exactly once.
+        # Rows never interact, so every cell of a sweep joins one
+        # formation, whatever its point or scheme, in plan order.
         config = single_fbs_scenario(n_gops=1, seed=31)
         cells = plan_sweep(config, "n_channels", [4, 6],
                            ["proposed", "heuristic1", "proposed-fast"],
                            n_runs=2).cells
-        groups = plan_batch_groups(cells)
-        assert [len(g) for g in groups] == [8, 1, 1, 1, 1]
-        assert {(cell.point_index, cell.scheme) for cell in groups[0]} \
-            == {(point, scheme) for point in (0, 1)
-                for scheme in ("proposed", "proposed-fast")}
-        flat = [id(cell) for group in groups for cell in group]
-        assert sorted(flat) == sorted(id(cell) for cell in cells)
+        assert plan_batch_groups(cells) == [list(cells)]
 
     def test_fault_plan_stays_singleton(self):
         # Fault injection hooks are stateful; their cells never batch.
@@ -598,7 +579,7 @@ class TestCampaignDifferential:
 
 
 class TestCrossPointFormation:
-    """One formation holds every sweep point and batchable scheme."""
+    """One formation holds every sweep point and scheme."""
 
     def test_two_points_two_schemes_match_unbatched(self):
         # Each member builds its engine from its own cell's config, so a
@@ -665,12 +646,101 @@ class TestCrossPointFormation:
         assert reported[0][1] < reported[1][1] == len(calls)
 
 
+def track_engine_builds(monkeypatch):
+    """Patch engine construction to record, at each build, the schemes
+    of the engines built before it that are still alive."""
+    import weakref
+
+    from repro.sim.engine import SimulationEngine
+
+    built = []
+    alive_at_build = []
+    init = SimulationEngine.__init__
+
+    def tracked(self, config, *args, **kwargs):
+        alive_at_build.append([scheme for ref, scheme in built
+                               if ref() is not None])
+        init(self, config, *args, **kwargs)
+        built.append((weakref.ref(self), config.scheme))
+
+    monkeypatch.setattr(SimulationEngine, "__init__", tracked)
+    return alive_at_build
+
+
+class TestLiveMembers:
+    """``MAX_BATCH`` caps a formation's live engines, not its size."""
+
+    def test_mixed_formation_caps_live_engines(self, monkeypatch):
+        from repro.exec.executor import SerialExecutor
+        from repro.obs.metrics import (
+            enable_metrics,
+            reset_metrics,
+            scoped_registry,
+        )
+        from repro.sim import lockstep
+
+        config = interfering_fbs_scenario(n_gops=1, seed=4242)
+        cells = plan_sweep(config, "n_channels", [4, 6],
+                           ["proposed-fast", "heuristic1", "graph-coloring"],
+                           n_runs=2).cells
+        monkeypatch.setattr(lockstep, "MAX_BATCH", 3)
+
+        def run():
+            clear_solver_caches()
+            return {outcome.cell.key: outcome.result
+                    for outcome in SerialExecutor().run(cells)}
+
+        enable_metrics(True)
+        try:
+            with scoped_registry(), unbatched():
+                base = run()
+            alive_at_build = track_engine_builds(monkeypatch)
+            with scoped_registry() as registry:
+                batched = run()
+                counters = registry.counters()
+        finally:
+            enable_metrics(False)
+            reset_metrics()
+        assert counters["repro_lockstep_groups_total"] == 1
+        assert counters["repro_lockstep_batch_members_total"] == len(cells)
+        # Each build finds at most two live engines, so at most three
+        # are ever live, and the cap is reached.
+        assert len(alive_at_build) == len(cells)
+        assert max(len(alive) for alive in alive_at_build) == 2
+        assert sorted(batched) == sorted(base)
+        for key, expected in base.items():
+            got = batched[key]
+            assert run_metrics_to_dict(got) == run_metrics_to_dict(expected)
+            assert got.obs_snapshot == expected.obs_snapshot
+
+    def test_requestless_member_freed_before_next_build(self, monkeypatch):
+        from repro.exec.executor import _execute_cell
+        from repro.sim import lockstep
+
+        config = single_fbs_scenario(n_gops=1, seed=5)
+        cells = plan_sweep(config, "n_channels", [4],
+                           ["proposed-fast", "heuristic1"], n_runs=2).cells
+        assert [cell.scheme for cell in cells] == [
+            "proposed-fast", "proposed-fast", "heuristic1", "heuristic1"]
+        alive_at_build = track_engine_builds(monkeypatch)
+        yielded_after = {key: len(alive_at_build) for key, _, _ in
+                         lockstep.run_cells_lockstep(cells, _execute_cell)}
+        # The proposed-fast members wait on their requests; the first
+        # heuristic member ran every slot, was yielded, and its engine
+        # was gone before the second one was built.
+        assert alive_at_build == [
+            [], ["proposed-fast"], ["proposed-fast"] * 2,
+            ["proposed-fast"] * 2]
+        assert yielded_after[cells[2].key] == 3
+        assert yielded_after[cells[3].key] == 4
+
+
 @pytest.mark.parametrize("batched", [True, False])
 def test_pool_jobs_invariant_with_batching(tmp_path, batched):
     """--jobs 1 and --jobs 2 serialise identically, batched and unbatched.
 
     Each pool worker receives a formation of its own, a share of the
-    batchable cells.  The serialised sweep must not depend on it.  ``unbatched`` is process-local, so with
+    cells.  The serialised sweep must not depend on it.  ``unbatched`` is process-local, so with
     ``batched=False`` the serial run is replication by replication while
     the pool workers may still form lockstep groups.
     """

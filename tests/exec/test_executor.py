@@ -86,22 +86,22 @@ class TestParallelExecutor:
     def test_empty_plan(self):
         assert list(ParallelExecutor(jobs=2).run([])) == []
 
-    def test_chunking_covers_every_cell_once(self, single_config,
-                                             monkeypatch):
+    def test_chunking_covers_every_cell_once(self, single_config):
         from repro.sim import lockstep
 
         plan = plan_sweep(single_config, "n_channels", [4, 6],
                           ["proposed", "heuristic1"], n_runs=3)
-        cells = list(plan.cells)
-        for jobs, cap, widths in ((2, lockstep.MAX_BATCH, [3, 3]),
-                                  (1, 4, [3, 3]), (1, 6, [6])):
-            monkeypatch.setattr(lockstep, "MAX_BATCH", cap)
+        faulted = plan_campaign(single_config.replace(
+            fault_plan=FaultPlan(poison_runs={1})), 6)
+        cells = list(plan.cells) + list(faulted.cells)
+        for jobs, widths in ((1, [12]), (2, [6, 6]), (5, [3, 3, 2, 2, 2]),
+                             (20, [1] * 12)):
             chunks = ParallelExecutor(jobs=jobs, chunk_size=2)._chunks(cells)
             flat = sorted(cell.key for chunk in chunks for cell in chunk)
             assert flat == sorted(cell.key for cell in cells)
-            # The formations go first, each one whole task: the worker
-            # plans it as one group, and no other task holds a
-            # batchable cell.
+            # One formation per worker goes first, each one whole task:
+            # the worker plans it as one group.  The fault-plan cells
+            # follow in chunks.
             formations = chunks[:len(widths)]
             assert [len(task) for task in formations] == widths
             for task in formations:

@@ -1,8 +1,8 @@
-"""Tracing, budgets and workers leave the batchable cells in lockstep.
+"""Tracing, budgets and workers leave every cell in lockstep.
 
-A lockstep formation runs whatever the tracer, ``--profile``,
-``--jobs`` or ``--cell-timeout``: only ``cell_batchable`` decides a
-cell's path.  A traced formation writes the spans the per-cell path
+A lockstep formation runs whatever the scheme, the tracer,
+``--profile``, ``--jobs`` or ``--cell-timeout``: only ``cell_batchable``
+decides a cell's path.  A traced formation writes the spans the per-cell path
 writes -- the same names, kinds, attrs and nesting, member by member --
 with each member's own apportioned durations.
 """
@@ -16,10 +16,10 @@ import pytest
 from repro import obs
 from repro.cli import main
 from repro.exec.executor import SerialExecutor
-from repro.core.heuristics import EqualAllocationHeuristic
 from repro.exec.plan import plan_campaign, plan_sweep
 from repro.experiments.scenarios import interfering_fbs_scenario
-from repro.registry import SchemeInfo, scheme_registry
+from repro.sim.metrics import RunMetrics
+from repro.utils.errors import ReproError
 from tests.oracle import unbatched
 
 FIGURES = ("fig4b", "fig6a")
@@ -75,14 +75,11 @@ def test_every_way_to_run_keeps_lockstep(tmp_path, reference, figure,
     result = json.loads(data)
     n_points = len(result["values"])
     schemes = list(result["summaries"])
-    batchable = [name for name in schemes
-                 if scheme_registry().get(name).batchable]
-    assert batchable
     counters = snapshot["counters"]
     assert counters["repro_lockstep_groups_total"] >= 1
-    # Every batchable cell's first attempt ran in a formation.
+    # Every cell's first attempt ran in a formation, whatever its scheme.
     assert counters["repro_lockstep_batch_members_total"] == \
-        len(batchable) * n_points * 2
+        len(schemes) * n_points * 2
     assert "repro_lockstep_escapes_total" not in counters
 
     if not tracing:
@@ -234,41 +231,47 @@ class TestFormationSpans:
                    for event in events) == len(cells)
 
 
-class _InlineOnlyAllocator:
-    """Registered batchable, but cannot yield solve requests: lockstep
-    refuses the member and the per-cell path runs it."""
+def test_an_escaped_member_is_marked_and_rerun(tmp_path, monkeypatch):
+    # The stacked kernel and its one-at-a-time fallback both raise, so
+    # each member's first greedy Q(c) request fails at its yield point.
+    # The greedy runs outside the fallback chain, which cannot absorb
+    # the error: the member escapes, and the per-cell path reruns it.
+    from repro.sim import lockstep
 
-    def __init__(self):
-        self._inner = EqualAllocationHeuristic()
+    def raising(*args):
+        raise ReproError("no stacked answer")
 
-    def allocate(self, problem):
-        return self._inner.allocate(problem)
-
-
-def test_an_escaped_member_is_marked_and_rerun(tmp_path):
-    info = SchemeInfo(name="inline-only", factory=_InlineOnlyAllocator,
-                      batchable=True)
+    monkeypatch.setattr(lockstep, "solve_requests", raising)
+    monkeypatch.setattr(lockstep, "answer_request", raising)
     path = tmp_path / "escaped.trace"
-    with scheme_registry().temporarily(info):
-        config = interfering_fbs_scenario(
-            n_gops=1, n_channels=4, seed=123, scheme="inline-only")
-        obs.activate(obs.SpanTracer(str(path), collect_phases=True))
-        try:
-            cells = plan_campaign(config, 2).cells
-            outcomes = list(SerialExecutor().run(cells))
-        finally:
-            obs.deactivate()
+    config = interfering_fbs_scenario(
+        n_gops=1, n_channels=4, seed=123, scheme="proposed-fast")
+    obs.activate(obs.SpanTracer(str(path), collect_phases=True))
+    try:
+        cells = plan_campaign(config, 2).cells
+        outcomes = list(SerialExecutor().run(cells))
+    finally:
+        obs.deactivate()
     assert len(outcomes) == 2
+    assert all(isinstance(outcome.result, RunMetrics)
+               for outcome in outcomes)
     events = obs.read_trace(str(path))
     by_id = {event["span"]: event for event in events}
     replications = [event for event in events
                     if event["kind"] == "replication"]
-    # Each refused member's span is marked; the per-cell path's own
-    # replication follows it, and the slots nest under the rerun.
+    # Each escaped member's span is marked; the per-cell path's own
+    # replication follows it.  The escaped attempt's one slot nests
+    # under the marked span, and every slot of the rerun under its own.
     marks = sorted((event["attrs"]["run"], "escaped" in event["attrs"])
                    for event in replications)
     assert marks == [(0, False), (0, True), (1, False), (1, True)]
+    slots = Counter()
     for event in events:
         if event["kind"] in NESTED_KINDS:
             replication = _replication_of(event, by_id)
-            assert not replication["attrs"].get("escaped")
+            assert replication is not None, event
+            if event["kind"] == "slot":
+                attrs = replication["attrs"]
+                slots[attrs["run"], "escaped" in attrs] += 1
+    assert slots == {(0, True): 1, (1, True): 1,
+                     (0, False): config.n_slots, (1, False): config.n_slots}

@@ -2,9 +2,8 @@
 
 Covers the failure modes a third-party registration can hit: duplicate
 names, unknown lookups (the error must list what *is* registered),
-option passing to schemes that take none, capability-flag misuse (a
-"batchable" scheme whose allocator cannot actually yield solve
-requests), and the identity stamp's flow into the config hashes and
+option passing to schemes that take none, the capability flags'
+effects, and the identity stamp's flow into the config hashes and
 checkpoint headers.
 """
 
@@ -12,16 +11,11 @@ import pytest
 
 from repro.core.allocator import ProposedAllocator, get_allocator
 from repro.core.heuristics import EqualAllocationHeuristic
-from repro.exec.executor import _execute_cell
-from repro.exec.plan import plan_campaign
 from repro.experiments.scenarios import interfering_fbs_scenario
-from repro.obs.metrics import enable_metrics, reset_metrics, scoped_registry
 from repro.registry import SchemeInfo, scenario_registry, scheme_registry
 from repro.sim.checkpoint import SweepCheckpoint
 from repro.sim.config import ScenarioConfig
 from repro.sim.fallback import fallback_chain_for
-from repro.sim.lockstep import plan_batch_groups, run_cells_lockstep
-from repro.sim.metrics import RunMetrics
 from repro.store.confighash import config_hash, scenario_hash
 from repro.utils.errors import CheckpointError, ConfigurationError
 
@@ -138,59 +132,7 @@ class TestGeneratorIdentity:
         assert len(resumed) == 0
 
 
-class _InlineOnlyAllocator:
-    """Claims batchability via its registration but cannot yield solve
-    requests -- the capability-misuse case lockstep must refuse."""
-
-    name = "inline-only"
-
-    def __init__(self):
-        self._inner = EqualAllocationHeuristic()
-
-    def allocate(self, problem):
-        return self._inner.allocate(problem)
-
-
 class TestCapabilityFlags:
-    def test_batchable_schemes_follow_the_registry(self):
-        batchable = tuple(info.name for info in scheme_registry()
-                          if info.batchable)
-        assert batchable == ("proposed", "proposed-fast")
-
-    def test_non_batchable_schemes_plan_as_singletons(self):
-        config = interfering_fbs_scenario(
-            n_gops=1, n_channels=4, seed=123, scheme="graph-coloring")
-        groups = plan_batch_groups(plan_campaign(config, 3).cells)
-        assert [len(group) for group in groups] == [1, 1, 1]
-
-    def test_misdeclared_batchable_scheme_is_refused_inline(self):
-        """A scheme registered batchable whose allocator cannot yield is
-        refused by lockstep (counted) and degrades to the inline solve."""
-        info = SchemeInfo(name="inline-only", factory=_InlineOnlyAllocator,
-                          batchable=True)
-        with scheme_registry().temporarily(info):
-            config = interfering_fbs_scenario(
-                n_gops=1, n_channels=4, seed=123, scheme="inline-only")
-            cells = plan_campaign(config, 2).cells
-            groups = plan_batch_groups(cells)
-            assert [len(group) for group in groups] == [2]
-
-            enable_metrics(True)
-            try:
-                with scoped_registry() as registry:
-                    outcomes = list(run_cells_lockstep(cells, _execute_cell))
-                    counters = registry.counters()
-            finally:
-                enable_metrics(False)
-                reset_metrics()
-
-        assert counters["repro_lockstep_refused_total"] == 2
-        assert counters["repro_lockstep_escapes_total"] == 2
-        assert counters["repro_lockstep_batched_solves_total"] == 0
-        assert [key for key, _, _ in outcomes] == [c.key for c in cells]
-        for _, result, _ in outcomes:
-            assert isinstance(result, RunMetrics)
-
     def test_fallback_chain_orders_by_registration(self):
         primary = scheme_registry().create("heuristic2")
         chain = fallback_chain_for("heuristic2", primary)

@@ -8,6 +8,8 @@ resumes byte-identical to an uninterrupted one, at any worker count.
 """
 
 import json
+import multiprocessing
+import os
 import signal
 
 import pytest
@@ -22,6 +24,7 @@ from repro.exec.supervisor import (
 )
 from repro.experiments.results_io import sweep_to_dict
 from repro.sim.checkpoint import SweepCheckpoint
+from repro.sim.engine import SimulationEngine
 from repro.sim.runner import sweep
 from repro.utils.errors import SweepInterrupted
 
@@ -159,6 +162,66 @@ class TestDrainMidSweep:
         assert len(partial) >= 3
 
         resumed = run(fast_config, checkpoint_path=path)
+        assert as_json(resumed) == as_json(reference)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_no_admission_after_drain(self, fast_config, tmp_path,
+                                      monkeypatch, jobs):
+        """A drain reaches the formation's admission loop: once a
+        process has seen it (the parent's trigger at ``--jobs 1``, a
+        worker's acknowledgement at ``--jobs 2``), it builds no engine."""
+        if jobs > 1 and multiprocessing.get_start_method() != "fork":
+            pytest.skip("the event log reaches workers only through fork")
+        args = ("n_channels", [4, 6], ["heuristic1", "proposed-fast"])
+        reference = sweep(fast_config, *args, n_runs=6)
+
+        log = tmp_path / "events.log"
+
+        def note(event):
+            with open(log, "a") as handle:
+                handle.write(f"{os.getpid()} {event}\n")
+
+        def logged(method, event):
+            def wrapper(self, *a, **kw):
+                note(event)
+                return method(self, *a, **kw)
+            return wrapper
+
+        monkeypatch.setattr(SimulationEngine, "__init__",
+                            logged(SimulationEngine.__init__, "build"))
+        for method in ("trigger", "follow"):
+            monkeypatch.setattr(ShutdownCoordinator, method, logged(
+                getattr(ShutdownCoordinator, method), "drain"))
+
+        path = tmp_path / "sweep.ckpt"
+        coordinator = ShutdownCoordinator(hard_exit=lambda code: None)
+        executor = (SerialExecutor() if jobs == 1 else
+                    ParallelExecutor(2, shutdown=coordinator))
+        with coordinator:
+            with pytest.raises(SweepInterrupted):
+                sweep(fast_config, *args, n_runs=6, checkpoint_path=path,
+                      executor=executor,
+                      progress=TriggerAfter(coordinator, after=2))
+
+        events = {}
+        for line in log.read_text().splitlines():
+            pid, event = line.split()
+            events.setdefault(int(pid), []).append(event)
+        drained = [pid for pid, seen in events.items() if "drain" in seen]
+        if jobs == 1:
+            assert drained == [os.getpid()]
+        else:
+            assert set(drained) - {os.getpid()}
+        for seen in events.values():
+            if "drain" in seen:
+                assert "build" not in seen[seen.index("drain"):]
+
+        partial = SweepCheckpoint(path, parameter=args[0], values=args[1],
+                                  schemes=args[2], n_runs=6,
+                                  seed=fast_config.seed)
+        assert 0 < len(partial) < 24
+        monkeypatch.undo()
+        resumed = sweep(fast_config, *args, n_runs=6, checkpoint_path=path)
         assert as_json(resumed) == as_json(reference)
 
     def test_serial_executor_stops_dispatching_when_draining(self,

@@ -197,6 +197,13 @@ class TestWorkerCrash:
             assert outcome.result.attempts == MAX_DISPATCH_ATTEMPTS
 
 
+#: Counters that record how cells were spread over worker processes.
+SPREAD_COUNTERS = ("repro_video_rd_table_requests_total",
+                   "repro_lockstep_groups_total",
+                   "repro_lockstep_rounds_total",
+                   "repro_lockstep_stacked_iterations_total")
+
+
 class TestSupervisionTelemetry:
     def test_timeout_and_backoff_counters_in_metrics_snapshot(
             self, hanging_config):
@@ -234,15 +241,15 @@ class TestSupervisionTelemetry:
 
         def deterministic(snapshot):
             # Wall-clock samples (busy/phase seconds) legitimately vary
-            # between runs, and cache-traffic counters (R-D table
-            # hit/miss splits) depend on how cells spread over worker
+            # between runs.  Cache-traffic counters (R-D table hit/miss
+            # splits) and the formations' groups, rounds and stacked
+            # iterations depend on how cells spread over worker
             # processes, not on simulation events; every other
             # event-count sample must not vary.
             return {section: {key: normalise(value)
                               for key, value in samples.items()
                               if "seconds" not in key
-                              and not key.startswith(
-                                  "repro_video_rd_table_requests_total")}
+                              and not key.startswith(SPREAD_COUNTERS)}
                     for section, samples in snapshot.items()}
 
         plain = collect()
@@ -275,8 +282,8 @@ class TestBudgetsKeepLockstep:
     @needs_fork
     def test_budgeted_sweep_batches_inside_workers(self, fast_config,
                                                    tmp_path, monkeypatch):
-        # 16 replications of one batchable scheme: the default chunking
-        # hands every worker multi-cell tasks at jobs 1 and at jobs 2.
+        # 16 replications of one scheme: every worker gets a formation
+        # of several cells at jobs 1 and at jobs 2.
         args = ("n_channels", [4], ["proposed"])
         reference = sweep(fast_config, *args, n_runs=16)
         log = tmp_path / "lockstep.log"
