@@ -9,15 +9,12 @@ allocation optimum, and the eq. (23) bound dominates that optimum.
 import numpy as np
 
 from benchmarks.conftest import BENCH_SEED, report
-from repro.core.bounds import (
-    closed_form_upper_bound,
-    theorem2_factor,
-    tighter_upper_bound,
-)
-from repro.core.greedy import GreedyChannelAllocator, exhaustive_channel_optimum
+from repro.core.bounds import theorem2_factor, tighter_upper_bound
+from repro.core.greedy import GreedyChannelAllocator
 from repro.experiments.scenarios import interfering_fbs_scenario
 from repro.sim.engine import SimulationEngine
 from tests.oracle import drive_exact
+from tests.reference import closed_form_upper_bound, exhaustive_channel_optimum
 
 
 def measure_bounds(n_slots=6):

@@ -11,7 +11,7 @@ Core algorithms
     :class:`repro.core.DualDecompositionSolver` (Tables I/II),
     :class:`repro.core.GreedyChannelAllocator` (Table III),
     :func:`repro.core.tighter_upper_bound` (eq. 23),
-    the comparison heuristics, and the exact reference oracle.
+    and the comparison heuristics.
 Substrates
     :mod:`repro.spectrum` (Markov occupancy), :mod:`repro.sensing`
     (fusion eqs. 2-4, access policy eqs. 5-7), :mod:`repro.phy`

@@ -19,7 +19,9 @@ Exit codes form a contract CI and job-service callers can assert:
 
 * ``0`` -- success (failed replications are *reported* but tolerated
   unless ``--fail-on-error`` is given).
-* ``2`` -- argparse usage error (argparse's own convention).
+* ``2`` -- usage error: argparse's own, or a configuration the run
+  cannot honour (a :class:`~repro.utils.errors.ConfigurationError`,
+  e.g. ``--runs`` above 1999 without the ``dev`` extra installed).
 * ``3`` -- ``--fail-on-error`` was given and at least one replication
   failed after its retry (including cells killed by ``--cell-timeout``).
 * ``4`` -- graceful shutdown: a SIGINT/SIGTERM arrived, in-flight cells
@@ -48,7 +50,7 @@ from repro.experiments.report import format_convergence, format_fig3, format_swe
 from repro.experiments.scenarios import interfering_fbs_scenario, single_fbs_scenario
 from repro.registry import scenario_registry, scheme_registry
 from repro.sim.runner import MonteCarloRunner
-from repro.utils.errors import SweepDeadlineExceeded, SweepInterrupted
+from repro.utils.errors import ConfigurationError, SweepDeadlineExceeded, SweepInterrupted
 
 #: Figure commands in run order for ``python -m repro all``.
 FIGURES = ("fig3", "fig4a", "fig4b", "fig4c", "fig6a", "fig6b", "fig6c")
@@ -67,9 +69,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     # A command gets --output/--checkpoint/--chart only if it honours
-    # them, and the Monte-Carlo flags (--runs/--gops/--jobs/--progress,
-    # the budgets, --fail-on-error) only if it runs replications, so
-    # passing one it would ignore is a usage error (exit 2).
+    # them, and the Monte-Carlo flags (--runs/--gops/--jobs/--progress/
+    # --profile, the budgets, --fail-on-error) only if it runs
+    # replications, so passing one it would ignore is a usage error
+    # (exit 2).
     def add_common(p, *, output=True, checkpoint=True, chart=True,
                    replications=True):
         if replications:
@@ -100,11 +103,11 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--progress", action="store_true",
                            help="live per-cell progress on stderr plus an "
                                 "end-of-run timing report")
-        p.add_argument("--profile", action="store_true",
-                       help="print per-phase engine timings (sensing/"
-                            "access/allocation/transmission) with the "
-                            "timing report; with --trace, also collect "
-                            "per-phase and solver spans")
+            p.add_argument("--profile", action="store_true",
+                           help="print per-phase engine timings (sensing/"
+                                "access/allocation/transmission) with the "
+                                "timing report; with --trace, also collect "
+                                "per-phase and solver spans")
         p.add_argument("--trace", metavar="FILE", default=None,
                        help="append a JSONL span trace of the run to FILE "
                             "(see repro.obs.trace)")
@@ -540,7 +543,6 @@ def _run_workspace(args) -> int:
     import os
 
     from repro.store.workspace import ENV_WORKSPACE, FileWorkspace
-    from repro.utils.errors import ConfigurationError
 
     root = getattr(args, "workspace", None) or os.environ.get(ENV_WORKSPACE)
     if not root:
@@ -655,7 +657,6 @@ def _run_compare(args) -> int:
     import json
 
     from repro.experiments.compare import compare_results
-    from repro.utils.errors import ConfigurationError
 
     try:
         report = compare_results(args.result_a, args.result_b)
@@ -766,6 +767,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         with obs.maybe_span("run", kind="run", command=args.command):
             code = _dispatch(args)
+    except ConfigurationError as exc:
+        print(f"repro {args.command}: error: {exc}", file=sys.stderr)
+        code = 2
     except SweepInterrupted as exc:
         print(f"[interrupted: {exc}]", file=sys.stderr)
         code = EXIT_INTERRUPTED

@@ -9,19 +9,19 @@
 * :mod:`repro.core.bounds` -- Theorem 2's ``1/(1+D_max)`` guarantee and the
   tighter data-dependent upper bound of eq. (23).
 * :mod:`repro.core.heuristics` -- the paper's two comparison schemes.
-* :mod:`repro.core.reference` -- exact oracle solver (exhaustive partition
-  + water-filling) used to validate the distributed algorithm in tests.
+* :mod:`repro.core.reference` -- the exact water-filling solve of a
+  fixed base-station assignment (the exhaustive oracles built on it,
+  which validate the distributed algorithm, live in ``tests/reference.py``).
 * :mod:`repro.core.allocator` -- scheme registry / facade used by the
   simulation engine.
 """
 
-from repro.core.allocator import SCHEMES, get_allocator
+from repro.core.allocator import get_allocator
 from repro.core.bounds import GreedyTrace, theorem2_factor, tighter_upper_bound
 from repro.core.dual import DualDecompositionSolver, DualSolution, fast_solve, flip_polish
 from repro.core.greedy import GreedyChannelAllocator, GreedyResult
 from repro.core.heuristics import EqualAllocationHeuristic, MultiuserDiversityHeuristic
 from repro.core.problem import Allocation, SlotProblem, UserDemand
-from repro.core.reference import exhaustive_reference_solution, water_filling
 
 __all__ = [
     "Allocation",
@@ -32,14 +32,11 @@ __all__ = [
     "GreedyResult",
     "GreedyTrace",
     "MultiuserDiversityHeuristic",
-    "SCHEMES",
     "SlotProblem",
     "UserDemand",
-    "exhaustive_reference_solution",
     "fast_solve",
     "flip_polish",
     "get_allocator",
     "theorem2_factor",
     "tighter_upper_bound",
-    "water_filling",
 ]

@@ -121,15 +121,10 @@ register_scheme(SchemeInfo(
     description="Multiuser-diversity comparison heuristic.",
 ))
 
-# Complete the built-in set before freezing SCHEMES: the graph-coloring
-# scheme registers itself at import.  Must be a direct submodule import
-# (this module runs during ``repro.core`` package init).
+# Complete the built-in set: the graph-coloring scheme registers itself
+# at import.  Must be a direct submodule import (this module runs during
+# ``repro.core`` package init).
 import repro.core.coloring  # noqa: E402,F401
-
-#: Names of all registered schemes, in registration order.  Kept as a
-#: module attribute for backward compatibility; the registry is the
-#: source of truth.
-SCHEMES = scheme_registry().names()
 
 
 def get_allocator(scheme: str, **kwargs):

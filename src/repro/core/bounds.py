@@ -18,7 +18,7 @@ Two results are implemented:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import Sequence
 
 from repro.net.interference import InterferenceGraph, max_degree
 from repro.utils.errors import ConfigurationError
@@ -121,40 +121,3 @@ def tighter_upper_bound(trace: GreedyTrace) -> float:
     upper-bound the global optimum.
     """
     return trace.q_final + sum(step.bound_term for step in trace.steps)
-
-
-def closed_form_upper_bound(trace: GreedyTrace) -> float:
-    """Eq. (23) exactly as printed: ``Q(pi_L) + sum_l D(l) * Delta_l``.
-
-    Ignores any evaluated conflict gains; useful to quantify how loose
-    the closed form is relative to the evaluated bound.
-    """
-    return trace.q_final + sum(step.degree * step.gain for step in trace.steps)
-
-
-def theorem2_lower_bound(trace: GreedyTrace, graph: InterferenceGraph) -> float:
-    """Closed-form lower bound on the greedy's incremental objective.
-
-    Rearranging eq. (24): ``Q(pi_L) - Q(empty) >=
-    (Q(Omega) - Q(empty)) / (1 + D_max)``, so given the optimal value this
-    returns the guaranteed greedy value.  Used in tests against the
-    exhaustive optimum.
-    """
-    factor = theorem2_factor(graph)
-    return trace.q_empty + factor * (tighter_upper_bound(trace) - trace.q_empty)
-
-
-def verify_bound_holds(trace: GreedyTrace, optimum: float, graph: InterferenceGraph, *,
-                       tol: float = 1e-7) -> bool:
-    """Check both bounds against a known optimal objective ``Q(Omega)``.
-
-    Returns ``True`` iff the optimum does not exceed eq. (23)'s bound and
-    the greedy's incremental value is at least the Theorem 2 fraction of
-    the optimal incremental value (both up to ``tol``).
-    """
-    upper_ok = optimum <= tighter_upper_bound(trace) + tol
-    factor = theorem2_factor(graph)
-    greedy_incremental = trace.q_final - trace.q_empty
-    optimal_incremental = optimum - trace.q_empty
-    lower_ok = greedy_incremental >= factor * optimal_incremental - tol
-    return bool(upper_ok and lower_ok)

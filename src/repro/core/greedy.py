@@ -34,7 +34,6 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.batch import SolveRequest, drive, fast_solve_iter
 from repro.core.bounds import GreedyStep, GreedyTrace
-from repro.core.dual import fast_solve
 from repro.core.problem import Allocation, SlotProblem
 from repro.net.interference import InterferenceGraph
 from repro.obs.metrics import global_registry, metrics_enabled
@@ -247,62 +246,3 @@ def _best_channel_per_fbs(candidates: Set[Tuple[int, int]],
         if i not in best or posteriors[m] > posteriors[best[i][1]]:
             best[i] = (i, m)
     return sorted(best.values())
-
-
-def exhaustive_channel_optimum(problem: SlotProblem, available_channels: Sequence[int],
-                               posteriors: Dict[int, float],
-                               graph: InterferenceGraph, *,
-                               max_pairs: int = 16) -> Tuple[Dict[int, Set[int]], float]:
-    """Globally optimal channel allocation by exhaustive enumeration.
-
-    Enumerates every conflict-free assignment of available channels to
-    FBS subsets (each channel independently goes to any *independent set*
-    of the interference graph).  Exponential; used in tests to verify the
-    Theorem 2 / eq. (23) bounds.  ``Q(Omega)`` is returned alongside the
-    argmax allocation; each ``Q`` is a full
-    :func:`~repro.core.dual.fast_solve`.
-    """
-    fbs_ids = problem.fbs_ids
-    channels = list(available_channels)
-    if len(fbs_ids) * len(channels) > max_pairs:
-        raise ConfigurationError(
-            f"exhaustive channel search limited to {max_pairs} FBS-channel pairs, "
-            f"got {len(fbs_ids) * len(channels)}")
-    independent_sets = _independent_sets(fbs_ids, graph)
-
-    best_alloc: Dict[int, Set[int]] = {i: set() for i in fbs_ids}
-    best_q = None
-
-    def recurse(index: int, current: Dict[int, Set[int]]) -> None:
-        nonlocal best_alloc, best_q
-        if index == len(channels):
-            expected = {i: sum(posteriors[m] for m in chans)
-                        for i, chans in current.items()}
-            q_value = fast_solve(problem.with_expected_channels(expected)).objective
-            if best_q is None or q_value > best_q:
-                best_q = q_value
-                best_alloc = {i: set(chans) for i, chans in current.items()}
-            return
-        channel = channels[index]
-        for subset in independent_sets:
-            for fbs_id in subset:
-                current[fbs_id].add(channel)
-            recurse(index + 1, current)
-            for fbs_id in subset:
-                current[fbs_id].discard(channel)
-
-    recurse(0, {i: set() for i in fbs_ids})
-    return best_alloc, best_q
-
-
-def _independent_sets(fbs_ids: Sequence[int],
-                      graph: InterferenceGraph) -> List[Set[int]]:
-    """All independent sets (including the empty set) over ``fbs_ids``."""
-    sets: List[Set[int]] = [set()]
-    for fbs_id in fbs_ids:
-        new_sets = []
-        for existing in sets:
-            if all(not graph.has_edge(fbs_id, other) for other in existing):
-                new_sets.append(existing | {fbs_id})
-        sets.extend(new_sets)
-    return sets

@@ -47,10 +47,6 @@ import numpy as np
 from repro.utils.errors import ConfigurationError
 from repro.utils.validation import check_positive, check_probability
 
-#: Numerical slack tolerated when checking simplex feasibility.
-FEASIBILITY_TOL = 1e-9
-
-
 @dataclass(frozen=True)
 class UserDemand:
     """One CR user's view of the slot's allocation problem.
@@ -437,38 +433,3 @@ def evaluate_objective(problem: SlotProblem, allocation: Allocation) -> float:
             total += static.success_fbs[j] * (
                 np.log(w + rho * g_i * columns.r_fbs[j]) - np.log(w))
     return float(total)
-
-
-def check_feasible(problem: SlotProblem, allocation: Allocation, *,
-                   tol: float = FEASIBILITY_TOL) -> None:
-    """Raise ``ConfigurationError`` unless ``allocation`` is feasible.
-
-    Checks non-negativity, the common-channel simplex, each FBS's simplex,
-    and that no user holds time on the base station it did not select.
-    """
-    for mapping, label in ((allocation.rho_mbs, "rho_mbs"), (allocation.rho_fbs, "rho_fbs")):
-        for user_id, rho in mapping.items():
-            if rho < -tol:
-                raise ConfigurationError(f"{label}[{user_id}] = {rho} is negative")
-    static = problem.columns.static
-    user_ids = static.user_ids
-    mbs_user_ids = allocation.mbs_user_ids
-    mbs_total = sum(allocation.rho_mbs.get(user_id, 0.0)
-                    for user_id in user_ids if user_id in mbs_user_ids)
-    if mbs_total > 1.0 + tol:
-        raise ConfigurationError(f"common-channel shares sum to {mbs_total} > 1")
-    for fbs_id, members in static.groups.items():
-        fbs_total = sum(allocation.rho_fbs.get(user_ids[j], 0.0)
-                        for j in members if user_ids[j] not in mbs_user_ids)
-        if fbs_total > 1.0 + tol:
-            raise ConfigurationError(
-                f"FBS {fbs_id} shares sum to {fbs_total} > 1")
-    for user_id in user_ids:
-        if user_id in mbs_user_ids:
-            stray = allocation.rho_fbs.get(user_id, 0.0)
-        else:
-            stray = allocation.rho_mbs.get(user_id, 0.0)
-        if stray > tol:
-            raise ConfigurationError(
-                f"user {user_id} holds time share {stray} on its "
-                f"non-selected base station (Theorem 1 violated)")

@@ -1,19 +1,12 @@
-"""Exact reference solvers ("oracles") for the per-slot problem.
+"""Exact solves of the per-slot problem for a fixed assignment.
 
-Two building blocks:
-
-* :func:`water_filling` -- given the binary base-station assignment, each
-  base station's subproblem is a weighted log-utility water-filling over
-  the slot simplex, solved exactly in closed form by a breakpoint scan on
-  the KKT multiplier.
-* :func:`exhaustive_reference_solution` -- enumerate all ``2^K`` binary
-  assignments (Theorem 1: the optimal ``p`` is binary, so this search is
-  exact for problem (12)/(17)) and water-fill each.  Exponential in ``K``,
-  intended for tests and small instances only.
-
-The distributed dual algorithm (Tables I/II) is validated against these in
-the test suite; the greedy bound checks of Theorem 2 use them to compute
-true optima on small interfering instances.
+Given the binary base-station assignment, each base station's
+subproblem of (12)/(17) is a weighted log-utility water-filling over the
+slot simplex, solved exactly in closed form by a breakpoint scan on the
+KKT multiplier.  The dual solver's primal recovery and ``flip_polish``
+call it thousands of times per slot; the exhaustive oracles the test
+suite certifies the distributed algorithms with (``tests/reference.py``)
+enumerate assignments over it.
 
 The water-filling step (:func:`_water_filling`, DESIGN §10) is one
 breakpoint scan over Python float lists: a stable descending sort of the
@@ -37,28 +30,11 @@ variants of the slot, stop re-solving identical subgroups.
 
 from __future__ import annotations
 
-import itertools
 import math
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.problem import Allocation, SlotColumns, SlotProblem
 from repro.utils.errors import ConfigurationError
-
-
-def _validate_water_filling(weights: Sequence[float], bases: Sequence[float],
-                            slopes: Sequence[float]) -> int:
-    """Shared input validation; returns the (common) length."""
-    n = len(weights)
-    if not (len(bases) == len(slopes) == n):
-        raise ConfigurationError(
-            f"weights/bases/slopes must have equal length, got "
-            f"{n}/{len(bases)}/{len(slopes)}")
-    for j in range(n):
-        if bases[j] <= 0:
-            raise ConfigurationError(f"bases[{j}] must be positive, got {bases[j]}")
-        if weights[j] < 0 or slopes[j] < 0:
-            raise ConfigurationError("weights and slopes must be non-negative")
-    return n
 
 
 def _water_filling(weights: List[float], bases: List[float],
@@ -144,32 +120,6 @@ def _water_filling(weights: List[float], bases: List[float],
         if share > 0.0:
             value += weights[j] * math.log1p(share * slopes[j] / bases[j])
     return rho, value
-
-
-def water_filling(weights: Sequence[float], bases: Sequence[float],
-                  slopes: Sequence[float]) -> Tuple[List[float], float]:
-    """Maximise ``sum_j weights_j * [log(bases_j + rho_j slopes_j) - log(bases_j)]``.
-
-    Subject to ``sum_j rho_j <= 1`` and ``rho >= 0``.  This is the
-    per-base-station subproblem of (12)/(17) once the assignment is fixed:
-    ``weights`` are link success probabilities ``bar P^F``, ``bases`` the
-    PSNR states ``W_j``, ``slopes`` the effective per-slot increments
-    (``R_{0,j}`` on the MBS, ``G_i * R_{i,j}`` on an FBS).  The
-    ``- log(bases_j)`` normalisation makes the value the expected
-    log-PSNR *gain* (see :mod:`repro.core.problem`); it is constant in
-    ``rho`` and does not affect the optimiser.
-
-    Returns
-    -------
-    (rho, value):
-        The optimal shares and the attained objective value.  Users with
-        zero weight or zero slope receive zero share and contribute zero
-        value.
-    """
-    _validate_water_filling(weights, bases, slopes)
-    return _water_filling([float(x) for x in weights],
-                          [float(x) for x in bases],
-                          [float(x) for x in slopes])
 
 
 class CompiledSlotProblem:
@@ -285,30 +235,3 @@ def solve_given_assignment(problem: SlotProblem, mbs_user_ids) -> Allocation:
     """
     return compile_slot_problem(problem).solve_assignment(
         mbs_user_ids, problem.expected_channels)
-
-
-def exhaustive_reference_solution(problem: SlotProblem, *,
-                                  max_users: int = 16) -> Allocation:
-    """Globally optimal solution by enumerating all binary assignments.
-
-    By Theorem 1 the optimum of (12)/(17) has every ``p_j`` in ``{0, 1}``,
-    so enumerating the ``2^K`` assignments and exactly water-filling each
-    is an exact (if exponential) algorithm.
-
-    Raises
-    ------
-    ConfigurationError
-        If ``K > max_users`` -- the guard against accidentally launching an
-        exponential search on a large instance.
-    """
-    if problem.n_users > max_users:
-        raise ConfigurationError(
-            f"exhaustive search limited to {max_users} users, got {problem.n_users}")
-    user_ids = problem.columns.static.user_ids
-    best: Allocation = None
-    for pattern in itertools.product((False, True), repeat=len(user_ids)):
-        assignment = {uid for uid, on_mbs in zip(user_ids, pattern) if on_mbs}
-        candidate = solve_given_assignment(problem, assignment)
-        if best is None or candidate.objective > best.objective:
-            best = candidate
-    return best

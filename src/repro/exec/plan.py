@@ -18,6 +18,7 @@ from typing import Callable, Iterable, Optional, Sequence, Tuple
 from repro.sim.checkpoint import SweepCheckpoint
 from repro.sim.config import ScenarioConfig
 from repro.utils.errors import ConfigurationError
+from repro.utils.stats import check_t_quantile
 
 #: Sweep "parameter" recorded for a single-scenario replication campaign.
 CAMPAIGN_PARAMETER = "<campaign>"
@@ -90,9 +91,15 @@ def plan_sweep(base_config: ScenarioConfig, parameter: str,
     The ``configure`` hook (or a plain ``replace(parameter=value)``) is
     applied *here*, in the planning process, so workers only ever see
     derived configs -- closures never need to be pickled.
+
+    A campaign whose confidence intervals need a Student-t quantile
+    beyond the committed table, and cannot have it here, is refused
+    before any cell runs or any checkpoint is opened
+    (:func:`repro.utils.stats.check_t_quantile`).
     """
     if n_runs < 1:
         raise ConfigurationError(f"n_runs must be >= 1, got {n_runs}")
+    check_t_quantile(n_runs - 1)
     if not schemes:
         raise ConfigurationError("schemes must be non-empty")
     if len(values) == 0:  # len(), not truthiness: values may be an ndarray

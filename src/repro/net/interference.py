@@ -146,16 +146,3 @@ def max_degree(graph: InterferenceGraph) -> int:
     if graph.number_of_nodes() == 0:
         return 0
     return max(degree for _node, degree in graph.degree())
-
-
-def is_valid_allocation(graph: InterferenceGraph, allocation) -> bool:
-    """Check the interference constraint of problem (21).
-
-    ``allocation`` maps ``fbs_id -> set of channel indices``.  Valid iff no
-    two adjacent FBSs share a channel.
-    """
-    for i, j in graph.edges:
-        shared = set(allocation.get(i, ())) & set(allocation.get(j, ()))
-        if shared:
-            return False
-    return True

@@ -90,9 +90,3 @@ def mean_sinr_db(tx_power_dbm: float, distance_m: float, pathloss: LogDistancePa
 def db_to_linear(value_db: float) -> float:
     """Convert a dB quantity to linear scale."""
     return 10.0 ** (float(value_db) / 10.0)
-
-
-def linear_to_db(value: float) -> float:
-    """Convert a linear quantity to dB."""
-    value = check_positive(value, "value")
-    return 10.0 * math.log10(value)

@@ -12,8 +12,6 @@ GOP deadline ``T`` into per-slot *PSNR increments*; those live in
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.utils.errors import ConfigurationError
 from repro.utils.validation import check_in_range, check_positive
 
@@ -38,36 +36,3 @@ def slot_rate_mbps(time_share: float, bandwidth_mbps: float,
         raise ConfigurationError(
             f"expected_channels must be non-negative, got {expected_channels}")
     return time_share * bandwidth_mbps * float(expected_channels)
-
-
-def slot_rates_mbps(time_shares, bandwidth_mbps: float,
-                    expected_channels=1.0) -> np.ndarray:
-    """Vectorized :func:`slot_rate_mbps` over many links at once.
-
-    Element-identical to the scalar function (the ``rho * B * G``
-    product is the same IEEE-754 multiplication chain); used when a
-    sweep or scheduler needs every link's slot throughput in one shot.
-    """
-    shares = np.asarray(time_shares, dtype=float)
-    if shares.size and (np.any(shares < 0.0) or np.any(shares > 1.0)):
-        raise ConfigurationError(
-            f"time shares must lie in [0, 1], got range "
-            f"[{shares.min()!r}, {shares.max()!r}]")
-    bandwidth_mbps = check_positive(bandwidth_mbps, "bandwidth_mbps", allow_zero=True)
-    expected = np.asarray(expected_channels, dtype=float)
-    if expected.size and np.any(expected < 0.0):
-        raise ConfigurationError(
-            f"expected_channels must be non-negative, got min {expected.min()!r}")
-    return shares * bandwidth_mbps * expected
-
-
-def gop_bits(bandwidth_mbps: float, n_slots: int, slot_duration_s: float = 1e-2) -> float:
-    """Total bits deliverable on one channel over a GOP window of ``n_slots``.
-
-    Utility for packet-level accounting in :mod:`repro.video.packets`.
-    """
-    bandwidth_mbps = check_positive(bandwidth_mbps, "bandwidth_mbps", allow_zero=True)
-    slot_duration_s = check_positive(slot_duration_s, "slot_duration_s")
-    if n_slots < 0:
-        raise ConfigurationError(f"n_slots must be non-negative, got {n_slots}")
-    return bandwidth_mbps * 1e6 * slot_duration_s * n_slots

@@ -1,14 +1,11 @@
 """Packet-loss probability from the SINR distribution (eq. 8).
 
-Thin functional wrappers over the fading models for call sites that only
-need the scalar probabilities and not a stateful link object.
+Thin functional wrappers over a fading model's CDF, for call sites that
+need one link's scalar probabilities.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro.utils.errors import ConfigurationError
 from repro.utils.validation import check_positive
 
 
@@ -32,29 +29,3 @@ def packet_loss_probability(fading, threshold: float) -> float:
 def success_probability(fading, threshold: float) -> float:
     """``bar P^F = 1 - F_X(H)`` -- probability the slot decodes."""
     return 1.0 - packet_loss_probability(fading, threshold)
-
-
-def rayleigh_loss_probabilities(mean_sinrs, threshold: float) -> np.ndarray:
-    """Vectorized Rayleigh ``P^F = 1 - exp(-H / mean)`` over many links.
-
-    Batched counterpart of evaluating :class:`~repro.phy.fading.RayleighFading`
-    ``.cdf(threshold)`` per link.  Matches the scalar path to within one
-    ulp of unity, i.e. ``2^-52`` absolute (numpy's SIMD ``exp`` and
-    libm's ``math.exp`` disagree in the last bit on a few percent of
-    inputs, and the subtraction from 1.0 keeps that discrepancy as an
-    absolute error); the simulation engine's
-    bit-exact guarantee is unaffected because per-link loss
-    probabilities are static and hoisted -- only analyses and sweeps
-    evaluate the CDF in bulk.
-    """
-    means = np.asarray(mean_sinrs, dtype=float)
-    threshold = check_positive(threshold, "threshold", allow_zero=True)
-    if means.size and np.any(means <= 0.0):
-        raise ConfigurationError(
-            f"mean SINRs must be positive, got min {means.min()!r}")
-    return 1.0 - np.exp(-threshold / means)
-
-
-def rayleigh_success_probabilities(mean_sinrs, threshold: float) -> np.ndarray:
-    """Vectorized ``bar P^F = exp(-H / mean)`` over many Rayleigh links."""
-    return 1.0 - rayleigh_loss_probabilities(mean_sinrs, threshold)

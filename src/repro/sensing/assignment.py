@@ -7,19 +7,16 @@ This module decides *which* channel each single-transceiver user senses.
 
 The paper does not prescribe a specific assignment rule, only that every
 channel ends up with some sensing results (FBS antennas guarantee at least
-one observation per channel).  We provide a deterministic round-robin
-rule -- which spreads user observations evenly and makes simulations
-reproducible -- plus a randomised variant for ablations.
+one observation per channel).  We use a deterministic round-robin
+rule, which spreads user observations evenly and makes simulations
+reproducible.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
-
-import numpy as np
+from typing import Dict, Sequence
 
 from repro.utils.errors import ConfigurationError
-from repro.utils.rng import RandomState, as_generator
 
 
 def assign_sensors_round_robin(user_ids: Sequence[int], n_channels: int, *,
@@ -49,24 +46,3 @@ def assign_sensors_round_robin(user_ids: Sequence[int], n_channels: int, *,
         user_id: (position + offset) % n_channels
         for position, user_id in enumerate(user_ids)
     }
-
-
-def assign_sensors_random(user_ids: Sequence[int], n_channels: int, *,
-                          rng: RandomState = None) -> Dict[int, int]:
-    """Assign each user a uniformly random channel (ablation variant)."""
-    if n_channels <= 0:
-        raise ConfigurationError(f"n_channels must be positive, got {n_channels}")
-    generator = as_generator(rng)
-    channels = generator.integers(0, n_channels, size=len(user_ids))
-    return {user_id: int(channel) for user_id, channel in zip(user_ids, channels)}
-
-
-def coverage_counts(assignment: Dict[int, int], n_channels: int) -> np.ndarray:
-    """How many users sense each channel under ``assignment``."""
-    counts = np.zeros(n_channels, dtype=np.int64)
-    for channel in assignment.values():
-        if not 0 <= channel < n_channels:
-            raise ConfigurationError(
-                f"assignment references channel {channel} outside 0..{n_channels - 1}")
-        counts[channel] += 1
-    return counts

@@ -9,7 +9,6 @@ each experiment point averages several independent runs with 95%
 confidence intervals.
 """
 
-from repro.sim.channel_assignment import color_partition_allocation
 from repro.sim.checkpoint import SweepCheckpoint
 from repro.sim.config import ScenarioConfig
 from repro.sim.engine import SimulationEngine, SlotRecord
@@ -28,7 +27,6 @@ __all__ = [
     "SlotRecord",
     "SweepCheckpoint",
     "SweepResult",
-    "color_partition_allocation",
     "summarize_runs",
     "sweep",
 ]

@@ -16,8 +16,7 @@ spatial reuse without conflicts, and no dependence on the video state.
 
 The interference graph never changes during a run, so step 1 is
 :func:`colour_classes`, computed once per engine, and step 2 is
-:func:`deal_channels`, run every slot; :func:`color_partition_allocation`
-composes the two.
+:func:`deal_channels`, run every slot.
 """
 
 from __future__ import annotations
@@ -88,18 +87,6 @@ def deal_channels(classes: Sequence[Sequence[int]], fbs_ids: Sequence[int],
         for fbs_id in classes[position % n_colors]:
             allocation[fbs_id].add(channel)
     return allocation
-
-
-def color_partition_allocation(graph: InterferenceGraph, fbs_ids: Sequence[int],
-                               available_channels: Sequence[int],
-                               posteriors: Dict[int, float]) -> Dict[int, Set[int]]:
-    """Conflict-free channel assignment by interference-graph colouring.
-
-    :func:`deal_channels` over :func:`colour_classes`; see those for
-    the parameters.  ``graph`` must hold (at least) ``fbs_ids``.
-    """
-    return deal_channels(colour_classes(graph, fbs_ids), fbs_ids,
-                         available_channels, posteriors)
 
 
 def expected_channels_of(allocation: Dict[int, Set[int]],

@@ -308,8 +308,8 @@ class SimulationEngine:
         allocation problem uses.  One exponential array draw over the
         hoisted interleaved scale vector (validated by the build)
         consumes the fading stream exactly like a per-user scalar loop
-        (see :func:`repro.utils.rng.batched_exponential`; the scalar
-        oracle lives in ``tests/oracle.py``).
+        (``batched_exponential`` in ``tests/reference.py`` states the
+        contract; the scalar oracle lives in ``tests/oracle.py``).
         """
         draws = self._fading_rng.exponential(self._csi_scales).tolist()
         return dict(zip(self._csi_user_ids, zip(draws[0::2], draws[1::2])))

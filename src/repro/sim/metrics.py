@@ -223,16 +223,14 @@ class MetricsSummary:
     phase_seconds: Mapping[str, float] = field(default_factory=dict)
 
 
-def summarize_runs(runs: Sequence[RunMetrics], confidence: float = 0.95,
+def summarize_runs(runs: Sequence[RunMetrics],
                    n_failed: int = 0) -> MetricsSummary:
-    """Summarise independent runs into confidence intervals.
+    """Summarise independent runs into 95% confidence intervals.
 
     Parameters
     ----------
     runs:
         The surviving replications (at least one).
-    confidence:
-        CI confidence level.
     n_failed:
         Replications that were lost to errors; recorded verbatim on the
         summary so downstream consumers can see the effective sample
@@ -249,18 +247,18 @@ def summarize_runs(runs: Sequence[RunMetrics], confidence: float = 0.95,
         accumulate_phase_seconds(phase_totals, run.phase_seconds)
     return MetricsSummary(
         mean_psnr=mean_confidence_interval(
-            [run.mean_psnr for run in runs], confidence),
+            [run.mean_psnr for run in runs]),
         per_user_psnr={
             user_id: mean_confidence_interval(
-                [run.per_user_psnr[user_id] for run in runs], confidence)
+                [run.per_user_psnr[user_id] for run in runs])
             for user_id in user_ids
         },
         upper_bound_psnr=mean_confidence_interval(
-            [run.upper_bound_psnr for run in runs], confidence),
+            [run.upper_bound_psnr for run in runs]),
         fairness=mean_confidence_interval(
-            [run.fairness for run in runs], confidence),
+            [run.fairness for run in runs]),
         mean_collision_rate=mean_confidence_interval(
-            [float(run.collision_rates.mean()) for run in runs], confidence),
+            [float(run.collision_rates.mean()) for run in runs]),
         n_failed=int(n_failed),
         n_degraded_slots=sum(run.n_degraded for run in runs),
         phase_seconds=phase_totals,

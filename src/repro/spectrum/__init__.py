@@ -7,12 +7,11 @@ for the CR network.
 """
 
 from repro.spectrum.channel import ChannelState, LicensedChannel, Spectrum
-from repro.spectrum.markov import OccupancyChain, transition_probs_for_utilization
+from repro.spectrum.markov import OccupancyChain
 
 __all__ = [
     "ChannelState",
     "LicensedChannel",
     "OccupancyChain",
     "Spectrum",
-    "transition_probs_for_utilization",
 ]

@@ -7,13 +7,14 @@ with transition probabilities ``P01_m`` (idle -> busy) and ``P10_m``
 
     eta_m = P01_m / (P01_m + P10_m)                      (eq. 1)
 
-This module provides the chain itself plus helpers to build chains with a
-prescribed utilisation -- the knob swept in Figs. 4(c) and 6(a).
+This module provides the chain itself; the utilisation sweeps of
+Figs. 4(c) and 6(a) set ``P01`` through
+:func:`repro.experiments.scenarios.utilization_to_p01`.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -99,35 +100,3 @@ class OccupancyChain:
     def __repr__(self) -> str:
         return (f"OccupancyChain(p01={self.p01}, p10={self.p10}, "
                 f"state={self._state}, utilization={self.utilization:.3f})")
-
-
-def transition_probs_for_utilization(eta: float, *, p10: float = 0.3) -> Tuple[float, float]:
-    """Transition probabilities ``(p01, p10)`` achieving utilisation ``eta``.
-
-    Inverts eq. (1) holding ``p10`` fixed, which is how the paper sweeps
-    channel utilisation in Figs. 4(c) and 6(a): eta = p01/(p01+p10) implies
-    p01 = eta * p10 / (1 - eta).
-
-    Raises
-    ------
-    ConfigurationError
-        If the required ``p01`` would exceed 1 (eta too close to 1 for the
-        given ``p10``), or eta is not in (0, 1).
-    """
-    eta = check_probability(eta, "eta", allow_zero=False, allow_one=False)
-    p10 = check_probability(p10, "p10", allow_zero=False)
-    p01 = eta * p10 / (1.0 - eta)
-    if p01 > 1.0:
-        raise ConfigurationError(
-            f"utilisation {eta} is unreachable with p10={p10}: would need p01={p01:.3f} > 1")
-    return p01, p10
-
-
-def stationary_distribution(p01: float, p10: float) -> np.ndarray:
-    """Stationary distribution ``[Pr{idle}, Pr{busy}]`` of the chain."""
-    p01 = check_probability(p01, "p01")
-    p10 = check_probability(p10, "p10")
-    if p01 == 0.0 and p10 == 0.0:
-        raise ConfigurationError("p01 and p10 cannot both be zero")
-    eta = p01 / (p01 + p10)
-    return np.array([1.0 - eta, eta])

@@ -8,13 +8,11 @@ on them without creating import cycles.
 from repro.utils.errors import (
     ConfigurationError,
     ConvergenceError,
-    InfeasibleProblemError,
     ReproError,
 )
 from repro.utils.rng import RandomState, as_generator, spawn_streams
 from repro.utils.stats import (
     ConfidenceInterval,
-    RunningMean,
     mean_confidence_interval,
 )
 from repro.utils.validation import (
@@ -28,10 +26,8 @@ __all__ = [
     "ConfidenceInterval",
     "ConfigurationError",
     "ConvergenceError",
-    "InfeasibleProblemError",
     "RandomState",
     "ReproError",
-    "RunningMean",
     "as_generator",
     "check_in_range",
     "check_positive",

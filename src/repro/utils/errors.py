@@ -18,10 +18,6 @@ class ConfigurationError(ReproError, ValueError):
     """
 
 
-class InfeasibleProblemError(ReproError):
-    """A resource-allocation problem instance has no feasible solution."""
-
-
 class NumericalError(ReproError):
     """A non-finite value (NaN/inf) surfaced where a finite one is required.
 

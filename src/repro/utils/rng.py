@@ -83,21 +83,6 @@ def batched_uniform(rng: np.random.Generator, n: int) -> np.ndarray:
     return rng.random(int(n))
 
 
-def batched_exponential(rng: np.random.Generator, scales) -> np.ndarray:
-    """Draw one exponential per entry of ``scales`` in a single call.
-
-    Same stream-consumption contract as :func:`batched_uniform`: numpy's
-    ``Generator.exponential(scale=array)`` loops over the output buffer
-    in index order calling the same ziggurat sampler as the scalar
-    ``rng.exponential(scale)`` call, so ``batched_exponential(rng, s)``
-    is bit-identical to ``[rng.exponential(x) for x in s]`` and leaves
-    ``rng`` in the same state.  Used for the per-slot block-fading
-    margin draws of the batched engine backend.
-    """
-    scales = np.asarray(scales, dtype=float)
-    return rng.exponential(scales)
-
-
 def derive_seed(seed: Optional[int], run_index: int,
                 attempt: int = 0) -> Optional[int]:
     """Deterministic per-run seed for Monte-Carlo replication ``run_index``.

@@ -14,6 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.utils import t_table
+from repro.utils.errors import ConfigurationError
 
 
 @dataclass(frozen=True)
@@ -56,8 +57,12 @@ class ConfidenceInterval:
         return f"{self.mean:.3f} +/- {self.half_width:.3f} ({pct}% CI, n={self.n_samples})"
 
 
-def mean_confidence_interval(samples: Sequence[float], confidence: float = 0.95) -> ConfidenceInterval:
-    """Student-t confidence interval for the mean of ``samples``.
+#: Confidence level of every interval (Section V reports 95% CIs).
+CONFIDENCE = 0.95
+
+
+def mean_confidence_interval(samples: Sequence[float]) -> ConfidenceInterval:
+    """Student-t 95% confidence interval for the mean of ``samples``.
 
     A single sample yields a zero-width interval (there is no dispersion
     information), matching the behaviour most plotting pipelines expect.
@@ -67,79 +72,48 @@ def mean_confidence_interval(samples: Sequence[float], confidence: float = 0.95)
         raise ValueError("samples must be non-empty")
     if not np.all(np.isfinite(arr)):
         raise ValueError("samples must be finite")
-    if not 0.0 < confidence < 1.0:
-        raise ValueError(f"confidence must be in (0, 1), got {confidence}")
     mean = float(arr.mean())
     n = int(arr.size)
     if n == 1:
-        return ConfidenceInterval(mean=mean, half_width=0.0, confidence=confidence, n_samples=1)
+        return ConfidenceInterval(mean=mean, half_width=0.0, confidence=CONFIDENCE, n_samples=1)
     sem = float(arr.std(ddof=1)) / math.sqrt(n)
-    t_crit = student_t_quantile(n - 1, 0.5 + confidence / 2.0)
-    return ConfidenceInterval(mean=mean, half_width=t_crit * sem, confidence=confidence, n_samples=n)
+    t_crit = student_t_quantile(n - 1)
+    return ConfidenceInterval(mean=mean, half_width=t_crit * sem, confidence=CONFIDENCE, n_samples=n)
 
 
-def student_t_quantile(df: int, p: float) -> float:
-    """The Student-t quantile ``stdtrit(df, p)``, bit for bit.
+def student_t_quantile(df: int) -> float:
+    """The Student-t quantile ``stdtrit(df, 0.975)`` of a 95% interval, bit for bit.
 
-    The 95% level for ``df`` up to 1998 comes from the committed table
-    of :mod:`repro.utils.t_table`, so the default interval imports no
-    special-function library; any other level or ``df`` imports it.
+    For ``df`` up to 1998 it comes from the committed table of
+    :mod:`repro.utils.t_table`, so no special-function library is
+    imported.  A larger ``df`` (a campaign of more than 1999 runs)
+    imports scipy, an optional dependency (the ``dev`` extra);
+    :func:`check_t_quantile` lets a caller find out before any work.
     """
-    if p == t_table.P and 1 <= df <= len(t_table.T_QUANTILES):
+    if 1 <= df <= len(t_table.T_QUANTILES):
         return float.fromhex(t_table.T_QUANTILES[df - 1])
-    from scipy import special
-
-    return float(special.stdtrit(df, p))
+    return float(_stdtrit(df)(df, t_table.P))
 
 
-class RunningMean:
-    """Numerically stable streaming mean/variance (Welford's algorithm).
+def check_t_quantile(df: int) -> None:
+    """Raise ``ConfigurationError`` if :func:`student_t_quantile` cannot
+    answer ``df`` here (beyond the table, without scipy)."""
+    if df > len(t_table.T_QUANTILES):
+        _stdtrit(df)
 
-    Useful when a simulation produces too many samples to keep in memory,
-    e.g. per-slot collision indicators across long horizons.
-    """
 
-    def __init__(self) -> None:
-        self._count = 0
-        self._mean = 0.0
-        self._m2 = 0.0
-
-    def update(self, value: float) -> None:
-        """Fold one observation into the running statistics."""
-        value = float(value)
-        if not math.isfinite(value):
-            raise ValueError(f"value must be finite, got {value}")
-        self._count += 1
-        delta = value - self._mean
-        self._mean += delta / self._count
-        self._m2 += delta * (value - self._mean)
-
-    def update_many(self, values: Sequence[float]) -> None:
-        """Fold a batch of observations into the running statistics."""
-        for value in values:
-            self.update(value)
-
-    @property
-    def count(self) -> int:
-        """Number of observations folded in so far."""
-        return self._count
-
-    @property
-    def mean(self) -> float:
-        """Current sample mean (0.0 when empty)."""
-        return self._mean
-
-    @property
-    def variance(self) -> float:
-        """Unbiased sample variance (0.0 with fewer than two samples)."""
-        if self._count < 2:
-            return 0.0
-        return self._m2 / (self._count - 1)
-
-    @property
-    def std(self) -> float:
-        """Unbiased sample standard deviation."""
-        return math.sqrt(self.variance)
+def _stdtrit(df: int):
+    """scipy's ``stdtrit``, which only the quantiles beyond the table need."""
+    try:
+        from scipy import special
+    except ImportError:
+        raise ConfigurationError(
+            f"{df + 1} samples need the Student-t quantile for {df} "
+            f"degrees of freedom, beyond the committed table "
+            f"({len(t_table.T_QUANTILES)}); it comes from scipy, which is "
+            f"not installed (pip install 'repro[dev]', or use at most "
+            f"{len(t_table.T_QUANTILES) + 1} runs)") from None
+    return special.stdtrit
 
 
 def jain_fairness_index(values: Sequence[float]) -> float:

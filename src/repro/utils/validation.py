@@ -9,7 +9,6 @@ easier to debug than NaNs surfacing deep inside a simulation.
 from __future__ import annotations
 
 import math
-from typing import Optional
 
 import numpy as np
 
@@ -79,17 +78,6 @@ def check_in_range(value: float, name: str, low: float, high: float, *,
     elif not (low < value < high):
         raise ConfigurationError(f"{name} must be in ({low}, {high}), got {value}")
     return value
-
-
-def check_index(value: int, name: str, size: Optional[int] = None) -> int:
-    """Validate a non-negative integer index, optionally bounded by ``size``."""
-    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
-        raise ConfigurationError(f"{name} must be an integer, got {value!r}")
-    if value < 0:
-        raise ConfigurationError(f"{name} must be non-negative, got {value}")
-    if size is not None and value >= size:
-        raise ConfigurationError(f"{name} must be < {size}, got {value}")
-    return int(value)
 
 
 def _check_finite_number(value, name: str) -> float:

@@ -6,10 +6,12 @@ receivers decode any prefix of that sequence.  The paper's scheduler sends
 packets in decreasing significance order with retransmissions, discarding
 overdue ones.
 
-The allocation algorithms operate on the fluid rate model of eq. (9), but
-the simulator uses this module to account for the discrete NAL boundary:
-the realised quality of a GOP is the PSNR of the largest fully received
-NAL prefix, which is eq. (9) rounded down to a packet boundary.
+The allocation algorithms operate on the fluid rate model of eq. (9).
+With ``nal_quantized`` the engine accounts for the discrete NAL
+boundary: the realised quality of a GOP is the PSNR of the largest fully
+received NAL prefix, eq. (9) rounded down to a packet boundary, whose
+per-packet quantum is the ``psnr_gain_db`` of :func:`packetize_gop`'s
+units.
 """
 
 from __future__ import annotations
@@ -94,18 +96,3 @@ def packetize_gop(sequence: VideoSequence, *, enhancement_rate_mbps: float,
         offset += size
         index += 1
     return packets
-
-
-def received_psnr(sequence: VideoSequence, packets: List[NalPacket],
-                  received_count: int) -> float:
-    """GOP PSNR when the first ``received_count`` packets arrived in order.
-
-    This is eq. (9) quantised to the NAL boundary: base-layer quality plus
-    the gains of the fully received significance prefix.
-    """
-    if received_count < 0:
-        raise ConfigurationError(
-            f"received_count must be non-negative, got {received_count}")
-    received_count = min(received_count, len(packets))
-    gain = sum(packet.psnr_gain_db for packet in packets[:received_count])
-    return sequence.base_psnr_db + gain

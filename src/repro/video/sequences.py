@@ -114,11 +114,6 @@ SEQUENCE_LIBRARY: Dict[str, VideoSequence] = {
 #: (including ``--jobs`` pool workers, each of which warms its own).
 _RD_SLOT_TABLE: Dict[Tuple[str, float, int], float] = {}
 
-#: Plain hit/miss counts (always maintained; the Prometheus counters
-#: below additionally export them when metrics collection is on).
-rd_table_hits = 0
-rd_table_misses = 0
-
 
 def rd_slot_increment(name: str, bandwidth_mbps: float,
                       deadline_slots: int) -> float:
@@ -129,14 +124,10 @@ def rd_slot_increment(name: str, bandwidth_mbps: float,
     returns for the same arguments -- the cache only avoids the repeated
     lookup/validation/arithmetic, never changes the float.
     """
-    global rd_table_hits, rd_table_misses
     key = (name.lower(), float(bandwidth_mbps), int(deadline_slots))
     cached = _RD_SLOT_TABLE.get(key)
     hit = cached is not None
-    if hit:
-        rd_table_hits += 1
-    else:
-        rd_table_misses += 1
+    if not hit:
         cached = get_sequence(name).rd.slot_increment(
             bandwidth_mbps, deadline_slots)
         _RD_SLOT_TABLE[key] = cached
@@ -145,14 +136,6 @@ def rd_slot_increment(name: str, bandwidth_mbps: float,
             "repro_video_rd_table_requests_total",
             result="hit" if hit else "miss").inc()
     return cached
-
-
-def reset_rd_table() -> None:
-    """Clear the process-wide R-D table (tests only)."""
-    global rd_table_hits, rd_table_misses
-    _RD_SLOT_TABLE.clear()
-    rd_table_hits = 0
-    rd_table_misses = 0
 
 
 def get_sequence(name: str) -> VideoSequence:

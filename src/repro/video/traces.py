@@ -23,8 +23,6 @@ from __future__ import annotations
 import math
 from typing import Iterator, List
 
-import numpy as np
-
 from repro.utils.errors import ConfigurationError
 from repro.utils.rng import RandomState, as_generator
 from repro.utils.validation import check_in_range, check_positive
@@ -77,17 +75,3 @@ class GopComplexityTrace:
     def __iter__(self) -> Iterator[float]:
         while True:
             yield self.advance()
-
-
-def empirical_autocorrelation(values, lag: int = 1) -> float:
-    """Lag-``lag`` autocorrelation of a trace (validation helper)."""
-    arr = np.asarray(list(values), dtype=float)
-    if arr.size <= lag:
-        raise ConfigurationError(
-            f"need more than {lag} samples, got {arr.size}")
-    a = arr[:-lag] - arr.mean()
-    b = arr[lag:] - arr.mean()
-    denominator = float(np.sqrt(np.square(a).sum() * np.square(b).sum()))
-    if denominator == 0.0:
-        return 0.0
-    return float((a * b).sum() / denominator)

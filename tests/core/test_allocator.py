@@ -2,15 +2,16 @@
 
 import pytest
 
-from repro.core.allocator import SCHEMES, ProposedAllocator, get_allocator
+from repro.core.allocator import ProposedAllocator, get_allocator
 from repro.core.heuristics import EqualAllocationHeuristic, MultiuserDiversityHeuristic
+from repro.registry import scheme_registry
 from repro.utils.errors import ConfigurationError
 from tests.conftest import make_problem
 
 
 class TestRegistry:
     def test_all_schemes_instantiable(self):
-        for scheme in SCHEMES:
+        for scheme in scheme_registry().names():
             allocator = get_allocator(scheme)
             assert allocator.name == scheme
 
@@ -40,9 +41,9 @@ class TestEquivalence:
         assert slow.objective == pytest.approx(fast.objective, abs=1e-7)
 
     def test_every_scheme_produces_feasible_allocations(self):
-        from repro.core.problem import check_feasible
+        from tests.reference import check_feasible
         problem = make_problem(5, n_fbss=2, seed=22)
-        for scheme in SCHEMES:
+        for scheme in scheme_registry().names():
             allocation = get_allocator(scheme).allocate(problem)
             check_feasible(problem, allocation)
 

@@ -3,20 +3,18 @@
 import numpy as np
 import pytest
 
-from repro.core.bounds import (
-    GreedyStep,
-    GreedyTrace,
-    closed_form_upper_bound,
-    theorem2_factor,
-    theorem2_lower_bound,
-    tighter_upper_bound,
-    verify_bound_holds,
-)
-from repro.core.greedy import GreedyChannelAllocator, exhaustive_channel_optimum
+from repro.core.bounds import GreedyStep, GreedyTrace, theorem2_factor, tighter_upper_bound
+from repro.core.greedy import GreedyChannelAllocator
 from repro.net.interference import interference_graph_from_edges
 from repro.utils.errors import ConfigurationError
 from tests.core.test_greedy import chain_graph, chain_problem
 from tests.oracle import drive_exact
+from tests.reference import (
+    closed_form_upper_bound,
+    exhaustive_channel_optimum,
+    theorem2_lower_bound,
+    verify_bound_holds,
+)
 
 
 class TestTheorem2Factor:

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from repro.core.dual import DualDecompositionSolver, fast_solve, flip_polish
-from repro.core.problem import check_feasible
-from repro.core.reference import exhaustive_reference_solution, solve_given_assignment
+from repro.core.reference import solve_given_assignment
 from repro.utils.errors import ConfigurationError, ConvergenceError
 from tests.conftest import make_problem, random_problem
+from tests.reference import check_feasible, exhaustive_reference_solution
 
 
 class TestOptimality:

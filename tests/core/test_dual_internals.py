@@ -5,11 +5,11 @@ import pytest
 
 from repro.core.dual import DualDecompositionSolver
 from repro.core.problem import SlotProblem
-from repro.core.reference import exhaustive_reference_solution
 from repro.utils.errors import ConfigurationError
 from tests.conftest import make_problem, make_user, random_problem
 from tests.oracle import branch_share as _branch_share
 from tests.oracle import solve_scalar
+from tests.reference import exhaustive_reference_solution
 
 
 class TestBranchShare:

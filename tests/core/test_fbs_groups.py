@@ -13,10 +13,11 @@ import numpy as np
 import pytest
 
 from repro.core.heuristics import EqualAllocationHeuristic, MultiuserDiversityHeuristic
-from repro.core.problem import SlotProblem, UserDemand, check_feasible, fbs_groups
+from repro.core.problem import SlotProblem, UserDemand, fbs_groups
 from repro.core.reference import CompiledSlotProblem
 from repro.sim.fallback import check_allocation
 from tests.conftest import random_problem
+from tests.reference import check_feasible
 
 
 class CountingUser(UserDemand):

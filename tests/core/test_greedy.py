@@ -3,12 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.core.greedy import GreedyChannelAllocator, exhaustive_channel_optimum
+from repro.core.greedy import GreedyChannelAllocator
 from repro.core.problem import SlotProblem
-from repro.net.interference import interference_graph_from_edges, is_valid_allocation
+from repro.net.interference import interference_graph_from_edges
 from repro.utils.errors import ConfigurationError
 from tests.conftest import make_problem, make_user
 from tests.oracle import drive_exact, literal_scan
+from tests.reference import exhaustive_channel_optimum, is_valid_allocation
 
 
 def chain_graph():

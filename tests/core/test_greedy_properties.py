@@ -11,14 +11,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.bounds import closed_form_upper_bound, tighter_upper_bound
+from repro.core.bounds import tighter_upper_bound
 from repro.core.greedy import GreedyChannelAllocator
 from repro.core.problem import SlotProblem, UserDemand
-from repro.net.interference import (
-    interference_graph_from_edges,
-    is_valid_allocation,
-)
+from repro.net.interference import interference_graph_from_edges
 from tests.oracle import drive_exact
+from tests.reference import closed_form_upper_bound, is_valid_allocation
 
 
 @st.composite

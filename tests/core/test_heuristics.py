@@ -8,8 +8,9 @@ from repro.core.heuristics import (
     fbs_condition,
     mbs_condition,
 )
-from repro.core.problem import SlotProblem, check_feasible
+from repro.core.problem import SlotProblem
 from tests.conftest import make_problem, make_user
+from tests.reference import check_feasible
 
 
 class TestConditions:
@@ -57,7 +58,7 @@ class TestEqualAllocation:
             assert allocation.objective == allocation.objective  # not NaN
 
     def test_objective_below_optimum(self):
-        from repro.core.reference import exhaustive_reference_solution
+        from tests.reference import exhaustive_reference_solution
         problem = make_problem(4, n_fbss=2, seed=1)
         heuristic = EqualAllocationHeuristic().allocate(problem)
         optimum = exhaustive_reference_solution(problem)

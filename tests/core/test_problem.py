@@ -4,15 +4,10 @@ import math
 
 import pytest
 
-from repro.core.problem import (
-    Allocation,
-    SlotProblem,
-    UserDemand,
-    check_feasible,
-    evaluate_objective,
-)
+from repro.core.problem import Allocation, SlotProblem, UserDemand, evaluate_objective
 from repro.utils.errors import ConfigurationError
 from tests.conftest import make_problem, make_user
+from tests.reference import check_feasible
 
 
 class TestUserDemand:

@@ -2,10 +2,10 @@
 
 import pytest
 
-from repro.core.problem import check_feasible
-from repro.core.reference import exhaustive_reference_solution, solve_given_assignment
+from repro.core.reference import solve_given_assignment
 from repro.utils.errors import ConfigurationError
 from tests.conftest import make_problem, make_user
+from tests.reference import check_feasible, exhaustive_reference_solution
 from repro.core.problem import SlotProblem
 
 

@@ -19,12 +19,7 @@ import pytest
 
 from repro.core.greedy import GreedyChannelAllocator
 from repro.core.problem import SlotProblem
-from repro.core.reference import (
-    CompiledSlotProblem,
-    compile_slot_problem,
-    solve_given_assignment,
-    water_filling,
-)
+from repro.core.reference import CompiledSlotProblem, compile_slot_problem, solve_given_assignment
 from repro.net.interference import interference_graph_from_edges
 from tests.conftest import make_problem, make_user, random_problem
 from tests.core.test_greedy import chain_graph, chain_problem
@@ -34,6 +29,7 @@ from tests.oracle import (
     solve_given_assignment_scalar,
     water_filling_scalar,
 )
+from tests.reference import water_filling
 
 
 def bits(*values):

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.reference import water_filling
 from repro.utils.errors import ConfigurationError
+from tests.reference import water_filling
 
 
 class TestKnownCases:

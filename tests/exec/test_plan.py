@@ -1,6 +1,7 @@
 """Tests for sweep planning: flattening, determinism, picklability."""
 
 import pickle
+import sys
 
 import pytest
 
@@ -85,6 +86,38 @@ class TestPlanCampaign:
     def test_invalid_n_runs(self, single_config):
         with pytest.raises(ConfigurationError):
             plan_campaign(single_config, 0)
+
+
+class TestStudentTPreflight:
+    """More than 1999 runs need scipy's Student-t quantile; without scipy
+    the plan is refused before any cell runs."""
+
+    @pytest.fixture
+    def no_scipy(self, monkeypatch):
+        monkeypatch.setitem(sys.modules, "scipy", None)
+
+    def test_table_sized_campaign_plans_without_scipy(self, single_config,
+                                                      no_scipy):
+        plan = plan_sweep(single_config, "n_channels", [4], ["heuristic1"],
+                          n_runs=1999)
+        assert plan.n_cells == 1999
+
+    def test_larger_campaign_names_scipy_and_the_dev_extra(
+            self, single_config, no_scipy):
+        with pytest.raises(ConfigurationError, match=r"scipy.*repro\[dev\]"):
+            plan_campaign(single_config, 2000)
+
+    def test_cli_exits_2_before_running(self, no_scipy, capsys, tmp_path):
+        from repro.cli import main
+
+        assert main(["simulate", "--runs", "2000", "--gops", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "scipy" in captured.err and "repro[dev]" in captured.err
+        checkpoint = tmp_path / "ckpt.jsonl"
+        assert main(["fig4b", "--runs", "2000", "--gops", "1",
+                     "--checkpoint", str(checkpoint)]) == 2
+        assert not checkpoint.exists()
 
 
 class TestPicklability:

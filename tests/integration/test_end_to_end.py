@@ -9,10 +9,10 @@ import numpy as np
 import pytest
 
 from repro.core.dual import DualDecompositionSolver, fast_solve
-from repro.core.reference import exhaustive_reference_solution
 from repro.experiments.scenarios import interfering_fbs_scenario, single_fbs_scenario
 from repro.sim.engine import SimulationEngine
 from repro.sim.runner import MonteCarloRunner
+from tests.reference import exhaustive_reference_solution
 
 
 def mean_psnr(config, scheme, n_runs=6):

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from repro.core.allocator import get_allocator
 from repro.core.dual import fast_solve
-from repro.core.problem import SlotProblem, UserDemand, check_feasible
-from repro.core.reference import exhaustive_reference_solution
+from repro.core.problem import SlotProblem, UserDemand
+from tests.reference import check_feasible, exhaustive_reference_solution
 
 
 @st.composite

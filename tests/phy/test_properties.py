@@ -12,10 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.phy.fading import RayleighFading
-from repro.phy.sinr import (
-    rayleigh_loss_probabilities,
-    rayleigh_success_probabilities,
-)
+from tests.reference import rayleigh_loss_probabilities, rayleigh_success_probabilities
 
 mean_sinrs = st.floats(min_value=1e-6, max_value=1e9,
                        allow_nan=False, allow_infinity=False)

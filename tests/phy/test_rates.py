@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.phy.rates import gop_bits, slot_rate_mbps
+from repro.phy.rates import slot_rate_mbps
 from repro.utils.errors import ConfigurationError
+from tests.reference import gop_bits
 
 
 class TestSlotRate:

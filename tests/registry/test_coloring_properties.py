@@ -15,12 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.coloring import interference_coloring
-from repro.net.interference import (
-    interference_graph_from_edges,
-    is_valid_allocation,
-    max_degree,
-)
-from repro.sim.channel_assignment import color_partition_allocation
+from repro.net.interference import interference_graph_from_edges, max_degree
+from tests.reference import color_partition_allocation, is_valid_allocation
 
 
 @st.composite

@@ -13,17 +13,16 @@ import json
 
 import pytest
 
-from repro.core.problem import check_feasible
 from repro.exec.plan import ensure_picklable, plan_campaign
 from repro.experiments.results_io import sweep_to_dict
 from repro.experiments.scenarios import interfering_fbs_scenario
-from repro.net.interference import is_valid_allocation
 from repro.registry import scheme_registry
 from repro.sim.engine import SimulationEngine
 from repro.sim.fallback import fallback_chain_for
 from repro.sim.runner import sweep
 
 from tests.conftest import make_problem
+from tests.reference import check_feasible, is_valid_allocation
 from tests.sim.test_seed_stability import compute_fingerprint
 
 ALL_SCHEMES = scheme_registry().names()

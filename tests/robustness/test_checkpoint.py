@@ -13,8 +13,9 @@ from repro.sim import MonteCarloRunner, SweepCheckpoint, sweep
 from repro.sim.checkpoint import run_metrics_from_dict, run_metrics_to_dict
 from repro.sim.engine import SimulationEngine
 from repro.sim.metrics import FailedRun
-from repro.testing.faults import FaultPlan, corrupt_json_file
+from repro.testing.faults import FaultPlan
 from repro.utils.errors import CheckpointError
+from tests.faults import corrupt_json_file
 
 
 SWEEP_ARGS = dict(parameter="n_channels", values=[4, 6],

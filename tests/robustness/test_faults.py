@@ -17,15 +17,15 @@ from repro.experiments.results_io import load_results, save_results, \
 from repro.sim import SimulationEngine, sweep
 from repro.sim.checkpoint import SweepCheckpoint
 from repro.sim.metrics import FailedRun
-from repro.testing.faults import (
+from repro.testing.faults import FaultPlan
+from repro.utils.errors import CheckpointError, ConfigurationError
+from repro.utils.stats import ConfidenceInterval
+from tests.faults import (
     CrashingCheckpoint,
-    FaultPlan,
     InjectedCrash,
     corrupt_json_file,
     simulated_disk_full,
 )
-from repro.utils.errors import CheckpointError, ConfigurationError
-from repro.utils.stats import ConfidenceInterval
 
 
 class TestFaultPlan:

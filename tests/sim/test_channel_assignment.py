@@ -2,12 +2,10 @@
 
 import pytest
 
-from repro.net.interference import interference_graph_from_edges, is_valid_allocation
-from repro.sim.channel_assignment import (
-    color_partition_allocation,
-    expected_channels_of,
-)
+from repro.net.interference import interference_graph_from_edges
+from repro.sim.channel_assignment import expected_channels_of
 from repro.utils.errors import ConfigurationError
+from tests.reference import color_partition_allocation, is_valid_allocation
 
 
 def chain():

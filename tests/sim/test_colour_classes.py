@@ -17,12 +17,9 @@ from repro.experiments.citygrid import city_grid_scenario
 from repro.experiments.scenarios import interfering_fbs_scenario
 from repro.net.interference import interference_graph_from_edges
 from repro.sim import channel_assignment
-from repro.sim.channel_assignment import (
-    color_partition_allocation,
-    colour_classes,
-    deal_channels,
-)
+from repro.sim.channel_assignment import colour_classes, deal_channels
 from repro.sim.engine import SimulationEngine
+from tests.reference import color_partition_allocation
 
 
 def reference_classes(graph, fbs_ids):

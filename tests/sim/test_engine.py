@@ -3,10 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.core.problem import check_feasible
-from repro.net.interference import is_valid_allocation
 from repro.sim.engine import SimulationEngine
 from repro.sim.metrics import RunMetrics
+from tests.reference import check_feasible, is_valid_allocation
 
 
 class TestDeterminism:

@@ -5,14 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.spectrum.markov import (
-    BUSY,
-    IDLE,
-    OccupancyChain,
-    stationary_distribution,
-    transition_probs_for_utilization,
-)
+from repro.experiments.scenarios import utilization_to_p01
+from repro.spectrum.markov import BUSY, IDLE, OccupancyChain
 from repro.utils.errors import ConfigurationError
+from tests.reference import stationary_distribution
 
 
 class TestUtilization:
@@ -92,18 +88,18 @@ class TestUtilizationInversion:
     @pytest.mark.parametrize("eta", [0.3, 0.4, 0.5, 0.6, 0.7])
     def test_round_trip(self, eta):
         # The Fig. 4(c)/6(a) sweep: p10 fixed at 0.3.
-        p01, p10 = transition_probs_for_utilization(eta, p10=0.3)
-        assert OccupancyChain(p01, p10, rng=0).utilization == pytest.approx(eta)
+        p01 = utilization_to_p01(eta, p10=0.3)
+        assert OccupancyChain(p01, 0.3, rng=0).utilization == pytest.approx(eta)
 
     def test_unreachable_utilization(self):
         with pytest.raises(ConfigurationError):
-            transition_probs_for_utilization(0.9, p10=0.5)
+            utilization_to_p01(0.9, p10=0.5)
 
     def test_degenerate_eta_rejected(self):
         with pytest.raises(ConfigurationError):
-            transition_probs_for_utilization(0.0)
+            utilization_to_p01(0.0)
         with pytest.raises(ConfigurationError):
-            transition_probs_for_utilization(1.0)
+            utilization_to_p01(1.0)
 
 
 class TestStationaryDistribution:

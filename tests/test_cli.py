@@ -72,6 +72,7 @@ class TestUnsupportedFlags:
     @pytest.mark.parametrize("flag", [
         ["--runs", "2"], ["--gops", "1"], ["--jobs", "2"], ["--progress"],
         ["--cell-timeout", "5"], ["--deadline", "5"], ["--fail-on-error"],
+        ["--profile"],
     ])
     def test_fig4a_rejects_the_replication_flags(self, capsys, flag):
         # fig4a traces one dual solve and runs no replications.

@@ -7,15 +7,13 @@ from repro.utils.errors import (
     CheckpointError,
     ConfigurationError,
     ConvergenceError,
-    InfeasibleProblemError,
     NumericalError,
     ReproError,
 )
 
 
 def test_all_derive_from_repro_error():
-    for exc_type in (ConfigurationError, ConvergenceError,
-                     InfeasibleProblemError, NumericalError,
+    for exc_type in (ConfigurationError, ConvergenceError, NumericalError,
                      AllocationFailedError, CheckpointError):
         assert issubclass(exc_type, ReproError)
 
@@ -47,7 +45,7 @@ def test_convergence_error_defaults():
 
 def test_single_except_clause_catches_library_errors():
     for exc in (ConfigurationError("a"), ConvergenceError("b"),
-                InfeasibleProblemError("c")):
+                NumericalError("c")):
         try:
             raise exc
         except ReproError:

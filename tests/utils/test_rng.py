@@ -3,13 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.utils.rng import (
-    as_generator,
-    batched_exponential,
-    batched_uniform,
-    derive_seed,
-    spawn_streams,
-)
+from repro.utils.rng import as_generator, batched_uniform, derive_seed, spawn_streams
+from tests.reference import batched_exponential
 
 
 class TestAsGenerator:

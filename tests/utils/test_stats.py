@@ -1,7 +1,5 @@
 """Tests for repro.utils.stats."""
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given
@@ -9,7 +7,6 @@ from hypothesis import strategies as st
 
 from repro.utils.stats import (
     ConfidenceInterval,
-    RunningMean,
     jain_fairness_index,
     mean_confidence_interval,
     student_t_quantile,
@@ -70,10 +67,6 @@ class TestMeanConfidenceInterval:
         with pytest.raises(ValueError):
             mean_confidence_interval([1.0, float("nan")])
 
-    def test_bad_confidence_rejected(self):
-        with pytest.raises(ValueError):
-            mean_confidence_interval([1.0, 2.0], confidence=1.5)
-
     @pytest.mark.parametrize("confidence", [0.90, 0.95, 0.99])
     def test_quantile_is_scipy_stats_t_ppf_bit_for_bit(self, confidence):
         # The interval takes its Student-t quantile from scipy.special;
@@ -111,13 +104,11 @@ class TestMeanConfidenceInterval:
         for df, entry in enumerate(t_table.T_QUANTILES, start=1):
             assert entry == float(special.stdtrit(df, t_table.P)).hex(), df
 
-    @pytest.mark.parametrize("df,p", [(1, 0.975), (1998, 0.975),
-                                      (1999, 0.975), (5000, 0.975),
-                                      (4, 0.95), (4, 0.995)])
-    def test_quantile_is_stdtrit_inside_and_outside_the_table(self, df, p):
+    @pytest.mark.parametrize("df", [1, 4, 1998, 1999, 5000])
+    def test_quantile_is_stdtrit_inside_and_outside_the_table(self, df):
         from scipy import special
 
-        assert student_t_quantile(df, p) == float(special.stdtrit(df, p))
+        assert student_t_quantile(df) == float(special.stdtrit(df, 0.975))
 
     def test_interval_endpoints(self):
         ci = ConfidenceInterval(mean=10.0, half_width=2.0, confidence=0.95, n_samples=5)
@@ -126,36 +117,6 @@ class TestMeanConfidenceInterval:
         assert ci.contains(9.0)
         assert not ci.contains(12.5)
         assert "95% CI" in str(ci)
-
-
-class TestRunningMean:
-    def test_matches_numpy(self):
-        rng = np.random.default_rng(1)
-        data = rng.normal(size=100)
-        running = RunningMean()
-        running.update_many(data)
-        assert running.count == 100
-        assert running.mean == pytest.approx(float(np.mean(data)))
-        assert running.variance == pytest.approx(float(np.var(data, ddof=1)))
-        assert running.std == pytest.approx(float(np.std(data, ddof=1)))
-
-    def test_empty_defaults(self):
-        running = RunningMean()
-        assert running.count == 0
-        assert running.mean == 0.0
-        assert running.variance == 0.0
-
-    def test_rejects_nan(self):
-        running = RunningMean()
-        with pytest.raises(ValueError):
-            running.update(float("inf"))
-
-    @given(st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=50))
-    def test_property_matches_batch(self, values):
-        running = RunningMean()
-        running.update_many(values)
-        assert math.isclose(running.mean, float(np.mean(values)),
-                            rel_tol=1e-9, abs_tol=1e-6)
 
 
 class TestJainFairness:

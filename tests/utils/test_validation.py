@@ -6,7 +6,6 @@ import pytest
 from repro.utils.errors import ConfigurationError
 from repro.utils.validation import (
     check_in_range,
-    check_index,
     check_positive,
     check_probability,
     check_probability_array,
@@ -93,27 +92,3 @@ class TestCheckInRange:
     def test_outside(self):
         with pytest.raises(ConfigurationError):
             check_in_range(3.0, "x", 1.0, 2.0)
-
-
-class TestCheckIndex:
-    def test_valid(self):
-        assert check_index(2, "i", 5) == 2
-
-    def test_bool_rejected(self):
-        with pytest.raises(ConfigurationError):
-            check_index(True, "i")
-
-    def test_float_rejected(self):
-        with pytest.raises(ConfigurationError):
-            check_index(1.0, "i")
-
-    def test_negative_rejected(self):
-        with pytest.raises(ConfigurationError):
-            check_index(-1, "i")
-
-    def test_size_bound(self):
-        with pytest.raises(ConfigurationError):
-            check_index(5, "i", 5)
-
-    def test_numpy_integer_accepted(self):
-        assert check_index(np.int64(3), "i", 10) == 3

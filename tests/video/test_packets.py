@@ -3,7 +3,7 @@
 import pytest
 
 from repro.utils.errors import ConfigurationError
-from repro.video.packets import NalPacket, packetize_gop, received_psnr
+from repro.video.packets import NalPacket, packetize_gop
 from repro.video.sequences import get_sequence
 
 
@@ -23,7 +23,7 @@ class TestPacketize:
         seq = get_sequence("harbor")
         rate = 0.25
         packets = packetize_gop(seq, enhancement_rate_mbps=rate)
-        full = received_psnr(seq, packets, len(packets))
+        full = seq.base_psnr_db + sum(p.psnr_gain_db for p in packets)
         # Agreement up to the single-bit quantisation of the GOP payload.
         assert full == pytest.approx(seq.rd.psnr(rate), abs=1e-3)
 
@@ -41,25 +41,6 @@ class TestPacketize:
             packetize_gop(seq, enhancement_rate_mbps=-0.1)
         with pytest.raises(ConfigurationError):
             packetize_gop(seq, enhancement_rate_mbps=0.1, packet_size_bits=0)
-
-
-class TestReceivedPsnr:
-    def test_prefix_quality_monotone(self):
-        seq = get_sequence("mobile")
-        packets = packetize_gop(seq, enhancement_rate_mbps=0.2)
-        qualities = [received_psnr(seq, packets, k) for k in range(len(packets) + 1)]
-        assert qualities[0] == seq.base_psnr_db
-        assert all(b >= a for a, b in zip(qualities, qualities[1:]))
-
-    def test_count_clamped_to_available(self):
-        seq = get_sequence("mobile")
-        packets = packetize_gop(seq, enhancement_rate_mbps=0.1)
-        assert received_psnr(seq, packets, 10**6) == received_psnr(
-            seq, packets, len(packets))
-
-    def test_negative_count_rejected(self):
-        with pytest.raises(ConfigurationError):
-            received_psnr(get_sequence("bus"), [], -1)
 
 
 class TestNalPacket:

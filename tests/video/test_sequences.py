@@ -66,10 +66,10 @@ class TestRdSlotTable:
 
     @pytest.fixture(autouse=True)
     def fresh_table(self):
-        from repro.video.sequences import reset_rd_table
-        reset_rd_table()
+        from repro.video import sequences
+        sequences._RD_SLOT_TABLE.clear()
         yield
-        reset_rd_table()
+        sequences._RD_SLOT_TABLE.clear()
 
     def test_cached_value_is_bit_identical(self):
         from repro.video.sequences import rd_slot_increment
@@ -80,10 +80,11 @@ class TestRdSlotTable:
     def test_hit_miss_counters(self):
         from repro.video import sequences
         sequences.rd_slot_increment("bus", 0.6, 16)
-        sequences.rd_slot_increment("Bus", 0.6, 16)  # case-folded key
+        sequences.rd_slot_increment("Bus", 0.6, 16)  # case-folded key: a hit
         sequences.rd_slot_increment("bus", 0.7, 16)
-        assert sequences.rd_table_misses == 2
-        assert sequences.rd_table_hits == 1
+        # Two misses, two entries; the hit added none.
+        assert sorted(sequences._RD_SLOT_TABLE) == [("bus", 0.6, 16),
+                                                    ("bus", 0.7, 16)]
 
     def test_obs_counter_when_metrics_enabled(self):
         from repro.obs.metrics import (
@@ -105,12 +106,3 @@ class TestRdSlotTable:
             'repro_video_rd_table_requests_total{result="miss"}'] == 1.0
         assert counters[
             'repro_video_rd_table_requests_total{result="hit"}'] == 1.0
-
-    def test_reset_clears_table_and_counters(self):
-        from repro.video import sequences
-        sequences.rd_slot_increment("bus", 0.6, 16)
-        sequences.reset_rd_table()
-        assert sequences.rd_table_hits == 0
-        assert sequences.rd_table_misses == 0
-        sequences.rd_slot_increment("bus", 0.6, 16)
-        assert sequences.rd_table_misses == 1
