@@ -8,8 +8,9 @@ arrival order, which is what makes parallel runs bit-identical to serial
 ones.
 
 Both executors run cells through one body, :func:`_run_cells`, so
-the cells of a task batch in lockstep, whatever their sweep point or
-scheme, whichever executor runs them.  Isolation semantics are inherited from
+the cells of a task batch in lockstep, whatever their sweep point,
+scheme or fault plan, whichever executor runs them.  Isolation
+semantics are inherited from
 :func:`repro.sim.runner.execute_run`: a replication that raises a
 :class:`~repro.utils.errors.ReproError` (after its fresh-seed retry) is
 returned as a :class:`~repro.sim.metrics.FailedRun`, and programming
@@ -24,7 +25,6 @@ recorded as ``CellTimedOut`` at once.
 
 from __future__ import annotations
 
-import math
 import os
 import signal
 import time
@@ -42,7 +42,6 @@ from repro.exec.supervisor import (
     ShutdownCoordinator,
     active_shutdown,
     apply_backoff,
-    stop_before,
 )
 from repro.obs.logging import get_logger
 from repro.obs.metrics import (
@@ -57,11 +56,6 @@ from repro.sim.metrics import FailedRun, RunMetrics
 from repro.utils.errors import ConfigurationError, SweepDeadlineExceeded
 
 logger = get_logger(__name__)
-
-#: Chunks per worker the default chunk size aims for; small enough to
-#: load-balance scheme-dependent cell costs, large enough to amortise
-#: per-task dispatch overhead.
-_CHUNKS_PER_WORKER = 4
 
 #: Reports a worker may have unacknowledged and still admit a cell, so
 #: it learns of the parent's drain within this many cells.
@@ -106,7 +100,7 @@ class CellOutcome:
 def _execute_cell(cell: Cell) -> Tuple[str, Union[RunMetrics, FailedRun], float]:
     """Run one cell on the per-cell path; return ``(key, result, seconds)``.
 
-    The path of fault-plan cells, and of a lockstep formation's escapes.
+    The path of a lockstep formation's escapes.
     """
     start = time.perf_counter()
     metrics, failure = _runner.execute_run(cell.config, cell.run_index)
@@ -116,25 +110,19 @@ def _execute_cell(cell: Cell) -> Tuple[str, Union[RunMetrics, FailedRun], float]
 
 def _run_cells(cells: Sequence[Cell]
                ) -> Iterator[Tuple[str, Union[RunMetrics, FailedRun], float]]:
-    """Execute cells: one lockstep formation, and fault-plan cells alone.
+    """Execute cells as one lockstep formation.
 
-    The one execution body of both executors: every cell without a fault
-    plan runs in lockstep through the stacked allocation kernel
-    (:mod:`repro.sim.lockstep`), whatever its sweep point or scheme.
-    Yields ``(key, result, seconds)`` for each cell as soon as it is
-    known, so the order is not the cell order, and starts no cell once a
-    shutdown drain is requested.
+    The one execution body of both executors: every cell runs in
+    lockstep through the stacked allocation kernel
+    (:mod:`repro.sim.lockstep`), whatever its sweep point, scheme or
+    fault plan.  Yields ``(key, result, seconds)`` for each cell as soon
+    as it is known, so the order is not the cell order, and starts no
+    cell once a shutdown drain is requested.
     """
     from repro.sim import lockstep
 
-    for group in lockstep.plan_batch_groups(cells):
-        if lockstep.cell_batchable(group[0]):
-            yield from lockstep.run_cells_lockstep(group,
-                                                   fallback=_execute_cell)
-        elif stop_before(group[0].key):
-            return
-        else:
-            yield _execute_cell(group[0])
+    if cells:
+        yield from lockstep.run_cells_lockstep(cells, fallback=_execute_cell)
 
 
 def _take(cells: Deque[Cell], key: str) -> Cell:
@@ -168,8 +156,7 @@ class SerialExecutor(Executor):
 
     The reference implementation: no pickling requirements, no
     subprocess overhead.  Results stream in the order :func:`_run_cells`
-    yields them: a formation where its first member stands in the plan,
-    its members as each one ends.
+    yields them: the formation's members as each one ends.
     """
 
     def run(self, cells: Sequence[Cell]) -> Iterator[CellOutcome]:
@@ -258,17 +245,11 @@ class ParallelExecutor(Executor):
         Worker process count (default: every available core).  With a
         budget set, ``jobs=1`` still runs cells in a child process --
         that is what makes a hung cell killable.
-    chunk_size:
-        Cells per dispatched task of fault-plan cells (the others form
-        one lockstep formation per worker, :meth:`_chunks`); defaults to
-        roughly ``n / (jobs * 4)`` of the ``n`` fault-plan cells so
-        stragglers can be load-balanced while dispatch overhead stays
-        amortised.
     cell_timeout:
         Per-cell wall-clock budget in seconds.  A worker's budget is
-        ``cell_timeout`` times the size of the first lockstep group among
-        its unreported cells, at most ``MAX_BATCH``, restarted at
-        dispatch and at every reported cell.  ``None`` disarms it.
+        ``cell_timeout`` times the number of its unreported cells, at
+        most ``MAX_BATCH``, restarted at dispatch and at every reported
+        cell.  ``None`` disarms it.
     deadline:
         Whole-run wall-clock budget in seconds, measured from the start
         of :meth:`run`.  On expiry the pool is torn down and
@@ -282,10 +263,10 @@ class ParallelExecutor(Executor):
 
     Notes
     -----
-    Each task (a formation or a chunk from :meth:`_chunks`) runs
-    through :func:`_run_cells` inside a worker, so lockstep batching
-    engages, and every cell is reported over the worker's pipe as soon
-    as it finishes; the parent matches reports to cells by key.  One
+    Each task (a formation from :meth:`_chunks`, or a requeued solo
+    cell) runs through :func:`_run_cells` inside a worker, so lockstep
+    batching engages, and every cell is reported over the worker's pipe
+    as soon as it finishes; the parent matches reports to cells by key.  One
     failure rule covers worker death and budget overrun: the worker is
     replaced and its unreported cells are requeued as solo
     tasks; a solo cell is written off instead -- ``CellTimedOut`` at
@@ -299,7 +280,6 @@ class ParallelExecutor(Executor):
     """
 
     def __init__(self, jobs: Optional[int] = None, *,
-                 chunk_size: Optional[int] = None,
                  cell_timeout: Optional[float] = None,
                  deadline: Optional[float] = None,
                  shutdown: Optional[ShutdownCoordinator] = None) -> None:
@@ -307,41 +287,22 @@ class ParallelExecutor(Executor):
             jobs = os.cpu_count() or 1
         if jobs < 1:
             raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
-        if chunk_size is not None and chunk_size < 1:
-            raise ConfigurationError(
-                f"chunk_size must be >= 1, got {chunk_size}")
         if cell_timeout is not None and cell_timeout <= 0:
             raise ConfigurationError(
                 f"cell_timeout must be > 0, got {cell_timeout}")
         if deadline is not None and deadline <= 0:
             raise ConfigurationError(f"deadline must be > 0, got {deadline}")
         self.jobs = int(jobs)
-        self.chunk_size = chunk_size
         self.cell_timeout = None if cell_timeout is None else float(cell_timeout)
         self.deadline = None if deadline is None else float(deadline)
         self._shutdown = shutdown
         self._ctx = get_context()
 
     def _chunks(self, cells: Sequence[Cell]) -> List[List[Cell]]:
-        """Cut cells into tasks: whole formations first, then chunks.
-
-        The cells without a fault plan are dealt round-robin into one
-        formation per worker, so the points' and schemes' costs spread
-        evenly; the fault-plan cells follow in chunks of ``chunk_size``.
-        """
-        from repro.sim.lockstep import cell_batchable
-
-        formation: List[Cell] = []
-        rest: List[Cell] = []
-        for cell in cells:
-            (formation if cell_batchable(cell) else rest).append(cell)
-        count = min(len(formation), self.jobs)
-        tasks = [formation[i::count] for i in range(count)]
-        size = self.chunk_size
-        if size is None:
-            size = max(1, math.ceil(len(rest) / (self.jobs * _CHUNKS_PER_WORKER)))
-        tasks.extend(rest[i:i + size] for i in range(0, len(rest), size))
-        return tasks
+        """Deal cells round-robin into one formation per worker, so the
+        points' and schemes' costs spread evenly."""
+        count = min(len(cells), self.jobs)
+        return [cells[i::count] for i in range(count)]
 
     # -- worker lifecycle ------------------------------------------------
 
@@ -374,11 +335,11 @@ class ParallelExecutor(Executor):
 
     def _arm(self, worker: _Worker) -> None:
         """Restart a busy worker's watchdog budget."""
-        from repro.sim.lockstep import MAX_BATCH, plan_batch_groups
+        from repro.sim.lockstep import MAX_BATCH
 
         worker.since = time.monotonic()
         if self.cell_timeout is not None:
-            width = min(len(plan_batch_groups(worker.task)[0]), MAX_BATCH)
+            width = min(len(worker.task), MAX_BATCH)
             worker.due = worker.since + self.cell_timeout * width
 
     # -- the dispatch loop -----------------------------------------------

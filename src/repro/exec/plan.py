@@ -139,7 +139,7 @@ def ensure_picklable(cells: Iterable[Cell]) -> None:
     """Verify every cell survives pickling before multiprocess dispatch.
 
     A :class:`~repro.sim.config.ScenarioConfig` usually pickles cleanly,
-    but ``fault_plan`` accepts arbitrary stateful objects (lambdas, open
+    but ``fault_plan`` accepts arbitrary duck-typed objects (lambdas, open
     handles, test doubles) that cannot cross a process boundary.  Failing
     here, with a pointer at the serial path, beats an opaque
     ``PicklingError`` from deep inside ``multiprocessing``.
@@ -149,6 +149,6 @@ def ensure_picklable(cells: Iterable[Cell]) -> None:
     except Exception as exc:
         raise ConfigurationError(
             f"scenario config cannot be pickled for multiprocess "
-            f"execution ({exc}); a stateful fault_plan or custom topology "
+            f"execution ({exc}); an unpicklable fault_plan or custom topology "
             f"object is the usual cause -- rerun with --jobs 1 (serial "
             f"execution) or make the config picklable") from exc

@@ -25,7 +25,7 @@ from typing import List, Optional, Sequence
 
 from repro.net.interference import interference_graph_from_edges
 from repro.net.nodes import CrUser, FemtoBaseStation, MacroBaseStation
-from repro.net.topology import Topology, build_topology
+from repro.net.topology import build_topology
 from repro.sim.config import ScenarioConfig
 from repro.utils.errors import ConfigurationError
 

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional, Tuple
 
 from repro.net.topology import Topology
@@ -94,9 +94,9 @@ class ScenarioConfig:
         :class:`repro.testing.faults.FaultPlan`).  ``None`` (the default)
         injects nothing.  The engine consults it through three hooks --
         ``forces_nonconvergence(slot)``, ``poisons_fading(slot)`` and
-        ``sensing_outage(slot, n_channels)`` -- and the Monte-Carlo
-        runner announces replications via ``begin_run(run_index,
-        attempt)`` when the plan defines it.
+        ``sensing_outage(slot, n_channels)`` -- and each attempt of a
+        replication runs with what ``for_run(run_index, attempt)``
+        returns when the plan defines it (``None`` spares the run).
     generator, generator_params:
         Identity stamp set by
         :meth:`~repro.registry.scenarios.ScenarioRegistry.build`: the

@@ -2,9 +2,10 @@
 
 The dual solves inside one slot are inherently sequential (each greedy
 ``Q(c)`` evaluation warm-starts from the previous one), but *different
-replications* are completely independent, whatever their sweep point or
-scheme, and their slot problems stack by shape.  This module runs B
-engines -- any mix of sweep points and schemes -- through their slot
+replications* are completely independent, whatever their sweep point,
+scheme or fault plan, and their slot problems stack by shape.  This
+module runs B engines -- any mix of sweep points, schemes and fault
+plans -- through their slot
 generators (:meth:`SimulationEngine._step_iter`) as one event loop
 with continuous batching: each :class:`~repro.core.batch.SolveRequest`
 a member yields joins the running stack for its shape
@@ -69,8 +70,8 @@ from repro.obs.metrics import (
 )
 from repro.obs.trace import SpanTracer, active_tracer
 from repro.sim.engine import SimulationEngine
+from repro.sim.runner import attempt_config
 from repro.utils.errors import ReproError
-from repro.utils.rng import derive_seed
 
 logger = get_logger(__name__)
 
@@ -84,35 +85,14 @@ logger = get_logger(__name__)
 MAX_BATCH = 64
 
 
-def cell_batchable(cell: Cell) -> bool:
-    """Whether ``cell`` may join a lockstep formation.
-
-    Any scheme may: a member whose allocator yields no solve request
-    runs its slots to the end at its turn.  Only a fault plan keeps a
-    cell out (fault hooks are stateful per replication).
-    """
-    return cell.config.fault_plan is None
-
-
 def plan_batch_groups(cells: Sequence[Cell]) -> List[List[Cell]]:
-    """Split cells into one lockstep formation and singleton groups.
+    """Every cell of a task as one lockstep formation, in plan order.
 
-    Every batchable cell joins the formation, whatever its sweep point
-    or scheme: each member builds its engine from its own config, its
-    requests join the running stack of their shape, and rows never
-    interact.  The formation stands where its first member stood, among
-    the other cells' singleton groups.
+    Each member builds its engine from its own config, its fault plan
+    included, its requests join the running stack of their shape, and
+    rows never interact, so any mix of cells forms one formation.
     """
-    groups: List[List[Cell]] = []
-    formation: List[Cell] = []
-    for cell in cells:
-        if not cell_batchable(cell):
-            groups.append([cell])
-            continue
-        if not formation:
-            groups.append(formation)
-        formation.append(cell)
-    return groups
+    return [list(cells)] if cells else []
 
 
 class _MemberScope:
@@ -164,17 +144,16 @@ class _LockstepMember:
         """Open the replication span and build the engine, as attempt 0
         of the per-cell path would; return whether the build succeeded."""
         start = time.perf_counter()
-        config = self.cell.config
-        seed = derive_seed(config.seed, self.cell.run_index, 0)
+        config = attempt_config(self.cell.config, self.cell.run_index, 0)
         tracer = self.scope.tracer
         try:
             with self.scope:
                 if tracer is not None:
                     self.span = tracer.begin(
                         "replication", kind="replication",
-                        run=self.cell.run_index, attempt=0, seed=seed,
+                        run=self.cell.run_index, attempt=0, seed=config.seed,
                         scheme=config.scheme)
-                self.engine = SimulationEngine(config.with_seed(seed))
+                self.engine = SimulationEngine(config)
         except ReproError:
             return False
         finally:

@@ -54,6 +54,23 @@ logger = get_logger(__name__)
 MAX_ATTEMPTS = 2
 
 
+def attempt_config(config: ScenarioConfig, run_index: int,
+                   attempt: int) -> ScenarioConfig:
+    """The config of one attempt of replication ``run_index``.
+
+    Its seed is derived from the root seed, the run and the attempt; a
+    fault plan with a ``for_run(run_index, attempt)`` hook is replaced
+    by what the hook returns (``None`` for a spared run), and one
+    without the hook applies to every run.  Both the per-cell path and
+    a lockstep member build their engines from it.
+    """
+    seed = derive_seed(config.seed, run_index, attempt)
+    scope = getattr(config.fault_plan, "for_run", None)
+    if scope is None:
+        return config.with_seed(seed)
+    return config.replace(seed=seed, fault_plan=scope(run_index, attempt))
+
+
 def execute_run(config: ScenarioConfig, run_index: int
                 ) -> Tuple[Optional[RunMetrics], Optional[FailedRun]]:
     """Run one replication with isolation and a single fresh-seed retry.
@@ -67,15 +84,12 @@ def execute_run(config: ScenarioConfig, run_index: int
     seeds: List[Optional[int]] = []
     last_error: Optional[ReproError] = None
     for attempt in range(MAX_ATTEMPTS):
-        seed = derive_seed(config.seed, run_index, attempt)
-        seeds.append(seed)
-        plan = config.fault_plan
-        if plan is not None and hasattr(plan, "begin_run"):
-            plan.begin_run(run_index, attempt)
+        seeded = attempt_config(config, run_index, attempt)
+        seeds.append(seeded.seed)
         try:
             with maybe_span("replication", kind="replication", run=run_index,
-                            attempt=attempt, seed=seed, scheme=config.scheme):
-                seeded = config.with_seed(seed)
+                            attempt=attempt, seed=seeded.seed,
+                            scheme=config.scheme):
                 if metrics_enabled():
                     # Record the replication against a private registry so
                     # its snapshot can ride back on the RunMetrics (from a

@@ -10,7 +10,7 @@ Mbps each) owned by the primary network.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List
 
 import numpy as np
 

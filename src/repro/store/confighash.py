@@ -25,7 +25,7 @@ so neither qualifies; this module canonicalises a config into JSON with
 Two hashes are derived from the canonical form:
 
 * :func:`config_hash` covers every :class:`ScenarioConfig` field except
-  ``fault_plan`` (an arbitrary stateful test object with no stable
+  ``fault_plan`` (an arbitrary duck-typed test object with no stable
   content identity; only its presence is recorded), plus the retired
   fields of :data:`RETIRED_CONFIG_FIELDS` at their one value.  Any
   physical, scheme, or seed change changes this hash -- it is the

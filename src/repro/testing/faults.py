@@ -27,8 +27,9 @@ outcomes:
 The plan is attached to a scenario via ``ScenarioConfig.fault_plan`` and
 consumed by the engine through duck-typed hooks, so production code never
 imports this module.  Faults can be scoped to specific Monte-Carlo
-replications with ``poison_runs``; the runner announces each replication
-via :meth:`FaultPlan.begin_run` before constructing its engine.
+replications with ``poison_runs``: the plan itself holds no per-run
+state, and each attempt's config carries what :meth:`FaultPlan.for_run`
+returns for it -- the plan, or ``None`` for a spared run.
 
 Slot indices are 0-based engine slots (the ``slot`` argument the engine
 uses *during* the step, i.e. ``engine.slot`` before the step completes).
@@ -36,7 +37,7 @@ uses *during* the step, i.e. ``engine.slot`` before the step completes).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import FrozenSet, Optional
 
 
@@ -85,7 +86,6 @@ class FaultPlan:
     slow_slots: FrozenSet[int] = frozenset()
     slow_seconds: float = 0.05
     poison_runs: Optional[FrozenSet[int]] = None
-    _current_run: Optional[int] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.nonconvergent_slots = frozenset(self.nonconvergent_slots)
@@ -100,35 +100,33 @@ class FaultPlan:
 
     # -- run scoping -----------------------------------------------------
 
-    def begin_run(self, run_index: int, attempt: int = 0) -> None:
-        """Announce the replication about to be simulated.
+    def for_run(self, run_index: int, attempt: int) -> Optional["FaultPlan"]:
+        """The plan for one attempt of replication ``run_index``.
 
-        Called by the Monte-Carlo runner before each engine run (for both
-        the first attempt and the retry).  An engine used standalone
-        never calls this, in which case the plan applies to that run.
+        This plan when ``poison_runs`` is ``None`` or names the run,
+        ``None`` (no faults) otherwise.  Called for every attempt, the
+        first and the retry alike; an engine built standalone from a
+        config with this plan applies it to its run.
         """
         del attempt  # faults are keyed by replication, not attempt
-        self._current_run = int(run_index)
-
-    def _armed(self) -> bool:
-        if self.poison_runs is None or self._current_run is None:
-            return True
-        return self._current_run in self.poison_runs
+        if self.poison_runs is None or run_index in self.poison_runs:
+            return self
+        return None
 
     # -- engine hooks ----------------------------------------------------
 
     def forces_nonconvergence(self, slot: int) -> bool:
         """Whether the primary allocator must fail at this slot."""
-        return self._armed() and slot in self.nonconvergent_slots
+        return slot in self.nonconvergent_slots
 
     def poisons_fading(self, slot: int) -> bool:
         """Whether this slot's fading margins are replaced with NaN."""
-        return self._armed() and slot in self.nan_fading_slots
+        return slot in self.nan_fading_slots
 
     def sensing_outage(self, slot: int,
                        n_channels: int) -> FrozenSet[int]:
         """Channels whose observations go missing at this slot."""
-        if not (self._armed() and slot in self.sensing_outage_slots):
+        if slot not in self.sensing_outage_slots:
             return frozenset()
         if self.sensing_outage_channels is None:
             return frozenset(range(n_channels))
@@ -142,8 +140,6 @@ class FaultPlan:
         The delay is pure wall-clock -- no RNG stream is consumed -- so
         results stay byte-identical to a fault-free run modulo timing.
         """
-        if not self._armed():
-            return 0.0
         if slot in self.hang_slots:
             return float(self.hang_seconds)
         if slot in self.slow_slots:

@@ -411,14 +411,6 @@ class TestPlanBatchGroups:
                            n_runs=2).cells
         assert plan_batch_groups(cells) == [list(cells)]
 
-    def test_fault_plan_stays_singleton(self):
-        # Fault injection hooks are stateful; their cells never batch.
-        cells = self._cells(3)
-        faulted = cells[0].config.replace(fault_plan=object())
-        from dataclasses import replace
-        cells = [replace(cell, config=faulted) for cell in cells]
-        assert [len(g) for g in plan_batch_groups(cells)] == [1, 1, 1]
-
     def test_plan_order_is_preserved(self):
         cells = list(self._cells(3, scheme="heuristic1")) \
             + list(self._cells(4))

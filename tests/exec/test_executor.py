@@ -87,35 +87,22 @@ class TestParallelExecutor:
         assert list(ParallelExecutor(jobs=2).run([])) == []
 
     def test_chunking_covers_every_cell_once(self, single_config):
-        from repro.sim import lockstep
-
         plan = plan_sweep(single_config, "n_channels", [4, 6],
                           ["proposed", "heuristic1"], n_runs=3)
         faulted = plan_campaign(single_config.replace(
             fault_plan=FaultPlan(poison_runs={1})), 6)
         cells = list(plan.cells) + list(faulted.cells)
-        for jobs, widths in ((1, [12]), (2, [6, 6]), (5, [3, 3, 2, 2, 2]),
-                             (20, [1] * 12)):
-            chunks = ParallelExecutor(jobs=jobs, chunk_size=2)._chunks(cells)
+        for jobs, widths in ((1, [18]), (2, [9, 9]), (5, [4, 4, 4, 3, 3]),
+                             (20, [1] * 18)):
+            chunks = ParallelExecutor(jobs=jobs)._chunks(cells)
             flat = sorted(cell.key for chunk in chunks for cell in chunk)
             assert flat == sorted(cell.key for cell in cells)
-            # One formation per worker goes first, each one whole task:
-            # the worker plans it as one group.  The fault-plan cells
-            # follow in chunks.
-            formations = chunks[:len(widths)]
-            assert [len(task) for task in formations] == widths
-            for task in formations:
-                assert lockstep.plan_batch_groups(task) == [task]
-            rest = chunks[len(widths):]
-            assert [len(task) for task in rest] == [2, 2, 2]
-            assert not any(lockstep.cell_batchable(cell)
-                           for task in rest for cell in task)
+            # One formation per worker, fault-plan cells included.
+            assert [len(task) for task in chunks] == widths
 
     def test_invalid_parameters(self):
         with pytest.raises(ConfigurationError):
             ParallelExecutor(jobs=0)
-        with pytest.raises(ConfigurationError):
-            ParallelExecutor(jobs=2, chunk_size=0)
 
 
 class TestWorkerCrash:

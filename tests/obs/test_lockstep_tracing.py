@@ -1,8 +1,8 @@
 """Tracing, budgets and workers leave every cell in lockstep.
 
-A lockstep formation runs whatever the scheme, the tracer,
-``--profile``, ``--jobs`` or ``--cell-timeout``: only ``cell_batchable``
-decides a cell's path.  A traced formation writes the spans the per-cell path
+A lockstep formation runs whatever the scheme, fault plan, tracer,
+``--profile``, ``--jobs`` or ``--cell-timeout``: every cell's first
+attempt is a formation member.  A traced formation writes the spans the per-cell path
 writes -- the same names, kinds, attrs and nesting, member by member --
 with each member's own apportioned durations.
 """

@@ -444,15 +444,17 @@ def _patched(patches):
             setattr(owner, name, value)
 
 
-def _unbatchable(cell) -> bool:
-    return False
+def _one_by_one(cells, fallback):
+    """A lockstep driver that runs every cell on the per-cell path."""
+    for cell in cells:
+        yield fallback(cell)
 
 
 @contextmanager
 def unbatched():
     """Run campaigns replication by replication (no lockstep formations):
-    every cell plans as unbatchable and takes the per-cell path."""
-    with _patched([(lockstep, "cell_batchable", _unbatchable)]):
+    every cell takes the per-cell path."""
+    with _patched([(lockstep, "run_cells_lockstep", _one_by_one)]):
         yield
 
 
@@ -484,7 +486,7 @@ def scalar_path():
         (dual, "flip_polish", flip_polish_scalar),
         (batch, "flip_polish", flip_polish_scalar),
         (coloring, "solve_given_assignment", solve_given_assignment_scalar),
-        (lockstep, "cell_batchable", _unbatchable),
+        (lockstep, "run_cells_lockstep", _one_by_one),
     ]):
         yield
 

@@ -18,7 +18,11 @@ from repro.sim import SimulationEngine, sweep
 from repro.sim.checkpoint import SweepCheckpoint
 from repro.sim.metrics import FailedRun
 from repro.testing.faults import FaultPlan
-from repro.utils.errors import CheckpointError, ConfigurationError
+from repro.utils.errors import (
+    CheckpointError,
+    ConfigurationError,
+    NumericalError,
+)
 from repro.utils.stats import ConfidenceInterval
 from tests.faults import (
     CrashingCheckpoint,
@@ -42,17 +46,18 @@ class TestFaultPlan:
 
     def test_run_scoping(self):
         plan = FaultPlan(nan_fading_slots={0}, poison_runs={2})
-        plan.begin_run(0)
-        assert not plan.poisons_fading(0)
-        plan.begin_run(2)
-        assert plan.poisons_fading(0)
-        plan.begin_run(2, attempt=1)  # the retry is poisoned too
-        assert plan.poisons_fading(0)
+        assert plan.for_run(0, 0) is None
+        assert plan.for_run(2, 0) is plan
+        assert plan.for_run(2, 1) is plan  # the retry is poisoned too
+        everywhere = FaultPlan(nan_fading_slots={0})
+        assert everywhere.for_run(5, 0) is everywhere
 
-    def test_unannounced_run_matches_everything(self):
-        # Engines used standalone never call begin_run.
+    def test_unannounced_run_matches_everything(self, single_config):
+        # An engine built standalone is never scoped to a run, so the
+        # plan applies to it whatever poison_runs names.
         plan = FaultPlan(nan_fading_slots={0}, poison_runs={2})
-        assert plan.poisons_fading(0)
+        with pytest.raises(NumericalError):
+            SimulationEngine(single_config.replace(fault_plan=plan)).run()
 
     def test_outage_channel_scoping(self):
         plan = FaultPlan(sensing_outage_slots={1},

@@ -127,9 +127,9 @@ from repro.utils.errors import SweepInterrupted
 # Slow every slot so the sweep is reliably mid-flight when the parent's
 # SIGINT lands.  The fault only sleeps: results are identical to the
 # fault-free run's, and the fault plan is not part of the checkpoint
-# fingerprint, so the parent resumes fault-free.  chunk_size=1 keeps
-# most cells out of the pool's prefetch queue (a chunk already handed
-# to a worker pipeline cannot be cancelled, only drained).
+# fingerprint, so the parent resumes fault-free.  Each worker runs one
+# formation of six cells and admits no further cell once the parent's
+# acknowledgement tells it of the drain.
 config = single_fbs_scenario(n_gops=1, seed=123).replace(
     fault_plan=FaultPlan(slow_slots=frozenset(range(200)),
                          slow_seconds=0.1))
@@ -137,7 +137,7 @@ ShutdownCoordinator().install()
 try:
     sweep(config, "n_channels", [4, 6], ["heuristic1", "heuristic2"],
           n_runs=3, checkpoint_path=sys.argv[1],
-          executor=ParallelExecutor(2, chunk_size=1))
+          executor=ParallelExecutor(2))
 except SweepInterrupted:
     sys.exit(EXIT_INTERRUPTED)
 sys.exit(0)

@@ -100,12 +100,10 @@ class TestSweepIsolation:
         """A fault hitting only attempt 0 is healed by the fresh-seed retry."""
 
         class TransientPlan(FaultPlan):
-            def begin_run(self, run_index, attempt=0):
-                super().begin_run(run_index, attempt)
-                self._attempt = attempt
-
-            def poisons_fading(self, slot):
-                return getattr(self, "_attempt", 0) == 0 and super().poisons_fading(slot)
+            def for_run(self, run_index, attempt):
+                if attempt:
+                    return None
+                return super().for_run(run_index, attempt)
 
         plan = TransientPlan(nan_fading_slots={0}, poison_runs={1})
         runner = MonteCarloRunner(

@@ -311,7 +311,7 @@ class TestTimeoutInsideTask:
         hung = fast_config.replace(fault_plan=FaultPlan(
             hang_slots={0}, hang_seconds=60.0, poison_runs={1}))
         plan = plan_campaign(hung, 4)
-        executor = ParallelExecutor(2, chunk_size=4, cell_timeout=2.0)
+        executor = ParallelExecutor(2, cell_timeout=2.0)
         trace_path = tmp_path / "run.trace"
         obs.reset_metrics()
         obs.enable_metrics(True)
@@ -325,9 +325,9 @@ class TestTimeoutInsideTask:
             obs.enable_metrics(False)
             obs.reset_metrics()
 
-        # All four cells shared one task.  The hang overran the task's
-        # budget; the unreported cells were requeued solo, and only the
-        # hung one overran again.
+        # Cells 1 and 3 shared one worker's formation.  The hang overran
+        # its budget; the unreported cells were requeued solo, and only
+        # the hung one overran again.
         assert sorted(outcomes) == [0, 1, 2, 3]
         assert isinstance(outcomes[1], FailedRun)
         assert outcomes[1].error_type == "CellTimedOut"

@@ -10,6 +10,10 @@ in ``tests/faults.py``.
 
 The few public names that are kept without such a caller are listed in
 :data:`ALLOWED`, each with its reason (DESIGN §7 lists them too).
+
+The same walk finds module-level imports that their module never reads
+(a package ``__init__`` re-exports, ``from __future__`` switches
+behaviour, and a ``# noqa`` import is kept for its side effect).
 """
 
 import ast
@@ -122,3 +126,39 @@ def test_every_public_definition_has_a_caller(unreferenced):
 def test_allowlist_is_current(unreferenced):
     stale = sorted(set(ALLOWED) - unreferenced)
     assert not stale, f"ALLOWED entries that now have a caller or are gone: {stale}"
+
+
+def unused_imports():
+    """``module:line: name`` of every module-level import never read."""
+    unused = []
+    for path in sorted(SRC.rglob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        source = path.read_text(encoding="utf-8")
+        tree = ast.parse(source)
+        lines = source.splitlines()
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)
+                and isinstance(node.ctx, ast.Load)}
+        for node in tree.body:
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if isinstance(node, ast.ImportFrom) and \
+                    node.module == "__future__":
+                continue
+            if any("# noqa" in line
+                   for line in lines[node.lineno - 1:node.end_lineno]):
+                continue
+            # ``import a.b`` binds ``a``; ``as`` binds the alias.
+            bound = [alias.asname or alias.name.split(".")[0]
+                     for alias in node.names]
+            unused.extend(
+                f"{path.relative_to(SRC).as_posix()}:{node.lineno}: {name}"
+                for name in bound if name not in read)
+    return unused
+
+
+def test_every_import_is_read():
+    unused = unused_imports()
+    assert not unused, (
+        f"imports in src/ that their module never reads: {unused}")
